@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -176,3 +177,39 @@ class TestSimulateVerify:
         assert main(["--config", str(cfg), "verify",
                      str(log_path)]) == EXIT_CONFIG
         assert "record 1" in capsys.readouterr().err
+
+
+# the README's minimal config with x0 omitted, so --seed draws the start
+README_YAML = """\
+system: {{name: double_integrator}}
+Q:
+  - {{center: [0.0, 0.0], radius: [1.0, 1.0]}}
+tau: 2.0
+eps: 0.1
+alpha: 0.1
+dt: 0.001
+steps: 200
+log_path: {log_path}
+csv_path: {csv_path}
+horizons: [4, 6, 8]
+candidate: {{values_per_axis: 3, segment_duration: 2.0}}
+init_delta: 0.25
+"""
+
+GOLDEN_LOG_SHA256 = {
+    0: "30329a22cf6c6318453303ab713ba15ef74900afe0e45f91eaf4cd9ca46381b5",
+    1: "6de21615f3d3f5b0ce21558e6a3ec2b6d37932a3e3932a81f13f5091ce00f5d5",
+    2: "63bb4ca1053ca1abfff40567b200bfe8b268976e26ff9e33d7f8844bddfc6608",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_LOG_SHA256))
+def test_golden_episode_log(tmp_path, seed):
+    """simulate writes a byte-identical JSONL log for a pinned config."""
+    log_path = tmp_path / "episode.jsonl"
+    text = README_YAML.format(log_path=log_path,
+                              csv_path=tmp_path / "episode.csv")
+    code, _ = run(tmp_path, text, "--seed", str(seed), "simulate")
+    assert code == EXIT_OK
+    digest = hashlib.sha256(log_path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_LOG_SHA256[seed]
