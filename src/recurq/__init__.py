@@ -9,16 +9,16 @@ and guarantees can be audited offline.
 
 from .geometry import (Box, CompactSet, GridCover, OverlapError, distance,
                        distance_many, grid, lebesgue, min_cover_size,
-                       neighborhood, quantize)
+                       neighborhood)
 from .systems import (BUILTIN_SYSTEMS, ControlSignal, ControlSystem,
                       DomainError, IntegrationBlowupError, Trajectory,
                       divergence, double_integrator, eval_field, integrate,
-                      jacobian_fd, make_system, rk4_step, scalar_linear)
+                      jacobian_fd, make_system, scalar_linear)
 from .recurrence import (ContainmentConstants, RecurrenceSpec, ResolutionError,
                          containment_radius, estimate_F_Q, estimate_L,
                          first_return_time, is_invariant, is_recurrent,
                          lipschitz_region)
-from .entropy import (BoundReport, CandidateClass, InfeasibleInstanceError,
+from .entropy import (CandidateClass, InfeasibleInstanceError,
                       InstanceTooLargeError, SpanningInstance,
                       build_spanning_instance, dim_box_counting,
                       empirical_rate, greedy_cover, initial_point_grid,

@@ -109,18 +109,21 @@ def corner_return_sweep(sys: ControlSystem, Q: CompactSet, tau: float,
     """
     horizon = max(horizon_factor * tau, 5.0)
     u_grid = CandidateClass(values_per_axis, horizon).input_values(sys.U)
+    corners = np.vstack([box.corners() for box in Q.boxes])
+    # every corner under every input in one batch, corner-major
+    X = np.repeat(corners, len(u_grid), axis=0)
+    U = np.tile(u_grid, (len(corners), 1))
+    returns = first_return_time(sys, X, ControlSignal(horizon, U[None]), Q,
+                                horizon, dt)
     results = []
-    for box in Q.boxes:
-        for corner in box.corners():
-            best = math.inf
-            for u in u_grid:
-                t = first_return_time(sys, corner, ControlSignal.constant(u, horizon),
-                                      Q, horizon, dt)
-                if t is not None:
-                    best = min(best, t)
-                if best <= tau:
-                    break
-            results.append((corner, best))
+    for c, corner in enumerate(corners):
+        best = math.inf
+        for t in returns[c * len(u_grid):(c + 1) * len(u_grid)]:
+            if t is not None:
+                best = min(best, t)
+            if best <= tau:
+                break
+        results.append((corner, best))
     return results
 
 
@@ -289,10 +292,22 @@ def cmd_verify(log_path: str, cfg: dict, out) -> int:
         config, steps = load_step_records(log_path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read log: {exc}")
+    missing = [key for key in ("system", "Q_center", "Q_radius", "eps", "tau",
+                               "alpha", "dt", "steps", "x0", "total_bits")
+               if key not in config]
+    if missing:
+        raise ConfigError(f"log header lacks {', '.join(missing)}")
     failures = []
 
     # structural checks straight off the records
     alpha, tau, eps = config["alpha"], config["tau"], config["eps"]
+    if len(steps) != config["steps"]:
+        failures.append(f"log holds {len(steps)} step records, header says "
+                        f"{config['steps']}")
+    widths = sum(len(s.bits) for s in steps)
+    if widths != config["total_bits"]:
+        failures.append(f"header total_bits {config['total_bits']} != {widths}, "
+                        f"the sum of the bit widths")
     for k, s in enumerate(steps):
         if s.i != k:
             failures.append(f"record {k}: step index {s.i} out of order")
@@ -309,7 +324,7 @@ def cmd_verify(log_path: str, cfg: dict, out) -> int:
             failures.append(f"step {k}: x_i outside S_i by {margin:.3g}")
 
     # deterministic re-run for the trajectory clauses
-    sys_ = make_system(config["system"])
+    sys_ = build_system(config)
     Q = CompactSet.box(config["Q_center"], config["Q_radius"])
     controller = _build_controller(cfg, sys_, Q, tau, eps)
     log = run_episode(sys_, Q, controller, np.asarray(config["x0"]), eps, tau,

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .geometry import Box, CompactSet, grid, neighborhood
-from .recurrence import RecurrenceSpec, is_recurrent
-from .systems import ControlSignal, ControlSystem, divergence, integrate
+from .recurrence import RecurrenceSpec, is_invariant, is_recurrent
+from .systems import (ControlSignal, ControlSystem, Trajectory, divergence,
+                      integrate)
 
 LN2 = math.log(2.0)
 
@@ -28,19 +29,6 @@ def dim_box_counting(Q: CompactSet) -> int:
     """Box-counting dimension of a box union: count of positive-width axes."""
     widths = np.max([b.radius for b in Q.boxes], axis=0)
     return int(np.sum(widths > 0))
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Upper/lower recurrence-entropy bounds in bits per second."""
-
-    upper: float
-    lower: float
-    L_tau: float
-    F_Q: float
-    delta_tau: float
-    dim_F: int
-    finite: bool = True
 
 
 def upper_bound(L_tau: float, Q: CompactSet) -> float:
@@ -149,12 +137,15 @@ def build_spanning_instance(sys: ControlSystem, Q: CompactSet,
         dt = candidate_class.segment_duration / k
     feas = np.zeros((len(candidates), len(points)), dtype=bool)
     for j, sig in enumerate(candidates):
+        # one candidate from every initial point at once: (K+1, points, n)
+        held = np.repeat(sig.values[:, None], len(points), axis=1)
+        batch = integrate(sys, points, ControlSignal(sig.segment_duration,
+                                                     held), T, dt)
         for i, x0 in enumerate(points):
-            traj = integrate(sys, x0, sig, T, dt)
+            traj = Trajectory(batch.times, batch.states[:, i], x0, sig)
             if spec.tau > 0:
                 ok, _ = is_recurrent(traj, spec)
             else:
-                from .recurrence import is_invariant
                 ok, _ = is_invariant(traj, spec.Q, spec.eps, T)
             feas[j, i] = ok
     return SpanningInstance(initial_points=points, candidates=tuple(candidates),

@@ -221,10 +221,6 @@ def min_cover_size(Q: CompactSet, delta: float) -> int:
     return total
 
 
-def quantize(x, C: GridCover) -> tuple:
-    return C.quantize(x)
-
-
 def _boxes_overlap(a: Box, b: Box) -> bool:
     # shared faces have measure zero and do not count as overlap
     return bool(np.all(np.abs(a.center - b.center) < a.radius + b.radius - 1e-12))

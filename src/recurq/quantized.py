@@ -15,9 +15,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import Box, CompactSet, GridCover, distance, distance_many, grid
-from .recurrence import estimate_L
-from .systems import ControlSignal, ControlSystem, integrate, march, rk4_step
+from .geometry import Box, CompactSet, distance_many, grid
+from .recurrence import _first_entry, estimate_L
+from .systems import ControlSignal, ControlSystem, integrate, march
 
 LN2 = math.log(2.0)
 
@@ -71,12 +71,10 @@ class CountedChannel:
     """Ordered lossless in-process pipe whose observable is the bit count."""
 
     total_bits: int = 0
-    log: list = field(default_factory=list)
     _queue: deque = field(default_factory=deque)
 
     def send(self, bits: str):
         self.total_bits += len(bits)
-        self.log.append(bits)
         self._queue.append(bits)
 
     def recv(self) -> str:
@@ -92,11 +90,12 @@ def closed_loop(sys: ControlSystem, feedback: Callable, x0, duration: float,
                 dt: float) -> tuple:
     """Simulate state feedback sampled-and-held every dt.
 
-    x0 is one state (n,) or a batch (B, n); a batch needs a field and a
-    feedback that index the last axis.  Returns (states, u_values) of
-    shapes (K+1,) + x0.shape and (K,) + batch shape + (m,), with
-    K = duration/dt.  Both sides of the quantized loop call this one path,
-    which is what makes them bit-identical.
+    x0 is one state (n,) or a batch (B, n); a batch needs a field that
+    indexes the last axis, and the field gets each step's stored (B, m)
+    inputs even from a feedback that returns one (m,) input.  Returns
+    (states, u_values) of shapes (K+1,) + x0.shape and (K,) + batch
+    shape + (m,), with K = duration/dt.  Both sides of the quantized loop
+    call this one path, which is what makes them bit-identical.
     """
     K = int(round(duration / dt))
     x0 = np.array(x0, dtype=float)
@@ -104,9 +103,10 @@ def closed_loop(sys: ControlSystem, feedback: Callable, x0, duration: float,
     lo, hi = sys.U.lo, sys.U.hi
 
     def held(k, x):
-        # lo and hi have shape (m,), so a scalar feedback broadcasts to (m,)
-        u = u_values[k] = np.minimum(np.maximum(feedback(x), lo), hi)
-        return u
+        # lo and hi have shape (m,), so the stored row broadcasts the
+        # feedback to x's batch shape
+        u_values[k] = np.minimum(np.maximum(feedback(x), lo), hi)
+        return u_values[k]
 
     return march(sys.field, x0, dt, K, held), u_values
 
@@ -134,18 +134,9 @@ class RecurrenceController:
         dt = self.validation_dt
         horizon = 2.0 * self.tau
         states, u_values = closed_loop(self.sys, self.feedback, x, horizon, dt)
-        for k in range(1, len(states)):
-            if self.Q.contains(states[k], tol=1e-12):
-                lo, hi = 0.0, dt
-                base, u = states[k - 1], u_values[k - 1]
-                while hi - lo > 1e-6:
-                    mid = 0.5 * (lo + hi)
-                    if self.Q.contains(rk4_step(self.sys.field, base, u, mid),
-                                       tol=1e-12):
-                        hi = mid
-                    else:
-                        lo = mid
-                return (k - 1) * dt + hi
+        t = _first_entry(self.sys.field, states, u_values, dt, self.Q, 1e-6)
+        if t is not None:
+            return t
         raise ControllerInvalidError(
             f"feedback failed to return to Q from {x} within {horizon} s")
 
@@ -193,16 +184,16 @@ def build_feedback_controller(sys: ControlSystem, Q: CompactSet, tau: float,
         raise ValueError("tau must be positive")
     box = Q.bounding_box()
     centers = grid(box, grid_delta).centers()
-    centers = [c for c in centers if Q.contains(c, tol=1e-12)]
+    centers = centers[[Q.contains(c, tol=1e-12) for c in centers]]
     horizon = horizon_factor * tau
+    # every grid state marched at once: (K+1, B, n)
+    swept, _ = closed_loop(sys, feedback, centers, horizon, dt)
+    times = dt * np.arange(len(swept))
     failures = []
-    reached_lo = np.array(box.lo, dtype=float)
-    reached_hi = np.array(box.hi, dtype=float)
     tails = []
     max_gap = 0.0
-    for c in centers:
-        states, _ = closed_loop(sys, feedback, c, horizon, dt)
-        times = dt * np.arange(len(states))
+    for b, c in enumerate(centers):
+        states = swept[:, b]
         dists = distance_many(states, Q)
         visits = times[dists <= 1e-9]
         if len(visits) == 0:
@@ -213,8 +204,6 @@ def build_feedback_controller(sys: ControlSystem, Q: CompactSet, tau: float,
         max_gap = max(max_gap, gap)
         if gap > tau + 2 * dt:
             failures.append((c, gap))
-        reached_lo = np.minimum(reached_lo, states.min(axis=0))
-        reached_hi = np.maximum(reached_hi, states.max(axis=0))
         tails.extend(_excursion_tails(times, states, dists))
     if failures:
         raise ControllerInvalidError(
@@ -236,7 +225,9 @@ def build_feedback_controller(sys: ControlSystem, Q: CompactSet, tau: float,
         if mask.any():
             c_star = float(np.max(dtt[mask] / seps[mask]))
 
-    envelope = Box.from_bounds(reached_lo - eps, reached_hi + eps)
+    reached = np.vstack((box.lo, box.hi, swept.reshape(-1, sys.n)))
+    envelope = Box.from_bounds(reached.min(axis=0) - eps,
+                               reached.max(axis=0) + eps)
     L_tau = estimate_L(sys, envelope)
     return RecurrenceController(sys=sys, Q=Q, tau=tau, feedback=feedback,
                                 c_star=c_star, envelope=envelope,
@@ -342,10 +333,8 @@ class EpisodeLog:
     config: dict
     steps: list
     frag_states: list     # per step: (K+1, n) closed-loop fragment from q_i
-    frag_u: list          # per step: (K, m) transmitted-free control values
     plant_states: list    # per step: (K+1, n) true trajectory from x_i
     total_bits: int
-    channel_log: list
 
     @property
     def n_steps(self) -> int:
@@ -408,6 +397,9 @@ def load_step_records(path: str) -> tuple:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"malformed log record {lineno}: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise ValueError(
+                    f"malformed log record {lineno}: not a JSON object")
             if rec.get("type") == "header":
                 config = {k: v for k, v in rec.items() if k != "type"}
             elif rec.get("type") == "step":
@@ -477,15 +469,14 @@ def run_episodes(sys: ControlSystem, Q: CompactSet,
     receivers = [GridMirror(controller, box, eps, tau, a, dt) for a in alphas]
     channels = [CountedChannel() for _ in range(B)]
     logs = []
-    for x0, alpha, seed, channel in zip(x0s, alphas, seeds, channels):
+    for x0, alpha, seed in zip(x0s, alphas, seeds):
         config = {"system": sys.name, "Q_center": box.center,
                   "Q_radius": box.radius, "eps": eps, "tau": tau,
                   "alpha": alpha, "L_tau": controller.L_tau,
                   "c_star": controller.c_star, "dt": dt, "steps": steps,
                   "seed": seed, "x0": x0}
         logs.append(EpisodeLog(config=config, steps=[], frag_states=[],
-                               frag_u=[], plant_states=[], total_bits=0,
-                               channel_log=channel.log))
+                               plant_states=[], total_bits=0))
 
     X = x0s.copy()
     Q_s = np.empty_like(X)
@@ -521,7 +512,6 @@ def run_episodes(sys: ControlSystem, Q: CompactSet,
                           dt).states
         frag_s, frag_c, plant = (a.reshape(len(a), B, sys.n)
                                  for a in (frag_s, frag_c, plant))
-        u_s = u_s.reshape(len(u_s), B, sys.m)
         for b in range(B):
             frag = frag_s[:, b].copy()
             sensors[b].step_to(frag[-1])
@@ -533,7 +523,6 @@ def run_episodes(sys: ControlSystem, Q: CompactSet,
                     f"episode {b} step {i}: sensor and controller mirrors "
                     f"diverged")
             logs[b].frag_states.append(frag)
-            logs[b].frag_u.append(u_s[:, b].copy())
             logs[b].plant_states.append(plant[:, b].copy())
         X = plant[-1].copy()
 

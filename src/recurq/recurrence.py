@@ -12,9 +12,9 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import Box, CompactSet, distance, neighborhood
-from .systems import (ControlSignal, ControlSystem, Trajectory, divergence,
-                      rk4_step, _check_step_alignment, _as_vector)
+from .geometry import Box, CompactSet, distance_many, neighborhood
+from .systems import (ControlSignal, ControlSystem, Trajectory, march,
+                      _held_inputs, _integrate)
 
 #: membership slack absorbing floating-point noise on box boundaries
 _MEMBERSHIP_TOL = 1e-12
@@ -52,9 +52,7 @@ class ContainmentConstants:
 
 def _visit_times(traj: Trajectory, Q: CompactSet, eps: float,
                  T: float) -> np.ndarray:
-    mask = np.array([distance(x, Q) <= eps + _MEMBERSHIP_TOL
-                     for x in traj.states])
-    times = traj.times[mask]
+    times = traj.times[distance_many(traj.states, Q) <= eps + _MEMBERSHIP_TOL]
     return times[times <= T + _MEMBERSHIP_TOL]
 
 
@@ -95,49 +93,65 @@ def is_invariant(traj: Trajectory, Q: CompactSet, eps: float,
                  T: float) -> tuple:
     """Every sample of [0, T] lies in the eps-neighborhood of Q."""
     T = min(T, traj.horizon)
-    for t, x in zip(traj.times, traj.states):
-        if t > T + _MEMBERSHIP_TOL:
-            break
-        if distance(x, Q) > eps + _MEMBERSHIP_TOL:
-            return False, float(t)
+    outside = ((traj.times <= T + _MEMBERSHIP_TOL)
+               & (distance_many(traj.states, Q) > eps + _MEMBERSHIP_TOL))
+    if outside.any():
+        return False, float(traj.times[np.argmax(outside)])
     return True, None
 
 
 def first_return_time(sys: ControlSystem, x0, signal: ControlSignal, Q: CompactSet,
-                      horizon: float, dt: float, refine_tol: float = 1e-9) -> Optional[float]:
+                      horizon: float, dt: float, refine_tol: float = 1e-9):
     """First t > 0 with the trajectory inside Q, refined by bisection.
 
-    Returns None if the trajectory never meets Q in (0, horizon].  Uses an
-    early-exit RK4 march so callers can sweep many controls cheaply.
+    Returns None if the trajectory never meets Q in (0, horizon]; a state
+    that blows up never meets it.  x0 may be a batch (B, n) driven by a
+    signal of shape (segments, B, m), as for integrate; the result is then
+    a list of B such times, each equal to the time of its row marched alone.
     """
-    x0 = _as_vector(x0, dim=sys.n, name="x0")
-    _check_step_alignment(dt, signal.segment_duration)
-    if horizon > signal.total_duration + 1e-9:
-        raise ValueError("horizon exceeds the signal duration")
-    field = sys.field
-    x = x0.copy()
-    t = 0.0
-    n_steps = int(math.ceil(horizon / dt - 1e-9))
-    for k in range(n_steps):
-        h = min(dt, horizon - t)
-        u = signal.value_at(t)
-        x_next = rk4_step(field, x, u, h)
-        t_next = t + h
-        if Q.contains(x_next, tol=_MEMBERSHIP_TOL):
-            # bisect inside the step; u is constant there
-            lo, hi = 0.0, h
-            for _ in range(80):
-                if hi - lo <= refine_tol:
-                    break
-                mid = 0.5 * (lo + hi)
-                xm = rk4_step(field, x, u, mid)
-                if Q.contains(xm, tol=_MEMBERSHIP_TOL):
-                    hi = mid
-                else:
-                    lo = mid
-            return t + hi
-        x, t = x_next, t_next
-    return None
+    traj = _integrate(sys, x0, signal, horizon, dt, check_finite=False)
+    held = _held_inputs(signal, traj.times[:-1])
+    n_full = int(horizon / dt + 1e-9)
+    # integrate ends on a partial step when dt does not divide the horizon
+    last_h = horizon - n_full * dt if len(traj.times) > n_full + 1 else None
+    if traj.states.ndim == 2:
+        return _first_entry(sys.field, traj.states, held, dt, Q, refine_tol,
+                            last_h)
+    return [_first_entry(sys.field, traj.states[:, b], held[:, b], dt, Q,
+                         refine_tol, last_h)
+            for b in range(traj.states.shape[1])]
+
+
+def _first_entry(field, states, inputs, dt: float, Q: CompactSet,
+                 refine_tol: float, last_h: Optional[float] = None):
+    """Time of the first entry into Q after states[0], or None.
+
+    states[k + 1] is one RK4 step of width dt from states[k] under the
+    held input inputs[k] (the last step has width last_h when given).  The
+    entry is bisected inside the first step that lands in Q, probing with
+    one-step marches from its start.
+    """
+    inside = np.zeros(len(states) - 1, dtype=bool)
+    for b in Q.boxes:  # Box.contains, over every sample at once
+        inside |= np.all(np.abs(states[1:] - b.center)
+                         <= b.radius + _MEMBERSHIP_TOL, axis=-1)
+    if not inside.any():
+        return None
+    k = int(np.argmax(inside))
+    x, u = states[k], inputs[k]
+    lo, hi = 0.0, dt
+    if last_h is not None and k + 1 == len(inside):
+        hi = last_h
+    for _ in range(80):
+        if hi - lo <= refine_tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if Q.contains(march(field, x, mid, 1, lambda *_: u)[-1],
+                      tol=_MEMBERSHIP_TOL):
+            hi = mid
+        else:
+            lo = mid
+    return k * dt + hi
 
 
 def estimate_F_Q(sys: ControlSystem, Q: CompactSet,

@@ -117,14 +117,6 @@ def eval_field(sys: ControlSystem, x, u) -> np.ndarray:
     return np.asarray(sys.field(x, u), dtype=float)
 
 
-def rk4_step(field, x: np.ndarray, u: np.ndarray, h: float) -> np.ndarray:
-    k1 = field(x, u)
-    k2 = field(x + 0.5 * h * k1, u)
-    k3 = field(x + 0.5 * h * k2, u)
-    k4 = field(x + h * k3, u)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _check_step_alignment(dt: float, segment_duration: float):
     ratio = segment_duration / dt
     if abs(ratio - round(ratio)) > 1e-6 * max(1.0, ratio):
@@ -179,7 +171,13 @@ def integrate(sys: ControlSystem, x0, signal: ControlSignal,
     dt must divide the signal's segment duration so the input is constant
     within every step.  x0 may be a batch (B, n) driven by a signal of
     shape (segments, B, m); each row then integrates exactly as alone.
+    A non-finite state raises IntegrationBlowupError.
     """
+    return _integrate(sys, x0, signal, horizon, dt, check_finite=True)
+
+
+def _integrate(sys: ControlSystem, x0, signal: ControlSignal, horizon: float,
+               dt: float, check_finite: bool) -> Trajectory:
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 2:
         x0 = _as_vector(x0, dim=sys.n, name="x0")
@@ -198,22 +196,25 @@ def integrate(sys: ControlSystem, x0, signal: ControlSignal,
 
     n_full = int(horizon / dt + 1e-9)
     remainder = horizon - n_full * dt
-    values = signal.values
-    # segment of each full step, looked up once instead of in the hot loop
-    seg = (np.arange(n_full) * dt / signal.segment_duration + 1e-9).astype(int)
-    held = values[np.minimum(seg, values.shape[0] - 1)]
-    states = march(sys.field, x0, dt, n_full, lambda k, _: held[k],
-                   check_finite=True)
     times = dt * np.arange(n_full + 1, dtype=float)
+    held = _held_inputs(signal, times)
+    states = march(sys.field, x0, dt, n_full, lambda k, _: held[k],
+                   check_finite=check_finite)
     if remainder > 1e-12:
-        t = n_full * dt
-        u = values[min(int(t / signal.segment_duration + 1e-9),
-                       values.shape[0] - 1)]
-        x = rk4_step(sys.field, states[-1], u, remainder)
-        _check_finite(x, horizon)
+        x = march(sys.field, states[-1], remainder, 1,
+                  lambda k, _: held[-1])[-1]
+        if check_finite:
+            _check_finite(x, horizon)
         states = np.concatenate((states, x[None]))
         times = np.append(times, horizon)
     return Trajectory(times, states, x0, signal)
+
+
+def _held_inputs(signal: ControlSignal, times: np.ndarray) -> np.ndarray:
+    """The signal's value held from each of the step start times."""
+    values = signal.values
+    seg = (times / signal.segment_duration + 1e-9).astype(int)
+    return values[np.minimum(seg, values.shape[0] - 1)]
 
 
 def jacobian_fd(sys: ControlSystem, x, u) -> np.ndarray:
@@ -236,17 +237,8 @@ def divergence(sys: ControlSystem, x, u) -> float:
     u = _as_vector(u, dim=sys.m, name="input")
     if not sys.U.contains(u, tol=1e-12):
         raise DomainError(f"input {u} outside U")
-    if sys.jacobian is not None:
-        div = float(np.trace(np.asarray(sys.jacobian(x, u), dtype=float)))
-    else:
-        div = 0.0
-        for i in range(sys.n):
-            h = 1e-6 * max(1.0, abs(x[i]))
-            xp, xm = x.copy(), x.copy()
-            xp[i] += h
-            xm[i] -= h
-            div += (sys.field(xp, u)[i] - sys.field(xm, u)[i]) / (2 * h)
-        div = float(div)
+    J = jacobian_fd(sys, x, u) if sys.jacobian is None else sys.jacobian(x, u)
+    div = float(np.trace(np.asarray(J, dtype=float)))
     if not math.isfinite(div):
         raise FloatingPointError("divergence evaluated to a non-finite value")
     return div

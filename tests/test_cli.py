@@ -157,29 +157,51 @@ class TestSimulateVerify:
 
     def test_verify_detects_tampering(self, sim, tmp_path):
         code, recs, log_path, _, text = sim
-        lines = log_path.read_text().splitlines()
-        rec = json.loads(lines[4])
-        rec["x"][0] += 0.5
-        lines[4] = json.dumps(rec)
-        log_path.write_text("\n".join(lines) + "\n")
-        code, recs = run(tmp_path, text, "verify", str(log_path))
-        assert code == EXIT_GUARANTEE
-        (r,) = recs
-        assert not r["passed"]
-        assert any("outside S_" in f or "re-run" in f
-                   for f in r["record_failures"])
+        clean = log_path.read_text().splitlines()
+
+        def shift_x(lines):
+            rec = json.loads(lines[4])
+            rec["x"][0] += 0.5
+            return lines[:4] + [json.dumps(rec)] + lines[5:]
+
+        def edit_header(**fields):
+            return lambda lines: [json.dumps({**json.loads(lines[0]),
+                                              **fields})] + lines[1:]
+
+        for edit, expected in [
+                (shift_x, ("outside S_", "re-run")),
+                (edit_header(total_bits=99999), ("total_bits",)),
+                (edit_header(steps=500), ("step records",)),
+                (lambda lines: lines[:4], ("step records",)),  # 3 of 12 kept
+        ]:
+            log_path.write_text("\n".join(edit(clean)) + "\n")
+            code, recs = run(tmp_path, text, "verify", str(log_path))
+            assert code == EXIT_GUARANTEE
+            (r,) = recs
+            assert not r["passed"]
+            assert any(e in f for f in r["record_failures"] for e in expected)
 
     def test_verify_malformed_log(self, sim, tmp_path, capsys):
         code, recs, log_path, _, text = sim
-        log_path.write_text("not json at all\n")
+        lines = log_path.read_text().splitlines()
+        header = json.loads(lines[0])
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(text)
-        assert main(["--config", str(cfg), "verify",
-                     str(log_path)]) == EXIT_CONFIG
-        assert "record 1" in capsys.readouterr().err
+        cases = [(["not json at all"], "record 1"),
+                 (lines[:2] + ["[1, 2]"] + lines[3:], "record 3"),
+                 ([json.dumps(dict(header, system="pendulum"))] + lines[1:],
+                  "pendulum")]
+        cases += [([json.dumps({k: v for k, v in header.items() if k != key})]
+                   + lines[1:], key) for key in ("alpha", "tau", "eps")]
+        for body, message in cases:
+            log_path.write_text("\n".join(body) + "\n")
+            assert main(["--config", str(cfg), "verify",
+                         str(log_path)]) == EXIT_CONFIG
+            assert message in capsys.readouterr().err
 
 
-# the README's minimal config with x0 omitted, so --seed draws the start
+# the README's minimal config with x0 omitted, so --seed draws the start;
+# csv_path is left out too, as the CSV export does not enter the log
 README_YAML = """\
 system: {{name: double_integrator}}
 Q:
@@ -190,7 +212,6 @@ alpha: 0.1
 dt: 0.001
 steps: 200
 log_path: {log_path}
-csv_path: {csv_path}
 horizons: [4, 6, 8]
 candidate: {{values_per_axis: 3, segment_duration: 2.0}}
 init_delta: 0.25
@@ -207,8 +228,7 @@ GOLDEN_LOG_SHA256 = {
 def test_golden_episode_log(tmp_path, seed):
     """simulate writes a byte-identical JSONL log for a pinned config."""
     log_path = tmp_path / "episode.jsonl"
-    text = README_YAML.format(log_path=log_path,
-                              csv_path=tmp_path / "episode.csv")
+    text = README_YAML.format(log_path=log_path)
     code, _ = run(tmp_path, text, "--seed", str(seed), "simulate")
     assert code == EXIT_OK
     digest = hashlib.sha256(log_path.read_bytes()).hexdigest()

@@ -10,7 +10,8 @@ from recurq import (Box, CandidateClass, CompactSet, InfeasibleInstanceError,
                     InstanceTooLargeError, RecurrenceSpec, SpanningInstance,
                     build_spanning_instance, dim_box_counting, double_integrator,
                     empirical_rate, greedy_cover, initial_point_grid,
-                    lower_bound, min_spanning_cardinality, scalar_linear,
+                    integrate, is_invariant, is_recurrent, lower_bound,
+                    min_spanning_cardinality, scalar_linear,
                     uncoverable_points, upper_bound)
 
 LN2 = math.log(2.0)
@@ -164,6 +165,25 @@ class TestBuildInstance:
         assert math.isfinite(r)
         covered = inst.feasibility[chosen].any(axis=0)
         assert covered.all()
+
+    @pytest.mark.parametrize("tau", [2.0, 0.0])
+    def test_batched_rows_match_per_row_reference(self, tau):
+        # tau = 0 builds an invariance instance
+        sys = double_integrator()
+        spec = RecurrenceSpec(UNIT_SQUARE, tau=tau, eps=0.1, T=4.0)
+        cc = CandidateClass(values_per_axis=3, segment_duration=2.0)
+        inst = build_spanning_instance(sys, UNIT_SQUARE, spec, 0.25, cc,
+                                       dt=0.05)
+        assert inst.feasibility.shape == (9, 16)
+        assert inst.feasibility.any() and not inst.feasibility.all()
+        for j, sig in enumerate(inst.candidates):
+            for i, x0 in enumerate(inst.initial_points):
+                traj = integrate(sys, x0, sig, 4.0, 0.05)
+                if tau > 0:
+                    ok, _ = is_recurrent(traj, spec)
+                else:
+                    ok, _ = is_invariant(traj, UNIT_SQUARE, 0.1, 4.0)
+                assert inst.feasibility[j, i] == ok, (j, i)
 
     def test_caps_enforced(self):
         sys = double_integrator()

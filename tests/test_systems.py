@@ -5,8 +5,9 @@ import pytest
 
 from recurq import (Box, ControlSignal, ControlSystem, DomainError,
                     IntegrationBlowupError, divergence, double_integrator,
-                    eval_field, integrate, jacobian_fd, make_system, rk4_step,
+                    eval_field, integrate, jacobian_fd, make_system,
                     scalar_linear)
+from recurq.systems import march
 
 
 class TestControlSignal:
@@ -70,7 +71,8 @@ class TestRK4:
 
     def test_single_step_matches_loop(self):
         sys = scalar_linear(a=1.0)
-        x1 = rk4_step(sys.field, np.array([1.0]), np.array([0.5]), 0.1)
+        x1 = march(sys.field, np.array([1.0]), 0.1, 1,
+                   lambda k, x: np.array([0.5]))[-1]
         traj = integrate(sys, [1.0], ControlSignal.constant([0.5], 0.1), 0.1, 0.1)
         np.testing.assert_allclose(traj.end, x1, rtol=0, atol=0)
 
