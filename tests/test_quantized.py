@@ -332,3 +332,33 @@ class TestEpisodeBatch:
         with pytest.raises(ValueError, match=match):
             run_episodes(double_integrator(), UNIT_SQUARE, di_controller,
                          x0s, eps, tau, alphas, 3, 0.01)
+
+
+class TestPinnedValues:
+    """Figures measured before the visit-gap scans were merged into one."""
+
+    def test_reference_controller_constants(self, di_controller):
+        assert di_controller.c_star == 1.4012542865626219
+        assert di_controller.max_visit_gap == 0.52
+
+    def test_clause_results(self, di_controller):
+        logs = run_episodes(double_integrator(), UNIT_SQUARE, di_controller,
+                            TestEpisodeBatch.X0S, 0.1, 2.0,
+                            TestEpisodeBatch.ALPHAS, 6, 0.01)
+        # (a) state in ball, (b) tracking, (c) hat and (d) true recurrence
+        expected = [
+            (-0.07893879306251506, -0.07589513525454403,
+             -2.0089639145758453, -2.0089639145758453),
+            (-0.03402241997831051, -0.025445260834242815,
+             -1.9985210360919714, -1.9985210360919714),
+            (-0.0006305046684744956, -0.00020730727944141348,
+             -1.9903473362112862, -1.9903473362112862),
+            (-0.02387190505562655, -0.023871905055626565,
+             -1.9985210360919714, -1.9985210360919714),
+        ]
+        for log, margins in zip(logs, expected):
+            report = verify_guarantees(log)
+            clauses = (report.state_in_ball, report.tracking,
+                       report.hat_recurrent, report.true_recurrent)
+            assert [c.passed for c in clauses] == [True] * 4
+            assert tuple(c.worst_margin for c in clauses) == margins
