@@ -18,7 +18,7 @@ import yaml
 from .entropy import (CandidateClass, InstanceTooLargeError,
                       build_spanning_instance, lower_bound,
                       min_spanning_cardinality, upper_bound)
-from .geometry import Box, CompactSet
+from .geometry import Box, CompactSet, _as_vector
 from .quantized import (GuaranteeViolationError, ProtocolError, bit_rate,
                         decode, load_step_records,
                         reference_controller_double_integrator,
@@ -238,7 +238,9 @@ def cmd_simulate(cfg: dict, out) -> int:
     steps = int(cfg.get("steps", 100))
     seed = int(cfg.get("seed", 0))
     if "x0" in cfg:
-        x0 = np.asarray(cfg["x0"], dtype=float)
+        x0 = _require(cfg, "x0", lambda v: _as_vector(v, sys_.n, "x0"))
+        if not Q.contains(x0, tol=1e-12):
+            raise ConfigError(f"x0 {x0.tolist()} must lie in Q")
     else:
         rng = np.random.default_rng(seed)
         box = Q.boxes[0]

@@ -11,8 +11,7 @@ import numpy as np
 
 from .geometry import Box, CompactSet, grid, neighborhood
 from .recurrence import RecurrenceSpec, is_invariant, is_recurrent
-from .systems import (ControlSignal, ControlSystem, Trajectory, divergence,
-                      integrate)
+from .systems import ControlSignal, ControlSystem, divergence, integrate
 
 LN2 = math.log(2.0)
 
@@ -141,13 +140,9 @@ def build_spanning_instance(sys: ControlSystem, Q: CompactSet,
         held = np.repeat(sig.values[:, None], len(points), axis=1)
         batch = integrate(sys, points, ControlSignal(sig.segment_duration,
                                                      held), T, dt)
-        for i, x0 in enumerate(points):
-            traj = Trajectory(batch.times, batch.states[:, i], x0, sig)
-            if spec.tau > 0:
-                ok, _ = is_recurrent(traj, spec)
-            else:
-                ok, _ = is_invariant(traj, spec.Q, spec.eps, T)
-            feas[j, i] = ok
+        verdicts = (is_recurrent(batch, spec) if spec.tau > 0
+                    else is_invariant(batch, spec.Q, spec.eps, T))
+        feas[j] = [ok for ok, _ in verdicts]
     return SpanningInstance(initial_points=points, candidates=tuple(candidates),
                             feasibility=feas, spec=spec)
 

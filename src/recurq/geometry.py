@@ -132,9 +132,9 @@ def distance(y, Q: CompactSet) -> float:
 
 
 def distance_many(X: np.ndarray, Q: CompactSet) -> np.ndarray:
-    """Vectorized distance(., Q) over rows of X."""
+    """Vectorized distance(., Q) over the points along X's last axis."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    per_box = [np.max(np.maximum(np.abs(X - b.center) - b.radius, 0.0), axis=1)
+    per_box = [np.max(np.maximum(np.abs(X - b.center) - b.radius, 0.0), axis=-1)
                for b in Q.boxes]
     return np.min(per_box, axis=0)
 

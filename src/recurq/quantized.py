@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import Box, CompactSet, distance_many, grid
-from .recurrence import _first_entry, estimate_L
+from .recurrence import _first_entry, _visit_gaps, estimate_L
 from .systems import ControlSignal, ControlSystem, integrate, march
 
 LN2 = math.log(2.0)
@@ -189,22 +189,17 @@ def build_feedback_controller(sys: ControlSystem, Q: CompactSet, tau: float,
     # every grid state marched at once: (K+1, B, n)
     swept, _ = closed_loop(sys, feedback, centers, horizon, dt)
     times = dt * np.arange(len(swept))
+    dists = distance_many(swept, Q)
     failures = []
     tails = []
     max_gap = 0.0
     for b, c in enumerate(centers):
-        states = swept[:, b]
-        dists = distance_many(states, Q)
-        visits = times[dists <= 1e-9]
-        if len(visits) == 0:
-            failures.append((c, math.inf))
-            continue
-        gap = max(visits[0], float(np.max(np.diff(visits), initial=0.0)),
-                  horizon - visits[-1])
+        gaps, _ = _visit_gaps(times[dists[:, b] <= 1e-9], 0.0, horizon)
+        gap = float(np.max(gaps))  # tail included; inf with no visit
         max_gap = max(max_gap, gap)
         if gap > tau + 2 * dt:
             failures.append((c, gap))
-        tails.extend(_excursion_tails(times, states, dists))
+        tails.extend(_excursion_tails(times, swept[:, b], dists[:, b]))
     if failures:
         raise ControllerInvalidError(
             f"{len(failures)} grid states break tau-recurrence under the "
@@ -596,15 +591,16 @@ def _windowed_recurrence_margin(times, dists, slacks, windows, starts,
     for slack, window, t0 in zip(slacks, windows, starts):
         if T_end - t0 < window:
             continue
-        mask = (times >= t0 - 1e-12) & (dists <= slack + 1e-9)
-        visits = times[mask]
+        # times is sorted except at the junctions, where a fragment may end
+        # past the next one's start: the samples from t0 on form a suffix
+        k = int(np.searchsorted(times, t0 - 1e-12))
+        visits = times[k:][dists[k:] <= slack + 1e-9]
         if len(visits) == 0:
             return math.inf
-        gap = max(visits[0] - t0,
-                  float(np.max(np.diff(visits), initial=0.0)))
-        tail_ok_at = T_end - window
-        if visits[-1] < tail_ok_at - 1e-12:
-            gap = max(gap, T_end - visits[-1])
+        gaps, _ = _visit_gaps(visits, t0, T_end)
+        gap = max(0.0, float(np.max(gaps[:-1])))
+        if visits[-1] < T_end - window - 1e-12:
+            gap = max(gap, float(gaps[-1]))
         worst = max(worst, gap - window)
     return worst
 

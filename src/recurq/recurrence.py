@@ -50,10 +50,13 @@ class ContainmentConstants:
     converged: bool = True
 
 
-def _visit_times(traj: Trajectory, Q: CompactSet, eps: float,
-                 T: float) -> np.ndarray:
-    times = traj.times[distance_many(traj.states, Q) <= eps + _MEMBERSHIP_TOL]
-    return times[times <= T + _MEMBERSHIP_TOL]
+def _visit_gaps(visits: np.ndarray, t0: float, T: float) -> tuple:
+    """(gaps, starts) of the stretches of [t0, T] between sorted visit
+    times; with no visit, one infinite stretch from t0."""
+    if len(visits) == 0:
+        return np.array([math.inf]), np.array([t0])
+    starts = np.concatenate(([t0], visits))
+    return np.append(visits, T) - starts, starts
 
 
 def _check_resolution(traj: Trajectory, tau: float):
@@ -63,41 +66,42 @@ def _check_resolution(traj: Trajectory, tau: float):
         )
 
 
-def is_recurrent(traj: Trajectory, spec: RecurrenceSpec) -> tuple:
+def is_recurrent(traj: Trajectory, spec: RecurrenceSpec):
     """Sampled check of windowed recurrence; returns (ok, witness).
 
     True iff every window [t, t+tau] with t in [0, T-tau] contains a
     sample inside the eps-neighborhood of Q, at sample resolution.  On
-    failure the witness is the start of a violating window.
+    failure the witness is the start of the first visit gap that holds a
+    violating window.  A batch (K+1, B, n) gives a list of B such pairs.
     """
     T = min(spec.T, traj.horizon)
     if traj.horizon + 1e-9 < spec.T and math.isfinite(spec.T):
         raise ValueError("trajectory shorter than the requested horizon T")
     _check_resolution(traj, spec.tau)
-    visits = _visit_times(traj, spec.Q, spec.eps, T)
-    tau = spec.tau
-    if len(visits) == 0:
-        return False, 0.0
-    if visits[0] > tau + _MEMBERSHIP_TOL:
-        return False, 0.0
-    gaps = np.diff(visits)
-    for j, g in enumerate(gaps):
-        if g > tau + _MEMBERSHIP_TOL and visits[j] < T - tau - _MEMBERSHIP_TOL:
-            return False, float(visits[j])
-    if T - visits[-1] > tau + _MEMBERSHIP_TOL:
-        return False, float(visits[-1])
-    return True, None
+    tau, tol = spec.tau, _MEMBERSHIP_TOL
+    visited = ((distance_many(traj.states, spec.Q).T <= spec.eps + tol)
+               & (traj.times <= T + tol))
+    verdicts = []
+    for row in np.atleast_2d(visited):
+        gaps, starts = _visit_gaps(traj.times[row], 0.0, T)
+        # the head and the tail fail on length alone; an interior gap only
+        # if it starts before T - tau
+        fail = gaps > tau + tol
+        fail[1:-1] &= starts[1:-1] < T - tau - tol
+        verdicts.append((False, float(starts[np.argmax(fail)]))
+                        if fail.any() else (True, None))
+    return verdicts if visited.ndim == 2 else verdicts[0]
 
 
-def is_invariant(traj: Trajectory, Q: CompactSet, eps: float,
-                 T: float) -> tuple:
-    """Every sample of [0, T] lies in the eps-neighborhood of Q."""
+def is_invariant(traj: Trajectory, Q: CompactSet, eps: float, T: float):
+    """Every sample of [0, T] lies in the eps-neighborhood of Q; returns
+    (ok, first time outside), a list of such pairs for a batch."""
     T = min(T, traj.horizon)
-    outside = ((traj.times <= T + _MEMBERSHIP_TOL)
-               & (distance_many(traj.states, Q) > eps + _MEMBERSHIP_TOL))
-    if outside.any():
-        return False, float(traj.times[np.argmax(outside)])
-    return True, None
+    outside = ((distance_many(traj.states, Q).T > eps + _MEMBERSHIP_TOL)
+               & (traj.times <= T + _MEMBERSHIP_TOL))
+    verdicts = [(False, float(traj.times[np.argmax(row)])) if row.any()
+                else (True, None) for row in np.atleast_2d(outside)]
+    return verdicts if outside.ndim == 2 else verdicts[0]
 
 
 def first_return_time(sys: ControlSystem, x0, signal: ControlSignal, Q: CompactSet,
@@ -162,13 +166,16 @@ def estimate_F_Q(sys: ControlSystem, Q: CompactSet,
     u_grid = sys.U.sample_grid(samples_per_axis)
     best = 0.0
     for box in Q.boxes:
-        for x in box.sample_grid(samples_per_axis):
-            for u in u_grid:
-                v = np.asarray(sys.field(x, u), dtype=float)
-                if not np.all(np.isfinite(v)):
-                    raise FloatingPointError(
-                        f"vector field non-finite at x={x}, u={u}")
-                best = max(best, float(np.max(np.abs(v))))
+        xs = box.sample_grid(samples_per_axis)
+        # every (x, u) pair of the box in one call, x-major
+        X = np.repeat(xs, len(u_grid), axis=0)
+        U = np.tile(u_grid, (len(xs), 1))
+        v = np.asarray(sys.field(X, U), dtype=float)
+        bad = np.flatnonzero(~np.all(np.isfinite(v), axis=-1))
+        if len(bad):
+            raise FloatingPointError(
+                f"vector field non-finite at x={X[bad[0]]}, u={U[bad[0]]}")
+        best = max(best, float(np.max(np.abs(v))))
     return best
 
 
@@ -183,18 +190,18 @@ def estimate_L(sys: ControlSystem, region: Box, samples: int = 200,
     if samples < 2:
         raise ValueError("need at least 2 sampled pairs")
     rng = np.random.default_rng(seed)
-    lo, hi = region.lo, region.hi
+    # the same draws, in the same order, as x1 then x2 for each sample
+    pairs = rng.uniform(region.lo, region.hi, size=(samples, 2, region.dim))
+    sep = np.max(np.abs(pairs[:, 0] - pairs[:, 1]), axis=-1)
+    pairs, sep = pairs[sep >= 1e-12], sep[sep >= 1e-12]
+    X = np.concatenate((pairs[:, 0], pairs[:, 1]))
     u_points = [sys.U.center] + list(sys.U.corners())
     best = 0.0
-    for _ in range(samples):
-        x1 = rng.uniform(lo, hi)
-        x2 = rng.uniform(lo, hi)
-        sep = np.max(np.abs(x1 - x2))
-        if sep < 1e-12:
-            continue
-        for u in u_points:
-            df = np.asarray(sys.field(x1, u)) - np.asarray(sys.field(x2, u))
-            best = max(best, float(np.max(np.abs(df)) / sep))
+    for u in u_points:
+        f = np.asarray(sys.field(X, np.tile(u, (len(X), 1))))
+        quotients = np.max(np.abs(f[:len(sep)] - f[len(sep):]), axis=-1) / sep
+        # fmax skips a NaN quotient, as the running max(best, q) did
+        best = float(np.fmax.reduce(quotients, initial=best))
     if sys.jacobian is not None:
         x_grid = region.sample_grid(jac_points_per_axis)
         for x in x_grid:

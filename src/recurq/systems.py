@@ -88,12 +88,13 @@ class ControlSignal:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled solution path (final partial step permitted)."""
+    """Uniformly sampled solution path (final partial step permitted).
+
+    states is (K+1, n), or (K+1, B, n) for a batch sampled at `times`.
+    """
 
     times: np.ndarray
     states: np.ndarray
-    x0: np.ndarray
-    signal: ControlSignal
 
     @property
     def dt(self) -> float:
@@ -192,7 +193,7 @@ def _integrate(sys: ControlSystem, x0, signal: ControlSignal, horizon: float,
     _check_step_alignment(dt, signal.segment_duration)
 
     if horizon == 0.0:
-        return Trajectory(np.array([0.0]), x0[None].copy(), x0, signal)
+        return Trajectory(np.array([0.0]), x0[None].copy())
 
     n_full = int(horizon / dt + 1e-9)
     remainder = horizon - n_full * dt
@@ -207,7 +208,7 @@ def _integrate(sys: ControlSystem, x0, signal: ControlSignal, horizon: float,
             _check_finite(x, horizon)
         states = np.concatenate((states, x[None]))
         times = np.append(times, horizon)
-    return Trajectory(times, states, x0, signal)
+    return Trajectory(times, states)
 
 
 def _held_inputs(signal: ControlSignal, times: np.ndarray) -> np.ndarray:

@@ -148,6 +148,18 @@ class TestSimulateVerify:
             outs.append(body)
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("x0", ["[2.0, 0.0]", "[0.0, 0.0, 1.0]"])
+    def test_bad_x0_is_config_error(self, tmp_path, capsys, x0):
+        # outside Q, and of the wrong dimension
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(SIM_YAML.format(log_path=tmp_path / "ep.jsonl",
+                                       csv_path=tmp_path / "ep.csv")
+                       .replace("x0: [0.4, -0.2]", f"x0: {x0}"))
+        assert main(["--config", str(cfg), "simulate"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "x0" in err
+        assert not (tmp_path / "ep.jsonl").exists()
+
     def test_verify_clean_log(self, sim, tmp_path):
         code, recs, log_path, _, text = sim
         code, recs = run(tmp_path, text, "verify", str(log_path))

@@ -1,13 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from recurq import (Box, CompactSet, ControlSignal, RecurrenceSpec,
-                    ResolutionError, containment_radius, double_integrator,
-                    estimate_F_Q, estimate_L, first_return_time, integrate,
-                    is_invariant, is_recurrent, lipschitz_region,
-                    scalar_linear)
+from recurq import (Box, CompactSet, ControlSignal, ControlSystem,
+                    RecurrenceSpec, ResolutionError, Trajectory,
+                    containment_radius, double_integrator, estimate_F_Q,
+                    estimate_L, first_return_time, integrate, is_invariant,
+                    is_recurrent, lipschitz_region, scalar_linear)
 
 UNIT_SQUARE = CompactSet.box([0.0, 0.0], [1.0, 1.0])
 
@@ -47,8 +50,11 @@ class TestIsRecurrent:
         sys = double_integrator()
         traj = integrate(sys, [5.0, 0.0], ControlSignal.constant([1.0], 4.0),
                          4.0, 0.01)
-        ok, witness = is_recurrent(traj, RecurrenceSpec(UNIT_SQUARE, tau=1.0, T=4.0))
-        assert not ok and witness == 0.0
+        for tau in (1.0, 4.0):
+            # at tau = T the no-visit stretch is infinite, so it still fails
+            ok, witness = is_recurrent(traj, RecurrenceSpec(UNIT_SQUARE,
+                                                            tau=tau, T=4.0))
+            assert not ok and witness == 0.0
 
     def test_tail_violation_witness(self):
         # leaves Q when x2 crosses 1 at t=1, never returns: witness is the
@@ -75,6 +81,43 @@ class TestIsRecurrent:
             RecurrenceSpec(UNIT_SQUARE, tau=-1.0)
         with pytest.raises(ValueError):
             RecurrenceSpec(UNIT_SQUARE, tau=3.0, T=2.0)
+
+
+def brute_force_recurrent(visits, dt, tau, T):
+    """Every window [t, t + tau], t on a dt/4 grid over [0, T - tau], holds
+    a visit."""
+    starts = (dt / 4) * np.arange(int(round((T - tau) / (dt / 4))) + 1)
+    return all(np.any((visits >= t) & (visits <= t + tau)) for t in starts)
+
+
+class TestIsRecurrentOracle:
+    @given(dt=st.sampled_from([0.25, 0.5, 1.0]), m=st.integers(10, 16),
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_window_scan_and_batch(self, dt, m, data):
+        # tau = (m + 1/2) dt keeps every gap off the 1e-12 tolerance edges,
+        # and dt, dt/4 are binary fractions, so the windows are exact
+        tau = (m + 0.5) * dt
+        K = data.draw(st.integers(m + 1, 40))
+        rows = data.draw(st.lists(st.sets(st.integers(0, K), max_size=6),
+                                  min_size=1, max_size=4))
+        visited = np.zeros((len(rows), K + 1), dtype=bool)  # (B, K+1)
+        for b, visits in enumerate(rows):
+            visited[b, list(visits)] = True
+        times = dt * np.arange(K + 1)
+        T = K * dt
+        states = np.where(visited.T, 0.0, 5.0)[..., None]  # (K+1, B, 1)
+        spec = RecurrenceSpec(CompactSet.box([0.0], [1.0]), tau=tau, T=T)
+        batch = is_recurrent(Trajectory(times, states), spec)
+        inv = is_invariant(Trajectory(times, states), spec.Q, 0.0, T)
+        assert len(batch) == len(inv) == len(rows)
+        for b in range(len(rows)):
+            row = Trajectory(times, states[:, b])
+            assert batch[b] == is_recurrent(row, spec)
+            assert inv[b] == is_invariant(row, spec.Q, 0.0, T)
+            assert batch[b][0] == brute_force_recurrent(times[visited[b]],
+                                                        dt, tau, T)
+            assert inv[b][0] == bool(visited[b].all())
 
 
 class TestIsInvariant:
@@ -171,6 +214,51 @@ class TestConstants:
         assert estimate_L(sys, Box([0.0], [3.0])) == pytest.approx(1.0, rel=1e-12)
         assert estimate_L(scalar_linear(a=2.5),
                           Box([0.0], [3.0])) == pytest.approx(2.5, rel=1e-12)
+
+    def test_estimates_equal_per_sample_loops(self):
+        # the per-sample loops the batched estimates replaced; the fields
+        # are elementwise, so the results must be bit-equal
+        def F_loop(sys, Q):
+            return max(float(np.max(np.abs(sys.field(x, u))))
+                       for box in Q.boxes for x in box.sample_grid(5)
+                       for u in sys.U.sample_grid(5))
+
+        def L_loop(sys, region, seed):
+            rng = np.random.default_rng(seed)
+            best = 0.0
+            for _ in range(200):
+                x1, x2 = rng.uniform(region.lo, region.hi), rng.uniform(
+                    region.lo, region.hi)
+                sep = np.max(np.abs(x1 - x2))
+                for u in [sys.U.center] + list(sys.U.corners()):
+                    df = sys.field(x1, u) - sys.field(x2, u)
+                    best = max(best, float(np.max(np.abs(df)) / sep))
+            return best
+
+        def planar(name, field):
+            return ControlSystem(n=2, m=1, U=Box([0.0], [1.0]), field=field,
+                                 name=name)
+
+        cubic = planar("cubic", lambda x, u: np.stack(
+            (x[..., 1] ** 3 - x[..., 0], u[..., 0] * x[..., 0] ** 2), -1))
+        # NaN on part of the region: the quotients there are skipped
+        holed = planar("holed", lambda x, u: np.stack(
+            (np.where(x[..., 0] > 0.3, np.nan, x[..., 0] ** 2),
+             u[..., 0] * x[..., 1]), -1))
+        linear = dataclasses.replace(scalar_linear(a=2.5), jacobian=None)
+        two_boxes = CompactSet((Box([0.0, 0.0], [2.0, 1.0]),
+                                Box([3.0, 0.0], [1.0, 1.0])))
+        for sys, Q in ((cubic, two_boxes), (holed, UNIT_SQUARE),
+                       (linear, CompactSet.box([0.0], [3.0]))):
+            region = Q.bounding_box()
+            for seed in (0, 1):
+                assert estimate_L(sys, region, seed=seed) == L_loop(
+                    sys, region, seed)
+            if sys is not holed:
+                assert estimate_F_Q(sys, Q) == F_loop(sys, Q)
+        with pytest.raises(FloatingPointError,
+                           match=r"at x=\[ 0.5 -1. \], u=\[-1.\]$"):
+            estimate_F_Q(holed, UNIT_SQUARE)
 
     def test_containment_radius_formula(self):
         assert containment_radius(1.0, 1.0, 2.0) == pytest.approx(
