@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recurq import (Box, CompactSet, ControllerInvalidError, CountedChannel,
-                    DeterminismError, GridMirror, ProtocolError, bit_rate,
-                    closed_loop, decode, double_integrator, encode,
-                    load_step_records, reference_controller_double_integrator,
+from recurq import (Box, CompactSet, ControlSignal, ControllerInvalidError,
+                    CountedChannel, DeterminismError, GridMirror,
+                    ProtocolError, bit_rate, closed_loop, decode,
+                    double_integrator, encode, integrate, load_step_records,
+                    reference_controller_double_integrator,
                     run_episode, run_episodes, steady_state_cover_size,
                     verify_guarantees)
 from recurq import quantized
@@ -314,6 +315,25 @@ class TestEpisodeBatch:
                          self.X0S, 0.1, 2.0, self.ALPHAS, 3, 0.01)
         # two separately computed batches, not one array seen twice
         assert len(calls) == 2 and calls[0] is not calls[1]
+
+    @pytest.mark.parametrize("dt", [0.01, 0.03])
+    @pytest.mark.parametrize("B", [1, 4])
+    def test_replay_oracle(self, di_controller, B, dt):
+        # every logged array recomputed from its step's logged inputs by
+        # the unbatched closed_loop and integrate; at dt = 0.03 the plant
+        # ends each tau step on a partial RK4 step
+        sys = double_integrator()
+        logs = run_episodes(sys, UNIT_SQUARE, di_controller, self.X0S[:B],
+                            0.1, 2.0, self.ALPHAS[:B], 4, dt)
+        for log in logs:
+            for s, frag, plant in zip(log.steps, log.frag_states,
+                                      log.plant_states):
+                states, u = closed_loop(sys, di_controller.feedback, s.q,
+                                        2.0, dt)
+                assert np.array_equal(frag, states)
+                replay = integrate(sys, s.x, ControlSignal(dt, u), 2.0,
+                                   dt).states
+                assert np.array_equal(plant, replay)
 
     @pytest.mark.parametrize("x0s, eps, tau, alphas, match", [
         ([[0.0, 0.0], [2.0, 0.0]], 0.1, 2.0, [0.0, 0.0], "episode 1: x0"),
