@@ -216,16 +216,27 @@ def cmd_spanning(cfg: dict, out) -> int:
     return EXIT_INFEASIBLE if any_infeasible else EXIT_OK
 
 
-def _build_controller(cfg: dict, sys_: ControlSystem, Q: CompactSet,
-                      tau: float, eps: float):
+def _run_episode(cfg: dict, sys_: ControlSystem, Q: CompactSet, x0,
+                 eps: float, tau: float, alpha: float, steps: int, dt: float,
+                 seed: int):
+    """Validate the reference controller and run one episode with it."""
     if sys_.name != "double_integrator":
         raise ConfigError(
             "a validated reference controller is only available for the "
             "double_integrator system")
-    return reference_controller_double_integrator(
-        Q, tau, eps,
-        dt=float(cfg.get("validation_dt", 0.01)),
-        grid_delta=float(cfg.get("validation_grid_delta", 0.25)))
+    settings = {key: float(cfg.get(key, default)) for key, default in
+                (("validation_dt", 0.01), ("validation_grid_delta", 0.25))}
+    for key, value in settings.items():
+        if not value > 0:
+            raise ConfigError(f"config key '{key}' must be positive")
+    try:
+        controller = reference_controller_double_integrator(
+            Q, tau, eps, dt=settings["validation_dt"],
+            grid_delta=settings["validation_grid_delta"])
+        return run_episode(sys_, Q, controller, x0, eps, tau, alpha, steps,
+                           dt, seed=seed)
+    except ValueError as exc:  # an input the library rejects, by its name
+        raise ConfigError(str(exc)) from exc
 
 
 def cmd_simulate(cfg: dict, out) -> int:
@@ -245,9 +256,7 @@ def cmd_simulate(cfg: dict, out) -> int:
         rng = np.random.default_rng(seed)
         box = Q.boxes[0]
         x0 = rng.uniform(box.lo + 0.1 * box.radius, box.hi - 0.1 * box.radius)
-    controller = _build_controller(cfg, sys_, Q, tau, eps)
-    log = run_episode(sys_, Q, controller, x0, eps, tau, alpha, steps, dt,
-                      seed=seed)
+    log = _run_episode(cfg, sys_, Q, x0, eps, tau, alpha, steps, dt, seed)
     log_path = cfg.get("log_path")
     if log_path:
         log.to_jsonl(log_path)
@@ -328,9 +337,8 @@ def cmd_verify(log_path: str, cfg: dict, out) -> int:
     # deterministic re-run for the trajectory clauses
     sys_ = build_system(config)
     Q = CompactSet.box(config["Q_center"], config["Q_radius"])
-    controller = _build_controller(cfg, sys_, Q, tau, eps)
-    log = run_episode(sys_, Q, controller, np.asarray(config["x0"]), eps, tau,
-                      alpha, len(steps), config["dt"], seed=config.get("seed", 0))
+    log = _run_episode(cfg, sys_, Q, np.asarray(config["x0"]), eps, tau,
+                       alpha, len(steps), config["dt"], config.get("seed", 0))
     for s, rs in zip(steps, log.steps):
         if s.index != rs.index or s.bits != rs.bits or \
                 np.max(np.abs(s.x - rs.x)) > 1e-9:

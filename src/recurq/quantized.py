@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import Box, CompactSet, distance_many, grid
 from .recurrence import _first_entry, _visit_gaps, estimate_L
-from .systems import ControlSignal, ControlSystem, integrate, march
+from .systems import ControlSystem, _check_finite, march
 
 LN2 = math.log(2.0)
 
@@ -86,6 +86,13 @@ class CountedChannel:
 # --------------------------------------------------------------------------
 # reference controllers
 
+def _saturated(sys: ControlSystem, feedback: Callable, x) -> np.ndarray:
+    """feedback(x) clipped to the input box U."""
+    # lo and hi have shape (m,), so a caller that stores the result in a
+    # (B, m) row broadcasts a feedback returning one (m,) input to the batch
+    return np.minimum(np.maximum(feedback(x), sys.U.lo), sys.U.hi)
+
+
 def closed_loop(sys: ControlSystem, feedback: Callable, x0, duration: float,
                 dt: float) -> tuple:
     """Simulate state feedback sampled-and-held every dt.
@@ -94,18 +101,16 @@ def closed_loop(sys: ControlSystem, feedback: Callable, x0, duration: float,
     indexes the last axis, and the field gets each step's stored (B, m)
     inputs even from a feedback that returns one (m,) input.  Returns
     (states, u_values) of shapes (K+1,) + x0.shape and (K,) + batch
-    shape + (m,), with K = duration/dt.  Both sides of the quantized loop
-    call this one path, which is what makes them bit-identical.
+    shape + (m,), with K = duration/dt.  Controller validation, ttq and
+    GridMirror.advance march through here; run_episodes applies the same
+    clipped feedback to its mirror rows.
     """
     K = int(round(duration / dt))
     x0 = np.array(x0, dtype=float)
     u_values = np.empty((K,) + x0.shape[:-1] + (sys.m,))
-    lo, hi = sys.U.lo, sys.U.hi
 
     def held(k, x):
-        # lo and hi have shape (m,), so the stored row broadcasts the
-        # feedback to x's batch shape
-        u_values[k] = np.minimum(np.maximum(feedback(x), lo), hi)
+        u_values[k] = _saturated(sys, feedback, x)
         return u_values[k]
 
     return march(sys.field, x0, dt, K, held), u_values
@@ -182,6 +187,8 @@ def build_feedback_controller(sys: ControlSystem, Q: CompactSet, tau: float,
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     box = Q.bounding_box()
     centers = grid(box, grid_delta).centers()
     centers = centers[[Q.contains(c, tol=1e-12) for c in centers]]
@@ -240,8 +247,8 @@ def reference_controller_double_integrator(Q: CompactSet, tau: float,
     """
     from .systems import double_integrator
     if tau < 2.0:
-        raise ValueError("the double integrator's unit box is not recurrent "
-                         "for windows shorter than 2 s")
+        raise ValueError("tau must be at least 2: the double integrator's "
+                         "unit box is not recurrent for shorter windows")
     sys = double_integrator()
 
     def feedback(x):
@@ -432,12 +439,15 @@ def run_episodes(sys: ControlSystem, Q: CompactSet,
 
     Episode b starts at x0s[b] with contraction rate alphas[b] and logs
     seeds[b] (default b).  Quantizing, the codec, the channel and each
-    mirror's grid/ball update stay per episode; the B sensor fragments,
-    the B receiver fragments and the B plant segments are each marched as
-    one (B, n) array.  The receiver batch is computed separately from the
-    sensor batch, so the mirror comparison still checks two independent
-    computations.  Rows never mix, so every log is float-identical to a
-    run of its episode alone.  Returns one EpisodeLog per episode.
+    mirror's grid/ball update stay per episode.  Each tau step marches one
+    (3B, n) batch: the B sensor fragments from the quantized centres, the
+    B receiver fragments from the receivers' own decoded centres, and the
+    B plant segments, each held at its sensor's input.  The receiver rows
+    are recomputed, not copied, so the mirror comparison still checks two
+    independent computations.  Rows never mix, so every log is
+    float-identical to a run of its episode alone, and to the separate
+    closed_loop and integrate of each step.  Returns one EpisodeLog per
+    episode.
     """
     x0s = np.array(x0s, dtype=float)
     alphas = list(alphas)
@@ -452,6 +462,8 @@ def run_episodes(sys: ControlSystem, Q: CompactSet,
         raise ValueError(f"eps must lie in (0, {controller.eps_star}]")
     if abs(tau - controller.tau) > 1e-12:
         raise ValueError("tau must match the validated controller")
+    if not 0 < dt <= tau:
+        raise ValueError(f"dt must lie in (0, tau={tau}]")
     for b, (x0, alpha) in enumerate(zip(x0s, alphas)):
         if alpha < 0:
             raise ValueError(f"episode {b}: alpha must be nonnegative")
@@ -476,9 +488,20 @@ def run_episodes(sys: ControlSystem, Q: CompactSet,
     X = x0s.copy()
     Q_s = np.empty_like(X)
     Q_c = np.empty_like(X)
-    # a lone episode marches as one (n,) state: the built-in fields and the
-    # reference feedback have cheaper scalar forms for it
-    rows = (sys.n,) if B == 1 else (B, sys.n)
+    # the fragments march K steps as in closed_loop; the plant marches
+    # n_full of them and a partial step of length rem, as in integrate
+    K, n_full = int(round(tau / dt)), int(tau / dt + 1e-9)
+    rem = tau - n_full * dt
+    u = np.empty((3 * B, sys.m))
+
+    def held(k, x):
+        # the clipped feedback on the mirror rows, and on each plant row its
+        # sensor's input; the buffer is rewritten every step, so after the
+        # march its plant rows hold the sensor's input of the last step
+        u[:2 * B] = _saturated(sys, controller.feedback, x[:2 * B])
+        u[2 * B:] = u[:B]
+        return u[:len(x)]
+
     for i in range(steps):
         for b in range(B):
             sensor, x = sensors[b], X[b]
@@ -499,18 +522,21 @@ def run_episodes(sys: ControlSystem, Q: CompactSet,
                 cover_size=C_i.size, r=r_i, S_center=S_i.center,
                 S_radius=S_i.radius))
 
-        frag_s, u_s = closed_loop(sys, controller.feedback,
-                                  Q_s.reshape(rows), tau, dt)
-        frag_c, _ = closed_loop(sys, controller.feedback, Q_c.reshape(rows),
-                                tau, dt)
-        plant = integrate(sys, X.reshape(rows), ControlSignal(dt, u_s), tau,
-                          dt).states
-        frag_s, frag_c, plant = (a.reshape(len(a), B, sys.n)
-                                 for a in (frag_s, frag_c, plant))
+        states = march(sys.field, np.concatenate((Q_s, Q_c, X)), dt, n_full,
+                       held, finite_rows=slice(2 * B, None))
+        mirrors, plant = states[:, :2 * B], states[:, 2 * B:]
+        if K > n_full:  # the fragments' last full step, past the plant's
+            mirrors = np.concatenate(
+                (mirrors, march(sys.field, mirrors[-1], dt, 1, held)[1:]))
+        if rem > 1e-12:  # the plant's partial step, on the last sensor input
+            x_end = march(sys.field, plant[-1], rem, 1,
+                          lambda *_: u[2 * B:])[-1]
+            _check_finite(x_end, tau)
+            plant = np.concatenate((plant, x_end[None]))
         for b in range(B):
-            frag = frag_s[:, b].copy()
+            frag = mirrors[:, b].copy()
             sensors[b].step_to(frag[-1])
-            receivers[b].step_to(frag_c[-1, b].copy())
+            receivers[b].step_to(mirrors[-1, B + b].copy())
             if sensors[b].state_signature() != \
                     receivers[b].state_signature() or \
                     not np.array_equal(Q_s[b], Q_c[b]):

@@ -139,14 +139,15 @@ def _check_finite(x: np.ndarray, t: float):
 
 def march(field, x0: np.ndarray, dt: float, steps: int,
           input_at: Callable[[int, np.ndarray], np.ndarray],
-          check_finite: bool = False) -> np.ndarray:
+          finite_rows: Optional[slice] = None) -> np.ndarray:
     """Classical RK4 over `steps` steps of size dt, the input held per step.
 
     x0 is one state (n,) or a batch (B, n); input_at(k, x) returns the input
     held over step k, given the state x at its start.  Returns the states,
     shape (steps + 1,) + x0.shape.  Batch rows never mix, so every row is
-    float-identical to marching its state alone.  With check_finite, a
-    non-finite state raises IntegrationBlowupError at the step it appears.
+    float-identical to marching its state alone.  With finite_rows, a
+    non-finite state among those rows raises IntegrationBlowupError at the
+    step it appears, naming its row within them.
     """
     states = np.empty((steps + 1,) + x0.shape)
     states[0] = x0
@@ -159,8 +160,8 @@ def march(field, x0: np.ndarray, dt: float, steps: int,
         k3 = field(x + h2 * k2, u)
         k4 = field(x + dt * k3, u)
         x = x + h6 * (k1 + 2.0 * (k2 + k3) + k4)
-        if check_finite:
-            _check_finite(x, (k + 1) * dt)
+        if finite_rows is not None:
+            _check_finite(x[finite_rows], (k + 1) * dt)
         states[k + 1] = x
     return states
 
@@ -200,7 +201,7 @@ def _integrate(sys: ControlSystem, x0, signal: ControlSignal, horizon: float,
     times = dt * np.arange(n_full + 1, dtype=float)
     held = _held_inputs(signal, times)
     states = march(sys.field, x0, dt, n_full, lambda k, _: held[k],
-                   check_finite=check_finite)
+                   finite_rows=slice(None) if check_finite else None)
     if remainder > 1e-12:
         x = march(sys.field, states[-1], remainder, 1,
                   lambda k, _: held[-1])[-1]

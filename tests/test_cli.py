@@ -1,8 +1,10 @@
 import hashlib
 import json
 import math
+import re
 
 import pytest
+import yaml
 
 from recurq.cli import (EXIT_CONFIG, EXIT_GUARANTEE, EXIT_INFEASIBLE, EXIT_OK,
                         main)
@@ -159,6 +161,35 @@ class TestSimulateVerify:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "x0" in err
         assert not (tmp_path / "ep.jsonl").exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("simulate", "tau", 1.5),
+        ("simulate", "alpha", -0.1),
+        ("simulate", "eps", 0.0),
+        ("simulate", "validation_grid_delta", 0.0),
+        ("verify", "tau", 1.5),  # in the header of a clean log
+    ])
+    def test_rejected_input_is_config_error(self, sim, tmp_path, capsys,
+                                            command, key, value):
+        _, _, log_path, _, text = sim
+        cfg = yaml.safe_load(text)
+        if command == "simulate":
+            cfg[key] = value
+            log_path.unlink()
+            args = ["simulate"]
+        else:
+            lines = log_path.read_text().splitlines()
+            lines[0] = json.dumps({**json.loads(lines[0]), key: value})
+            log_path.write_text("\n".join(lines) + "\n")
+            args = ["verify", str(log_path)]
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        capsys.readouterr()
+        assert main(["--config", str(path), *args]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert re.search(rf"\b{key}\b", err), err
+        assert command == "verify" or not log_path.exists()
 
     def test_verify_clean_log(self, sim, tmp_path):
         code, recs, log_path, _, text = sim

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recurq import (Box, CompactSet, ControlSignal, ControllerInvalidError,
-                    CountedChannel, DeterminismError, GridMirror,
-                    ProtocolError, bit_rate, closed_loop, decode,
+from recurq import (Box, CompactSet, ControlSignal, ControlSystem,
+                    ControllerInvalidError, CountedChannel, DeterminismError,
+                    GridMirror, IntegrationBlowupError, ProtocolError, bit_rate, closed_loop, decode,
                     double_integrator, encode, integrate, load_step_records,
                     reference_controller_double_integrator,
                     run_episode, run_episodes, steady_state_cover_size,
@@ -212,6 +212,10 @@ class TestEpisode:
         with pytest.raises(ValueError):
             run_episode(sys, UNIT_SQUARE, di_controller, [0.0, 0.0],
                         0.1, 3.0, 0.0, 5, 0.01)  # tau mismatch
+        for dt in (0.0, 2.5):  # no step, or one longer than tau
+            with pytest.raises(ValueError, match="dt"):
+                run_episode(sys, UNIT_SQUARE, di_controller, [0.0, 0.0],
+                            0.1, 2.0, 0.0, 5, dt)
 
     def test_jsonl_round_trip(self, short_episode, tmp_path):
         path = tmp_path / "ep.jsonl"
@@ -299,22 +303,50 @@ class TestEpisodeBatch:
             _assert_logs_identical(log, alone)
 
     def test_diverging_receiver_raises(self, di_controller, monkeypatch):
-        real = quantized.closed_loop
-        calls = []
+        real = quantized.march
+        B = len(self.X0S)
+        marched = []
 
-        def perturbed(*args):
-            states, u_values = real(*args)
-            calls.append(states)
-            if len(calls) == 2:  # the first receiver batch
-                states[-1, 1, 0] = np.nextafter(states[-1, 1, 0], np.inf)
-            return states, u_values
+        def perturbed(field, x0, *args, **kwargs):
+            states = real(field, x0, *args, **kwargs)
+            if not marched:  # the first tau step's batch
+                marched.append((states.copy(), states))
+                receiver_1 = B + 1
+                states[-1, receiver_1, 0] = np.nextafter(
+                    states[-1, receiver_1, 0], np.inf)
+            return states
 
-        monkeypatch.setattr(quantized, "closed_loop", perturbed)
+        monkeypatch.setattr(quantized, "march", perturbed)
         with pytest.raises(DeterminismError, match="episode 1 step 0"):
             run_episodes(double_integrator(), UNIT_SQUARE, di_controller,
                          self.X0S, 0.1, 2.0, self.ALPHAS, 3, 0.01)
-        # two separately computed batches, not one array seen twice
-        assert len(calls) == 2 and calls[0] is not calls[1]
+        (before, after), = marched
+        # sensor, receiver and plant rows in one batch; the perturbed row is
+        # episode 1's receiver, which starts from the sensor's centre and
+        # was marched as a row of its own
+        assert before.shape[1] == 3 * B
+        assert np.array_equal(before[0, B + 1], before[0, 1])
+        assert not np.array_equal(after[-1, B + 1], before[-1, B + 1])
+        assert np.array_equal(after[:, :B], before[:, :B])
+
+    @pytest.mark.parametrize("x0s", [[[-0.6, 0.0]], [[0.4, 0.0], [-0.6, 0.0]]])
+    def test_plant_blowup_names_episode(self, di_controller, x0s):
+        # the field is infinite left of x1 = -0.5, so the last episode's
+        # plant leaves the finite states on its first RK4 step
+        base = double_integrator()
+
+        def cliff(x, u):
+            return np.where(x[..., :1] < -0.5, np.inf, base.field(x, u))
+
+        sys = ControlSystem(n=2, m=1, U=base.U, field=cliff, name="cliff")
+        with pytest.raises(IntegrationBlowupError) as alone:
+            integrate(sys, x0s[-1], ControlSignal.constant([0.0], 2.0), 2.0,
+                      0.01)
+        with pytest.raises(IntegrationBlowupError) as batch:
+            run_episodes(sys, UNIT_SQUARE, di_controller, x0s, 0.1, 2.0,
+                         [0.0] * len(x0s), 2, 0.01)
+        assert batch.value.row == len(x0s) - 1
+        assert batch.value.t == alone.value.t
 
     @pytest.mark.parametrize("dt", [0.01, 0.03])
     @pytest.mark.parametrize("B", [1, 4])
@@ -348,7 +380,7 @@ class TestEpisodeBatch:
             raise AssertionError("marched before the inputs were checked")
 
         monkeypatch.setattr(quantized, "closed_loop", refuse)
-        monkeypatch.setattr(quantized, "integrate", refuse)
+        monkeypatch.setattr(quantized, "march", refuse)
         with pytest.raises(ValueError, match=match):
             run_episodes(double_integrator(), UNIT_SQUARE, di_controller,
                          x0s, eps, tau, alphas, 3, 0.01)
