@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from recurq import (Box, CompactSet, ControlSignal, ControlSystem,
                     ControllerInvalidError, CountedChannel, DeterminismError,
-                    GridMirror, IntegrationBlowupError, ProtocolError, bit_rate, closed_loop, decode,
-                    double_integrator, encode, integrate, load_step_records,
-                    reference_controller_double_integrator,
-                    run_episode, run_episodes, steady_state_cover_size,
-                    verify_guarantees)
+                    GridMirror, IntegrationBlowupError, ProtocolError,
+                    bit_rate, closed_loop, decode, double_integrator, encode,
+                    integrate, load_step_records,
+                    reference_controller_double_integrator, run_episode,
+                    run_episodes, steady_state_cover_size, verify_guarantees)
 from recurq import quantized
 
 LN2 = math.log(2.0)
@@ -329,7 +329,8 @@ class TestEpisodeBatch:
         assert not np.array_equal(after[-1, B + 1], before[-1, B + 1])
         assert np.array_equal(after[:, :B], before[:, :B])
 
-    @pytest.mark.parametrize("x0s", [[[-0.6, 0.0]], [[0.4, 0.0], [-0.6, 0.0]]])
+    @pytest.mark.parametrize("x0s", [[[-0.6, 0.0]],
+                                     [[0.4, 0.0], [-0.6, 0.0]]])
     def test_plant_blowup_names_episode(self, di_controller, x0s):
         # the field is infinite left of x1 = -0.5, so the last episode's
         # plant leaves the finite states on its first RK4 step
