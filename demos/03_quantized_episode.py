@@ -50,7 +50,7 @@ def main():
           f"(envelope starts at eps = {log.config['eps']})")
     log.to_jsonl("episode.jsonl")
     print("episode written to episode.jsonl (verify with: "
-          "recurq --config <cfg> verify episode.jsonl)")
+          "recurq verify episode.jsonl)")
 
 
 if __name__ == "__main__":

@@ -19,9 +19,9 @@ from .entropy import (CandidateClass, InstanceTooLargeError,
                       build_spanning_instance, lower_bound,
                       min_spanning_cardinality, upper_bound)
 from .geometry import Box, CompactSet, _as_vector
-from .quantized import (GuaranteeViolationError, ProtocolError, bit_rate,
-                        decode, load_step_records,
-                        reference_controller_double_integrator,
+from .quantized import (GridMirror, GuaranteeViolationError, StepRecord,
+                        bit_rate, load_step_records,
+                        reference_controller_double_integrator, replay,
                         run_episode, verify_guarantees)
 from .recurrence import RecurrenceSpec, first_return_time, lipschitz_region
 from .systems import ControlSignal, ControlSystem, make_system
@@ -92,7 +92,7 @@ def build_Q(cfg: dict, n: int) -> CompactSet:
 
 def _require(cfg: dict, key: str, cast=float):
     if key not in cfg:
-        raise ConfigError(f"missing required config key '{key}'")
+        raise ConfigError(f"missing required key '{key}'")
     try:
         return cast(cfg[key])
     except (TypeError, ValueError) as exc:
@@ -216,25 +216,14 @@ def cmd_spanning(cfg: dict, out) -> int:
     return EXIT_INFEASIBLE if any_infeasible else EXIT_OK
 
 
-def _run_episode(cfg: dict, sys_: ControlSystem, Q: CompactSet, x0,
-                 eps: float, tau: float, alpha: float, steps: int, dt: float,
-                 seed: int):
-    """Validate the reference controller and run one episode with it."""
+def _controller(sys_: ControlSystem, Q: CompactSet, tau: float, eps: float):
+    """The validated reference controller, which (Q, tau, eps) name."""
     if sys_.name != "double_integrator":
         raise ConfigError(
             "a validated reference controller is only available for the "
             "double_integrator system")
-    settings = {key: float(cfg.get(key, default)) for key, default in
-                (("validation_dt", 0.01), ("validation_grid_delta", 0.25))}
-    for key, value in settings.items():
-        if not value > 0:
-            raise ConfigError(f"config key '{key}' must be positive")
     try:
-        controller = reference_controller_double_integrator(
-            Q, tau, eps, dt=settings["validation_dt"],
-            grid_delta=settings["validation_grid_delta"])
-        return run_episode(sys_, Q, controller, x0, eps, tau, alpha, steps,
-                           dt, seed=seed)
+        return reference_controller_double_integrator(Q, tau, eps)
     except ValueError as exc:  # an input the library rejects, by its name
         raise ConfigError(str(exc)) from exc
 
@@ -256,7 +245,11 @@ def cmd_simulate(cfg: dict, out) -> int:
         rng = np.random.default_rng(seed)
         box = Q.boxes[0]
         x0 = rng.uniform(box.lo + 0.1 * box.radius, box.hi - 0.1 * box.radius)
-    log = _run_episode(cfg, sys_, Q, x0, eps, tau, alpha, steps, dt, seed)
+    try:
+        log = run_episode(sys_, Q, _controller(sys_, Q, tau, eps), x0, eps,
+                          tau, alpha, steps, dt, seed=seed)
+    except ValueError as exc:  # an input the library rejects, by its name
+        raise ConfigError(str(exc)) from exc
     log_path = cfg.get("log_path")
     if log_path:
         log.to_jsonl(log_path)
@@ -270,10 +263,7 @@ def cmd_simulate(cfg: dict, out) -> int:
            "x0": list(x0), "total_bits": log.total_bits,
            "log_path": log_path,
            "guarantees": {
-               "state_in_ball": report.state_in_ball.passed,
-               "tracking": report.tracking.passed,
-               "hat_recurrent": bool(report.hat_recurrent.passed),
-               "true_recurrent": bool(report.true_recurrent.passed),
+               **_passed(report),
                "worst_tracking_margin": report.tracking.worst_margin,
                "worst_ball_margin": report.state_in_ball.worst_margin}}
     if rate is not None:
@@ -288,6 +278,11 @@ def cmd_simulate(cfg: dict, out) -> int:
     return EXIT_OK if report.all_passed else EXIT_GUARANTEE
 
 
+def _passed(report) -> dict:
+    """Whether each guarantee clause of a GuaranteeReport holds, by name."""
+    return {name: bool(clause.passed) for name, clause in vars(report).items()}
+
+
 def _export_csv(log, path: str):
     t_hat, x_hat = log.hat_trajectory()
     _, x_pl = log.plant_trajectory()
@@ -298,61 +293,47 @@ def _export_csv(log, path: str):
     np.savetxt(path, data, delimiter=",", header=header, comments="")
 
 
-def cmd_verify(log_path: str, cfg: dict, out) -> int:
+def cmd_verify(log_path: str, out) -> int:
+    """Audit a log by replaying it (quantized.replay); reads no config."""
     try:
-        config, steps = load_step_records(log_path)
+        header, steps = load_step_records(log_path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read log: {exc}")
-    missing = [key for key in ("system", "Q_center", "Q_radius", "eps", "tau",
-                               "alpha", "dt", "steps", "x0", "total_bits")
-               if key not in config]
-    if missing:
-        raise ConfigError(f"log header lacks {', '.join(missing)}")
+    sys_ = build_system(header)
+    Q = build_Q({"Q": [{"center": _require(header, "Q_center", list),
+                        "radius": _require(header, "Q_radius", list)}]}, sys_.n)
+    eps, tau, alpha, dt, L_tau, c_star, n_steps, total_bits = (
+        _require(header, key) for key in ("eps", "tau", "alpha", "dt", "L_tau",
+                                          "c_star", "steps", "total_bits"))
+    x0 = _require(header, "x0", lambda v: _as_vector(v, sys_.n, "x0"))
+    if not (0 < dt <= tau and alpha >= 0):
+        raise ConfigError(f"need 0 < dt <= tau and alpha >= 0, not dt={dt}, "
+                          f"tau={tau}, alpha={alpha}")
+    controller = _controller(sys_, Q, tau, eps)
+    log = replay(controller, header, steps)
     failures = []
-
-    # structural checks straight off the records
-    alpha, tau, eps = config["alpha"], config["tau"], config["eps"]
-    if len(steps) != config["steps"]:
+    if len(steps) != n_steps:
         failures.append(f"log holds {len(steps)} step records, header says "
-                        f"{config['steps']}")
-    widths = sum(len(s.bits) for s in steps)
-    if widths != config["total_bits"]:
-        failures.append(f"header total_bits {config['total_bits']} != {widths}, "
-                        f"the sum of the bit widths")
+                        f"{header['steps']}")
+    if log.total_bits != total_bits:
+        failures.append(f"header total_bits {header['total_bits']} != "
+                        f"{log.total_bits}, the sum of the bit widths")
+    if (L_tau, c_star) != (controller.L_tau, controller.c_star):
+        failures.append("header L_tau and c_star differ from the rebuilt "
+                        "controller's")
+    mirror = GridMirror(controller, Q.boxes[0], eps, tau, alpha, dt)
     for k, s in enumerate(steps):
-        if s.i != k:
-            failures.append(f"record {k}: step index {s.i} out of order")
-        expected_r = eps * math.exp(-k * alpha * tau)
-        if abs(s.r - expected_r) > 1e-12 * max(expected_r, 1e-300):
-            failures.append(f"step {k}: radius {s.r} != eps*exp(-i*alpha*tau)")
-        try:
-            if decode(s.bits, s.cover_size) != s.index:
-                failures.append(f"step {k}: bits decode to a different index")
-        except ProtocolError as exc:
-            failures.append(f"step {k}: {exc}")
-        margin = float(np.max(np.abs(s.x - s.S_center) - s.S_radius))
-        if margin > 1e-9:
-            failures.append(f"step {k}: x_i outside S_i by {margin:.3g}")
-
-    # deterministic re-run for the trajectory clauses
-    sys_ = build_system(config)
-    Q = CompactSet.box(config["Q_center"], config["Q_radius"])
-    log = _run_episode(cfg, sys_, Q, np.asarray(config["x0"]), eps, tau,
-                       alpha, len(steps), config["dt"], config.get("seed", 0))
-    for s, rs in zip(steps, log.steps):
-        if s.index != rs.index or s.bits != rs.bits or \
-                np.max(np.abs(s.x - rs.x)) > 1e-9:
-            failures.append(f"step {s.i}: log diverges from deterministic re-run")
-            break
+        want = mirror.record(log.plant_states[k - 1][-1] if k else x0)
+        wrong = [key for key in StepRecord.__dataclass_fields__
+                 if not np.array_equal(getattr(s, key), getattr(want, key))]
+        if wrong:
+            failures.append(f"step {k}: the re-run disagrees on "
+                            f"{', '.join(wrong)}")
+        mirror.step_to(log.frag_states[k][-1])
     report = verify_guarantees(log)
     ok = not failures and report.all_passed
     _record({"kind": "verify", "log_path": log_path, "passed": bool(ok),
-             "record_failures": failures,
-             "clauses": {
-                 "state_in_ball": report.state_in_ball.passed,
-                 "tracking": report.tracking.passed,
-                 "hat_recurrent": bool(report.hat_recurrent.passed),
-                 "true_recurrent": bool(report.true_recurrent.passed)}}, out)
+             "record_failures": failures, "clauses": _passed(report)}, out)
     return EXIT_OK if ok else EXIT_GUARANTEE
 
 
@@ -387,7 +368,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(cfg, out)
         if args.command == "verify":
-            return cmd_verify(args.log, cfg, out)
+            return cmd_verify(args.log, out)
         raise AssertionError(args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)

@@ -11,12 +11,12 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .geometry import Box, CompactSet, distance_many, grid
-from .recurrence import _first_entry, _visit_gaps, estimate_L
+from .recurrence import _visit_gaps, estimate_L
 from .systems import ControlSystem, _check_finite, march
 
 LN2 = math.log(2.0)
@@ -101,9 +101,9 @@ def closed_loop(sys: ControlSystem, feedback: Callable, x0, duration: float,
     indexes the last axis, and the field gets each step's stored (B, m)
     inputs even from a feedback that returns one (m,) input.  Returns
     (states, u_values) of shapes (K+1,) + x0.shape and (K,) + batch
-    shape + (m,), with K = duration/dt.  Controller validation, ttq and
-    GridMirror.advance march through here; run_episodes applies the same
-    clipped feedback to its mirror rows.
+    shape + (m,), with K = duration/dt.  Controller validation and
+    GridMirror.advance march through here; _march_tau_step applies the same
+    clipped feedback to its fragment rows.
     """
     K = int(round(duration / dt))
     x0 = np.array(x0, dtype=float)
@@ -128,22 +128,7 @@ class RecurrenceController:
     envelope: Box
     eps_star: float
     L_tau: float
-    validation_dt: float
     max_visit_gap: float
-
-    def ttq(self, x) -> float:
-        """First hit time of Q under the feedback, bisected to 1e-6 s."""
-        x = np.asarray(x, dtype=float)
-        if self.Q.contains(x, tol=1e-12):
-            return 0.0
-        dt = self.validation_dt
-        horizon = 2.0 * self.tau
-        states, u_values = closed_loop(self.sys, self.feedback, x, horizon, dt)
-        t = _first_entry(self.sys.field, states, u_values, dt, self.Q, 1e-6)
-        if t is not None:
-            return t
-        raise ControllerInvalidError(
-            f"feedback failed to return to Q from {x} within {horizon} s")
 
 
 def _excursion_tails(times, states, dists, slack=1e-9):
@@ -233,17 +218,16 @@ def build_feedback_controller(sys: ControlSystem, Q: CompactSet, tau: float,
     L_tau = estimate_L(sys, envelope)
     return RecurrenceController(sys=sys, Q=Q, tau=tau, feedback=feedback,
                                 c_star=c_star, envelope=envelope,
-                                eps_star=eps, L_tau=L_tau, validation_dt=dt,
+                                eps_star=eps, L_tau=L_tau,
                                 max_visit_gap=max_gap)
 
 
 def reference_controller_double_integrator(Q: CompactSet, tau: float,
-                                           eps: float, dt: float = 0.01,
-                                           grid_delta: float = 0.25,
-                                           ) -> RecurrenceController:
+                                           eps: float) -> RecurrenceController:
     """Saturated linear feedback u = clip(-x1 - 1.5*x2) for x'' = u.
 
-    The feedback accepts one state (n,) or a batch (B, n).
+    The feedback accepts one state (n,) or a batch (B, n).  Validated with
+    build_feedback_controller's defaults, (Q, tau, eps) name it completely.
     """
     from .systems import double_integrator
     if tau < 2.0:
@@ -258,8 +242,7 @@ def reference_controller_double_integrator(Q: CompactSet, tau: float,
         v = np.fmin(1.0, np.fmax(-1.0, -x[..., 0] - 1.5 * x[..., 1]))
         return v[..., None]
 
-    return build_feedback_controller(sys, Q, tau, eps, feedback,
-                                     grid_delta=grid_delta, dt=dt)
+    return build_feedback_controller(sys, Q, tau, eps, feedback)
 
 
 # --------------------------------------------------------------------------
@@ -307,6 +290,14 @@ class GridMirror:
         self.C = grid(S_next, r_next * self.granularity_factor)
         self.i += 1
 
+    def record(self, x: np.ndarray) -> StepRecord:
+        """What the sensor logs on sensing x: its cell, bits and this state."""
+        q, index = self.C.quantize(x)
+        return StepRecord(i=self.i, x=x, q=q, index=index,
+                          bits=encode(index, self.C.size),
+                          cover_size=self.C.size, r=self.r,
+                          S_center=self.S.center, S_radius=self.S.radius)
+
     def state_signature(self) -> tuple:
         return (self.i, self.r, tuple(self.S.center), tuple(self.S.radius),
                 self.C.counts, tuple(self.C.first))
@@ -343,7 +334,7 @@ class EpisodeLog:
         return len(self.steps)
 
     def hat_trajectory(self) -> tuple:
-        """(times, states, distances-to-Q) of the concatenated fragments."""
+        """(times, states) of the concatenated fragments."""
         return _concat(self.frag_states, self.config["tau"], self.config["dt"])
 
     def plant_trajectory(self) -> tuple:
@@ -422,6 +413,64 @@ def load_step_records(path: str) -> tuple:
     return config, steps
 
 
+def _march_tau_step(sys: ControlSystem, feedback: Callable,
+                    frags0: np.ndarray, plants0: np.ndarray, tau: float,
+                    dt: float) -> tuple:
+    """One tau step of F fragments and P <= F plant segments in one batch.
+
+    The fragments march K = round(tau/dt) steps under the clipped feedback,
+    as in closed_loop.  Plant row j is held at fragment j's input over
+    n_full = int(tau/dt) steps and a partial step to tau, as in integrate;
+    a non-finite plant state raises IntegrationBlowupError naming its row.
+    Returns (frags, plants), shapes (K+1, F, n) and (n_full+1, P, n), one
+    sample more with the partial step.
+    """
+    F, P = len(frags0), len(plants0)
+    K, n_full = int(round(tau / dt)), int(tau / dt + 1e-9)
+    rem = tau - n_full * dt
+    u = np.empty((F + P, sys.m))
+
+    def held(k, x):
+        # the buffer is rewritten every step, so after the march its plant
+        # rows hold the input of the last step marched
+        u[:F] = _saturated(sys, feedback, x[:F])
+        u[F:] = u[:P]
+        return u[:len(x)]
+
+    states = march(sys.field, np.concatenate((frags0, plants0)), dt, n_full,
+                   held, finite_rows=slice(F, None))
+    frags, plants = states[:, :F], states[:, F:]
+    if K > n_full:  # the fragments' last full step, past the plant's
+        frags = np.concatenate(
+            (frags, march(sys.field, frags[-1], dt, 1, held)[1:]))
+    if rem > 1e-12:  # the plant's partial step
+        x_end = march(sys.field, plants[-1], rem, 1, lambda *_: u[F:])[-1]
+        _check_finite(x_end, tau)
+        plants = np.concatenate((plants, x_end[None]))
+    return frags, plants
+
+
+def replay(controller: RecurrenceController, config: dict,
+           steps: list) -> EpisodeLog:
+    """An EpisodeLog of logged steps, its trajectories recomputed at once.
+
+    Fragment i is marched from the logged q_i and plant segment i from the
+    logged x_i, all N steps in one _march_tau_step at config's dt.  By
+    induction over i this equals the sequential run that wrote the log,
+    once the log's links hold (x_{i+1} is the end of plant segment i, and
+    q_{i+1} quantizes it on the grid centred on fragment i's end): step i
+    of run_episodes marches the same two rows from the same q_i and x_i
+    through _march_tau_step, and march's rows never mix.
+    """
+    frags, plants = _march_tau_step(
+        controller.sys, controller.feedback, np.array([s.q for s in steps]),
+        np.array([s.x for s in steps]), controller.tau, config["dt"])
+    return EpisodeLog(config=config, steps=list(steps),
+                      frag_states=list(frags.transpose(1, 0, 2)),
+                      plant_states=list(plants.transpose(1, 0, 2)),
+                      total_bits=sum(len(s.bits) for s in steps))
+
+
 def run_episode(sys: ControlSystem, Q: CompactSet,
                 controller: RecurrenceController, x0, eps: float, tau: float,
                 alpha: float, steps: int, dt: float,
@@ -440,14 +489,12 @@ def run_episodes(sys: ControlSystem, Q: CompactSet,
     Episode b starts at x0s[b] with contraction rate alphas[b] and logs
     seeds[b] (default b).  Quantizing, the codec, the channel and each
     mirror's grid/ball update stay per episode.  Each tau step marches one
-    (3B, n) batch: the B sensor fragments from the quantized centres, the
-    B receiver fragments from the receivers' own decoded centres, and the
-    B plant segments, each held at its sensor's input.  The receiver rows
-    are recomputed, not copied, so the mirror comparison still checks two
-    independent computations.  Rows never mix, so every log is
-    float-identical to a run of its episode alone, and to the separate
-    closed_loop and integrate of each step.  Returns one EpisodeLog per
-    episode.
+    (3B, n) batch through _march_tau_step: the B sensor fragments from the
+    quantized centres, the B receiver fragments from the receivers' own
+    decoded centres (recomputed, not copied, so the mirror comparison
+    checks two computations), and the B plant segments, each held at its
+    sensor's input.  Rows never mix, so every log is float-identical to a
+    run of its episode alone.  Returns one EpisodeLog per episode.
     """
     x0s = np.array(x0s, dtype=float)
     alphas = list(alphas)
@@ -488,51 +535,23 @@ def run_episodes(sys: ControlSystem, Q: CompactSet,
     X = x0s.copy()
     Q_s = np.empty_like(X)
     Q_c = np.empty_like(X)
-    # the fragments march K steps as in closed_loop; the plant marches
-    # n_full of them and a partial step of length rem, as in integrate
-    K, n_full = int(round(tau / dt)), int(tau / dt + 1e-9)
-    rem = tau - n_full * dt
-    u = np.empty((3 * B, sys.m))
-
-    def held(k, x):
-        # the clipped feedback on the mirror rows, and on each plant row its
-        # sensor's input; the buffer is rewritten every step, so after the
-        # march its plant rows hold the sensor's input of the last step
-        u[:2 * B] = _saturated(sys, controller.feedback, x[:2 * B])
-        u[2 * B:] = u[:B]
-        return u[:len(x)]
-
     for i in range(steps):
         for b in range(B):
-            sensor, x = sensors[b], X[b]
-            S_i, C_i, r_i = sensor.S, sensor.C, sensor.r
+            S_i, x = sensors[b].S, X[b]
             if not S_i.contains(x, tol=1e-9):
                 raise GuaranteeViolationError(
                     f"episode {b} step {i}: sensed state {x} outside S_{i} "
                     f"(center {S_i.center}, radius {S_i.radius[0]:.6g}); "
                     f"violates x_i in S_i")
-            q, index = C_i.quantize(x)
-            bits = encode(index, C_i.size)
-            channels[b].send(bits)
+            record = sensors[b].record(x.copy())
+            channels[b].send(record.bits)
             rx_index = decode(channels[b].recv(), receivers[b].C.size)
-            Q_s[b] = q
+            Q_s[b] = record.q
             Q_c[b] = receivers[b].C.center(rx_index)
-            logs[b].steps.append(StepRecord(
-                i=i, x=x.copy(), q=q, index=index, bits=bits,
-                cover_size=C_i.size, r=r_i, S_center=S_i.center,
-                S_radius=S_i.radius))
+            logs[b].steps.append(record)
 
-        states = march(sys.field, np.concatenate((Q_s, Q_c, X)), dt, n_full,
-                       held, finite_rows=slice(2 * B, None))
-        mirrors, plant = states[:, :2 * B], states[:, 2 * B:]
-        if K > n_full:  # the fragments' last full step, past the plant's
-            mirrors = np.concatenate(
-                (mirrors, march(sys.field, mirrors[-1], dt, 1, held)[1:]))
-        if rem > 1e-12:  # the plant's partial step, on the last sensor input
-            x_end = march(sys.field, plant[-1], rem, 1,
-                          lambda *_: u[2 * B:])[-1]
-            _check_finite(x_end, tau)
-            plant = np.concatenate((plant, x_end[None]))
+        mirrors, plant = _march_tau_step(
+            sys, controller.feedback, np.concatenate((Q_s, Q_c)), X, tau, dt)
         for b in range(B):
             frag = mirrors[:, b].copy()
             sensors[b].step_to(frag[-1])

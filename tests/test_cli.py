@@ -3,6 +3,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 import yaml
 
@@ -166,7 +167,6 @@ class TestSimulateVerify:
         ("simulate", "tau", 1.5),
         ("simulate", "alpha", -0.1),
         ("simulate", "eps", 0.0),
-        ("simulate", "validation_grid_delta", 0.0),
         ("verify", "tau", 1.5),  # in the header of a clean log
     ])
     def test_rejected_input_is_config_error(self, sim, tmp_path, capsys,
@@ -224,6 +224,22 @@ class TestSimulateVerify:
             assert not r["passed"]
             assert any(e in f for f in r["record_failures"] for e in expected)
 
+    @pytest.mark.parametrize("j", [0, 5, 11])
+    def test_verify_detects_one_ulp(self, sim, tmp_path, j):
+        # x_j moved by one ulp is no longer the end of plant segment j - 1
+        # (or, for j = 0, the header's x0); verify needs no config
+        _, _, log_path, _, _ = sim
+        lines = log_path.read_text().splitlines()
+        rec = json.loads(lines[1 + j])
+        rec["x"][1] = float(np.nextafter(rec["x"][1], np.inf))
+        lines[1 + j] = json.dumps(rec)
+        log_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "verify.jsonl"
+        assert main(["--out", str(out), "verify", str(log_path)]) == \
+            EXIT_GUARANTEE
+        (r,) = [json.loads(line) for line in out.read_text().splitlines()]
+        assert r["record_failures"][0] == f"step {j}: the re-run disagrees on x"
+
     def test_verify_malformed_log(self, sim, tmp_path, capsys):
         code, recs, log_path, _, text = sim
         lines = log_path.read_text().splitlines()
@@ -276,3 +292,7 @@ def test_golden_episode_log(tmp_path, seed):
     assert code == EXIT_OK
     digest = hashlib.sha256(log_path.read_bytes()).hexdigest()
     assert digest == GOLDEN_LOG_SHA256[seed]
+    code, recs = run(tmp_path, text, "verify", str(log_path))
+    assert code == EXIT_OK
+    (r,) = recs
+    assert r["passed"] and not r["record_failures"]

@@ -124,13 +124,6 @@ class TestController:
         with pytest.raises(ValueError):
             reference_controller_double_integrator(UNIT_SQUARE, tau=1.5, eps=0.1)
 
-    def test_ttq_zero_inside(self, di_controller):
-        assert di_controller.ttq([0.2, -0.3]) == 0.0
-
-    def test_ttq_positive_outside(self, di_controller):
-        t = di_controller.ttq([1.05, -0.5])
-        assert 0.0 < t < 2.0
-
     def test_invalid_feedback_rejected(self):
         from recurq import build_feedback_controller
         sys = double_integrator()
@@ -349,12 +342,13 @@ class TestEpisodeBatch:
         assert batch.value.row == len(x0s) - 1
         assert batch.value.t == alone.value.t
 
-    @pytest.mark.parametrize("dt", [0.01, 0.03])
+    @pytest.mark.parametrize("dt", [0.01, 0.03, 0.07, 0.3])
     @pytest.mark.parametrize("B", [1, 4])
     def test_replay_oracle(self, di_controller, B, dt):
         # every logged array recomputed from its step's logged inputs by
-        # the unbatched closed_loop and integrate; at dt = 0.03 the plant
-        # ends each tau step on a partial RK4 step
+        # the unbatched closed_loop and integrate, and by replay's one
+        # batch; where dt does not divide tau the plant ends each tau step
+        # on a partial RK4 step
         sys = double_integrator()
         logs = run_episodes(sys, UNIT_SQUARE, di_controller, self.X0S[:B],
                             0.1, 2.0, self.ALPHAS[:B], 4, dt)
@@ -367,6 +361,8 @@ class TestEpisodeBatch:
                 replay = integrate(sys, s.x, ControlSignal(dt, u), 2.0,
                                    dt).states
                 assert np.array_equal(plant, replay)
+            _assert_logs_identical(
+                quantized.replay(di_controller, log.config, log.steps), log)
 
     @pytest.mark.parametrize("x0s, eps, tau, alphas, match", [
         ([[0.0, 0.0], [2.0, 0.0]], 0.1, 2.0, [0.0, 0.0], "episode 1: x0"),
