@@ -7,6 +7,7 @@ Subcommands emit line-delimited JSON records; exit codes are 0 (success),
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys as _sys
@@ -90,12 +91,14 @@ def build_Q(cfg: dict, n: int) -> CompactSet:
     return Q
 
 
-def _require(cfg: dict, key: str, cast=float):
-    if key not in cfg:
+def _require(cfg: dict, key: str, cast=float, default=None):
+    """cfg[key] through cast; a missing key takes default, if one is given."""
+    value = cfg.get(key, default)
+    if value is None:
         raise ConfigError(f"missing required key '{key}'")
     try:
-        return cast(cfg[key])
-    except (TypeError, ValueError) as exc:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key '{key}': {exc}")
 
 
@@ -233,10 +236,10 @@ def cmd_simulate(cfg: dict, out) -> int:
     Q = build_Q(cfg, sys_.n)
     tau = _require(cfg, "tau")
     eps = _require(cfg, "eps")
-    alpha = float(cfg.get("alpha", 0.0))
-    dt = float(cfg.get("dt", 1e-3))
-    steps = int(cfg.get("steps", 100))
-    seed = int(cfg.get("seed", 0))
+    alpha = _require(cfg, "alpha", default=0.0)
+    dt = _require(cfg, "dt", default=1e-3)
+    steps = _require(cfg, "steps", int, 100)
+    seed = _require(cfg, "seed", int, 0)
     if "x0" in cfg:
         x0 = _require(cfg, "x0", lambda v: _as_vector(v, sys_.n, "x0"))
         if not Q.contains(x0, tol=1e-12):
@@ -359,7 +362,9 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
 
-    out = open(args.out, "w") if args.out else _sys.stdout
+    # records are held until the command ends, so a run that fails before
+    # writing one leaves an existing --out file as it was
+    out = io.StringIO() if args.out else _sys.stdout
     try:
         if args.command == "bounds":
             return cmd_bounds(cfg, out)
@@ -377,8 +382,9 @@ def main(argv=None) -> int:
         print(f"guarantee violation: {exc}", file=_sys.stderr)
         return EXIT_GUARANTEE
     finally:
-        if args.out:
-            out.close()
+        if args.out and out.getvalue():
+            with open(args.out, "w") as fh:
+                fh.write(out.getvalue())
 
 
 if __name__ == "__main__":

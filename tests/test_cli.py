@@ -167,6 +167,8 @@ class TestSimulateVerify:
         ("simulate", "tau", 1.5),
         ("simulate", "alpha", -0.1),
         ("simulate", "eps", 0.0),
+        ("simulate", "alpha", "fast"),
+        ("simulate", "steps", "many"),
         ("verify", "tau", 1.5),  # in the header of a clean log
     ])
     def test_rejected_input_is_config_error(self, sim, tmp_path, capsys,
@@ -239,6 +241,14 @@ class TestSimulateVerify:
             EXIT_GUARANTEE
         (r,) = [json.loads(line) for line in out.read_text().splitlines()]
         assert r["record_failures"][0] == f"step {j}: the re-run disagrees on x"
+
+    def test_failed_run_leaves_out_file(self, tmp_path):
+        out = tmp_path / "results.jsonl"
+        out.write_text('{"kind": "earlier"}\n')
+        before = out.read_bytes()
+        assert main(["--out", str(out), "verify",
+                     str(tmp_path / "missing.jsonl")]) == EXIT_CONFIG
+        assert out.read_bytes() == before
 
     def test_verify_malformed_log(self, sim, tmp_path, capsys):
         code, recs, log_path, _, text = sim
