@@ -25,7 +25,8 @@ from .quantized import (GridMirror, GuaranteeViolationError, StepRecord,
                         reference_controller_double_integrator, replay,
                         run_episode, verify_guarantees)
 from .recurrence import RecurrenceSpec, first_return_time, lipschitz_region
-from .systems import ControlSignal, ControlSystem, make_system
+from .systems import (ControlSignal, ControlSystem, IntegrationBlowupError,
+                      make_system)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -65,6 +66,8 @@ def build_system(cfg: dict) -> ControlSystem:
         raise ConfigError("missing 'system' section")
     if isinstance(spec, str):
         spec = {"name": spec}
+    if not isinstance(spec, dict):
+        raise ConfigError("system must be a name or a mapping")
     name = spec.get("name")
     if not name:
         raise ConfigError("system section needs a 'name'")
@@ -227,7 +230,7 @@ def _controller(sys_: ControlSystem, Q: CompactSet, tau: float, eps: float):
             "double_integrator system")
     try:
         return reference_controller_double_integrator(Q, tau, eps)
-    except ValueError as exc:  # an input the library rejects, by its name
+    except (ValueError, OverflowError) as exc:  # rejected by its name
         raise ConfigError(str(exc)) from exc
 
 
@@ -312,8 +315,14 @@ def cmd_verify(log_path: str, out) -> int:
     if not (0 < dt <= tau and alpha >= 0):
         raise ConfigError(f"need 0 < dt <= tau and alpha >= 0, not dt={dt}, "
                           f"tau={tau}, alpha={alpha}")
+    if not steps or len(steps[0].x) != sys_.n:
+        raise ConfigError(f"log holds no step records of dimension {sys_.n}")
     controller = _controller(sys_, Q, tau, eps)
-    log = replay(controller, header, steps)
+    # the audit reads the header's numbers as parsed, and the controller's
+    # constants, which the header's must equal
+    log = replay(controller, dict(header, eps=eps, tau=tau, alpha=alpha,
+                                  dt=dt, L_tau=controller.L_tau,
+                                  c_star=controller.c_star), steps)
     failures = []
     if len(steps) != n_steps:
         failures.append(f"log holds {len(steps)} step records, header says "
@@ -324,15 +333,18 @@ def cmd_verify(log_path: str, out) -> int:
     if (L_tau, c_star) != (controller.L_tau, controller.c_star):
         failures.append("header L_tau and c_star differ from the rebuilt "
                         "controller's")
-    mirror = GridMirror(controller, Q.boxes[0], eps, tau, alpha, dt)
-    for k, s in enumerate(steps):
-        want = mirror.record(log.plant_states[k - 1][-1] if k else x0)
-        wrong = [key for key in StepRecord.__dataclass_fields__
-                 if not np.array_equal(getattr(s, key), getattr(want, key))]
-        if wrong:
-            failures.append(f"step {k}: the re-run disagrees on "
-                            f"{', '.join(wrong)}")
-        mirror.step_to(log.frag_states[k][-1])
+    try:
+        mirror = GridMirror(controller, Q.boxes[0], eps, tau, alpha, dt)
+        for k, s in enumerate(steps):
+            want = mirror.record(log.plant_states[k - 1][-1] if k else x0)
+            wrong = [key for key in StepRecord.__dataclass_fields__
+                     if not np.array_equal(getattr(s, key), getattr(want, key))]
+            if wrong:
+                failures.append(f"step {k}: the re-run disagrees on "
+                                f"{', '.join(wrong)}")
+            mirror.step_to(log.frag_states[k][-1])
+    except ValueError as exc:  # a header whose grids cannot be built
+        raise ConfigError(f"log header: {exc}") from exc
     report = verify_guarantees(log)
     ok = not failures and report.all_passed
     _record({"kind": "verify", "log_path": log_path, "passed": bool(ok),
@@ -378,7 +390,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
-    except GuaranteeViolationError as exc:
+    except (GuaranteeViolationError, IntegrationBlowupError) as exc:
         print(f"guarantee violation: {exc}", file=_sys.stderr)
         return EXIT_GUARANTEE
     finally:

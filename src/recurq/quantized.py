@@ -378,8 +378,28 @@ def _concat(fragments: list, tau: float, dt: float) -> tuple:
     return np.concatenate(times), np.vstack(states)
 
 
+def _step_record(rec: dict) -> StepRecord:
+    """A step record, each field checked for its JSON type."""
+    fields = {key: rec[key] for key in StepRecord.__dataclass_fields__}
+    for key, types in (("i", (int,)), ("index", (int,)), ("bits", (str,)),
+                       ("cover_size", (int,)), ("r", (int, float))):
+        if type(fields[key]) not in types:  # a bool is not an int here
+            raise ValueError(f"{key} is not of type {types[-1].__name__}")
+    for key in ("x", "q", "S_center", "S_radius"):
+        value = fields[key]
+        if type(value) is list and all(type(v) in (int, float) for v in value):
+            fields[key] = value = np.array(value, dtype=float)
+        if not isinstance(value, np.ndarray) or not np.isfinite(value).all():
+            raise ValueError(f"{key} is not a list of finite numbers")
+    return StepRecord(**fields)
+
+
 def load_step_records(path: str) -> tuple:
-    """Parse a JSONL episode log into (config, [StepRecord])."""
+    """Parse a JSONL episode log into (config, [StepRecord]) of checked types.
+
+    A step field of the wrong type, or state vectors of unequal lengths,
+    raise ValueError.
+    """
     config = None
     steps = []
     with open(path) as fh:
@@ -397,19 +417,20 @@ def load_step_records(path: str) -> tuple:
                 config = {k: v for k, v in rec.items() if k != "type"}
             elif rec.get("type") == "step":
                 try:
-                    steps.append(StepRecord(
-                        i=rec["i"], x=np.array(rec["x"]), q=np.array(rec["q"]),
-                        index=rec["index"], bits=rec["bits"],
-                        cover_size=rec["cover_size"], r=rec["r"],
-                        S_center=np.array(rec["S_center"]),
-                        S_radius=np.array(rec["S_radius"])))
+                    steps.append(_step_record(rec))
                 except KeyError as exc:
                     raise ValueError(
                         f"malformed log record {lineno}: missing {exc}") from exc
+                except (OverflowError, ValueError) as exc:
+                    raise ValueError(
+                        f"malformed log record {lineno}: {exc}") from exc
             else:
                 raise ValueError(f"malformed log record {lineno}: unknown type")
     if config is None:
         raise ValueError("log has no header record")
+    if len({len(v) for s in steps
+            for v in (s.x, s.q, s.S_center, s.S_radius)}) > 1:
+        raise ValueError("step records hold state vectors of unequal lengths")
     return config, steps
 
 

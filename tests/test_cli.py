@@ -242,6 +242,42 @@ class TestSimulateVerify:
         (r,) = [json.loads(line) for line in out.read_text().splitlines()]
         assert r["record_failures"][0] == f"step {j}: the re-run disagrees on x"
 
+    def test_verify_rejects_every_single_field_mutation(self, tmp_path,
+                                                         capsys):
+        # each field of the header (but seed, which does not enter a run
+        # given x0) and of one step record, set to each bad value in turn
+        log_path = tmp_path / "ep.jsonl"
+        text = SIM_YAML.format(log_path=log_path, csv_path=tmp_path / "ep.csv")
+        assert run(tmp_path, text.replace("steps: 12", "steps: 4"),
+                   "simulate")[0] == EXIT_OK
+        clean = [json.loads(line) for line in log_path.read_text().splitlines()]
+        out = str(tmp_path / "verify.jsonl")
+        assert main(["--out", out, "verify", str(log_path)]) == EXIT_OK
+        accepted = []
+        for line in (0, 2):  # the header and step 1
+            for key, old in clean[line].items():
+                wrong_length = old + [0.0] if isinstance(old, list) \
+                    else [old, old]
+                for value in ("fast", None, wrong_length, 0, -1, 1e308):
+                    if key == "seed" or value == old:
+                        continue
+                    body = [dict(rec) for rec in clean]
+                    body[line][key] = value
+                    log_path.write_text("".join(json.dumps(rec) + "\n"
+                                                for rec in body))
+                    try:
+                        code = main(["--out", out, "verify", str(log_path)])
+                    except Exception as exc:
+                        code = repr(exc)
+                    if code not in (EXIT_CONFIG, EXIT_GUARANTEE):
+                        accepted.append((line, key, value, code))
+        assert not accepted
+        # a state so large that its replayed plant segment overflows
+        clean[2]["x"] = [1.5e308, 1.5e308]
+        log_path.write_text("".join(json.dumps(rec) + "\n" for rec in clean))
+        assert main(["verify", str(log_path)]) == EXIT_GUARANTEE
+        assert "non-finite" in capsys.readouterr().err
+
     def test_failed_run_leaves_out_file(self, tmp_path):
         out = tmp_path / "results.jsonl"
         out.write_text('{"kind": "earlier"}\n')
