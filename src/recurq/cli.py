@@ -356,7 +356,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="recurq",
         description="recurrence entropy bounds and quantized recurrence control")
-    parser.add_argument("--config", help="YAML config file")
+    parser.add_argument("--config", help="YAML config file (verify reads none)")
     parser.add_argument("--out", help="output path (default stdout)")
     parser.add_argument("--seed", type=int, help="override config seed")
     parser.add_argument("--dt", type=float, help="override config dt")
@@ -368,25 +368,16 @@ def main(argv=None) -> int:
     p_verify.add_argument("log", help="episode log (JSONL)")
     args = parser.parse_args(argv)
 
-    try:
-        cfg = load_config(args.config, {"seed": args.seed, "dt": args.dt})
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=_sys.stderr)
-        return EXIT_CONFIG
-
     # records are held until the command ends, so a run that fails before
     # writing one leaves an existing --out file as it was
     out = io.StringIO() if args.out else _sys.stdout
     try:
-        if args.command == "bounds":
-            return cmd_bounds(cfg, out)
-        if args.command == "spanning":
-            return cmd_spanning(cfg, out)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out)
-        if args.command == "verify":
+        if args.command == "verify":  # the log names everything it needs
             return cmd_verify(args.log, out)
-        raise AssertionError(args.command)
+        cfg = load_config(args.config, {"seed": args.seed, "dt": args.dt})
+        command = {"bounds": cmd_bounds, "spanning": cmd_spanning,
+                   "simulate": cmd_simulate}[args.command]
+        return command(cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG

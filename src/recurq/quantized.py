@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import Box, CompactSet, distance_many, grid
 from .recurrence import _visit_gaps, estimate_L
-from .systems import ControlSystem, _check_finite, march
+from .systems import ControlSystem, march, time_grid
 
 LN2 = math.log(2.0)
 
@@ -95,25 +95,26 @@ def _saturated(sys: ControlSystem, feedback: Callable, x) -> np.ndarray:
 
 def closed_loop(sys: ControlSystem, feedback: Callable, x0, duration: float,
                 dt: float) -> tuple:
-    """Simulate state feedback sampled-and-held every dt.
+    """Simulate state feedback sampled and held at each step of march's grid.
 
-    x0 is one state (n,) or a batch (B, n); a batch needs a field that
-    indexes the last axis, and the field gets each step's stored (B, m)
-    inputs even from a feedback that returns one (m,) input.  Returns
-    (states, u_values) of shapes (K+1,) + x0.shape and (K,) + batch
-    shape + (m,), with K = duration/dt.  Controller validation and
-    GridMirror.advance march through here; _march_tau_step applies the same
-    clipped feedback to its fragment rows.
+    The steps have width dt, and the last is partial when dt does not
+    divide duration, so the run ends at duration.  x0 is one state (n,) or
+    a batch (B, n); a batch needs a field that indexes the last axis, and
+    the field gets each step's stored (B, m) inputs even from a feedback
+    that returns one (m,) input.  Returns (states, u_values) of shapes
+    (K+1,) + x0.shape and (K,) + batch shape + (m,), K steps.  Controller
+    validation and GridMirror.advance march through here; _march_tau_step
+    applies the same clipped feedback to its fragment rows.
     """
-    K = int(round(duration / dt))
     x0 = np.array(x0, dtype=float)
-    u_values = np.empty((K,) + x0.shape[:-1] + (sys.m,))
+    times, _ = time_grid(duration, dt)
+    u_values = np.empty((len(times) - 1,) + x0.shape[:-1] + (sys.m,))
 
     def held(k, x):
         u_values[k] = _saturated(sys, feedback, x)
         return u_values[k]
 
-    return march(sys.field, x0, dt, K, held), u_values
+    return march(sys.field, x0, dt, duration, held), u_values
 
 
 @dataclass
@@ -180,7 +181,7 @@ def build_feedback_controller(sys: ControlSystem, Q: CompactSet, tau: float,
     horizon = horizon_factor * tau
     # every grid state marched at once: (K+1, B, n)
     swept, _ = closed_loop(sys, feedback, centers, horizon, dt)
-    times = dt * np.arange(len(swept))
+    times, _ = time_grid(horizon, dt)
     dists = distance_many(swept, Q)
     failures = []
     tails = []
@@ -213,8 +214,11 @@ def build_feedback_controller(sys: ControlSystem, Q: CompactSet, tau: float,
             c_star = float(np.max(dtt[mask] / seps[mask]))
 
     reached = np.vstack((box.lo, box.hi, swept.reshape(-1, sys.n)))
-    envelope = Box.from_bounds(reached.min(axis=0) - eps,
-                               reached.max(axis=0) + eps)
+    lo, hi = reached.min(axis=0) - eps, reached.max(axis=0) + eps
+    # Python floats overflow to inf without numpy's warning
+    if not all(math.isfinite(h - l) for l, h in zip(lo.tolist(), hi.tolist())):
+        raise ValueError(f"eps={eps} leaves the validation envelope unbounded")
+    envelope = Box.from_bounds(lo, hi)
     L_tau = estimate_L(sys, envelope)
     return RecurrenceController(sys=sys, Q=Q, tau=tau, feedback=feedback,
                                 c_star=c_star, envelope=envelope,
@@ -370,12 +374,10 @@ def _jsonable(obj):
 
 
 def _concat(fragments: list, tau: float, dt: float) -> tuple:
-    times, states = [], []
-    for i, frag in enumerate(fragments):
-        t = i * tau + dt * np.arange(len(frag))
-        times.append(t)
-        states.append(frag)
-    return np.concatenate(times), np.vstack(states)
+    """(times, states) of tau-step segments, each on march's grid to tau."""
+    times, _ = time_grid(tau, dt)
+    return (np.concatenate([i * tau + times for i in range(len(fragments))]),
+            np.vstack(fragments))
 
 
 def _step_record(rec: dict) -> StepRecord:
@@ -437,38 +439,27 @@ def load_step_records(path: str) -> tuple:
 def _march_tau_step(sys: ControlSystem, feedback: Callable,
                     frags0: np.ndarray, plants0: np.ndarray, tau: float,
                     dt: float) -> tuple:
-    """One tau step of F fragments and P <= F plant segments in one batch.
+    """One tau step of F fragments and P <= F plant segments in one march.
 
-    The fragments march K = round(tau/dt) steps under the clipped feedback,
-    as in closed_loop.  Plant row j is held at fragment j's input over
-    n_full = int(tau/dt) steps and a partial step to tau, as in integrate;
-    a non-finite plant state raises IntegrationBlowupError naming its row.
-    Returns (frags, plants), shapes (K+1, F, n) and (n_full+1, P, n), one
-    sample more with the partial step.
+    All F + P rows march to tau on march's grid, so fragments and plant
+    segments share one time axis ending at tau, with a partial last step
+    when dt does not divide tau.  The fragments are held at the clipped
+    feedback, as in closed_loop; plant row j is held at fragment j's input,
+    as in integrate of closed_loop's inputs.  A non-finite plant state
+    raises IntegrationBlowupError naming its row.  Returns (frags, plants),
+    shapes (K+1, F, n) and (K+1, P, n).
     """
     F, P = len(frags0), len(plants0)
-    K, n_full = int(round(tau / dt)), int(tau / dt + 1e-9)
-    rem = tau - n_full * dt
     u = np.empty((F + P, sys.m))
 
     def held(k, x):
-        # the buffer is rewritten every step, so after the march its plant
-        # rows hold the input of the last step marched
         u[:F] = _saturated(sys, feedback, x[:F])
         u[F:] = u[:P]
-        return u[:len(x)]
+        return u
 
-    states = march(sys.field, np.concatenate((frags0, plants0)), dt, n_full,
+    states = march(sys.field, np.concatenate((frags0, plants0)), dt, tau,
                    held, finite_rows=slice(F, None))
-    frags, plants = states[:, :F], states[:, F:]
-    if K > n_full:  # the fragments' last full step, past the plant's
-        frags = np.concatenate(
-            (frags, march(sys.field, frags[-1], dt, 1, held)[1:]))
-    if rem > 1e-12:  # the plant's partial step
-        x_end = march(sys.field, plants[-1], rem, 1, lambda *_: u[F:])[-1]
-        _check_finite(x_end, tau)
-        plants = np.concatenate((plants, x_end[None]))
-    return frags, plants
+    return states[:, :F], states[:, F:]
 
 
 def replay(controller: RecurrenceController, config: dict,
@@ -476,7 +467,8 @@ def replay(controller: RecurrenceController, config: dict,
     """An EpisodeLog of logged steps, its trajectories recomputed at once.
 
     Fragment i is marched from the logged q_i and plant segment i from the
-    logged x_i, all N steps in one _march_tau_step at config's dt.  By
+    logged x_i, all N steps in one _march_tau_step at config's dt, each
+    to tau on march's grid, as run_episodes marched them.  By
     induction over i this equals the sequential run that wrote the log,
     once the log's links hold (x_{i+1} is the end of plant segment i, and
     q_{i+1} quantizes it on the grid centred on fragment i's end): step i
@@ -532,6 +524,8 @@ def run_episodes(sys: ControlSystem, Q: CompactSet,
         raise ValueError("tau must match the validated controller")
     if not 0 < dt <= tau:
         raise ValueError(f"dt must lie in (0, tau={tau}]")
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, not {steps}")
     for b, (x0, alpha) in enumerate(zip(x0s, alphas)):
         if alpha < 0:
             raise ValueError(f"episode {b}: alpha must be nonnegative")
@@ -657,8 +651,6 @@ def _windowed_recurrence_margin(times, dists, slacks, windows, starts,
     for slack, window, t0 in zip(slacks, windows, starts):
         if T_end - t0 < window:
             continue
-        # times is sorted except at the junctions, where a fragment may end
-        # past the next one's start: the samples from t0 on form a suffix
         k = int(np.searchsorted(times, t0 - 1e-12))
         visits = times[k:][dists[k:] <= slack + 1e-9]
         if len(visits) == 0:

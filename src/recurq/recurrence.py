@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .geometry import Box, CompactSet, distance_many, neighborhood
 from .systems import (ControlSignal, ControlSystem, Trajectory, march,
-                      _held_inputs, _integrate)
+                      time_grid, _held_inputs, _integrate)
 
 #: membership slack absorbing floating-point noise on box boundaries
 _MEMBERSHIP_TOL = 1e-12
@@ -115,9 +114,9 @@ def first_return_time(sys: ControlSystem, x0, signal: ControlSignal, Q: CompactS
     """
     traj = _integrate(sys, x0, signal, horizon, dt, check_finite=False)
     held = _held_inputs(signal, traj.times[:-1])
-    n_full = int(horizon / dt + 1e-9)
-    # integrate ends on a partial step when dt does not divide the horizon
-    last_h = horizon - n_full * dt if len(traj.times) > n_full + 1 else None
+    # the last step is partial when dt does not divide the horizon
+    times, n_full = time_grid(horizon, dt)
+    last_h = float(times[-1] - times[-2]) if len(times) > n_full + 1 else dt
     if traj.states.ndim == 2:
         return _first_entry(sys.field, traj.states, held, dt, Q, refine_tol,
                             last_h)
@@ -127,11 +126,11 @@ def first_return_time(sys: ControlSystem, x0, signal: ControlSignal, Q: CompactS
 
 
 def _first_entry(field, states, inputs, dt: float, Q: CompactSet,
-                 refine_tol: float, last_h: Optional[float] = None):
+                 refine_tol: float, last_h: float):
     """Time of the first entry into Q after states[0], or None.
 
     states[k + 1] is one RK4 step of width dt from states[k] under the
-    held input inputs[k] (the last step has width last_h when given).  The
+    held input inputs[k], and the last step has width last_h.  The
     entry is bisected inside the first step that lands in Q, probing with
     one-step marches from its start.
     """
@@ -143,14 +142,12 @@ def _first_entry(field, states, inputs, dt: float, Q: CompactSet,
         return None
     k = int(np.argmax(inside))
     x, u = states[k], inputs[k]
-    lo, hi = 0.0, dt
-    if last_h is not None and k + 1 == len(inside):
-        hi = last_h
+    lo, hi = 0.0, last_h if k + 1 == len(inside) else dt
     for _ in range(80):
         if hi - lo <= refine_tol:
             break
         mid = 0.5 * (lo + hi)
-        if Q.contains(march(field, x, mid, 1, lambda *_: u)[-1],
+        if Q.contains(march(field, x, mid, mid, lambda *_: u)[-1],
                       tol=_MEMBERSHIP_TOL):
             hi = mid
         else:

@@ -137,32 +137,50 @@ def _check_finite(x: np.ndarray, t: float):
         raise IntegrationBlowupError(t, row=int(np.argmax(bad)))
 
 
-def march(field, x0: np.ndarray, dt: float, steps: int,
+def time_grid(horizon: float, dt: float) -> tuple:
+    """march's sample times over [0, horizon] and its count of full steps.
+
+    n_full = int(horizon/dt) steps of width dt, then one partial step to
+    horizon when the remainder exceeds 1e-12; the times are the multiples
+    of dt, then horizon.  Returns (times, n_full).
+    """
+    n_full = int(horizon / dt + 1e-9)
+    times = dt * np.arange(n_full + 1, dtype=float)
+    if horizon - times[-1] > 1e-12:
+        times = np.append(times, horizon)
+    return times, n_full
+
+
+def march(field, x0: np.ndarray, dt: float, horizon: float,
           input_at: Callable[[int, np.ndarray], np.ndarray],
           finite_rows: Optional[slice] = None) -> np.ndarray:
-    """Classical RK4 over `steps` steps of size dt, the input held per step.
+    """Classical RK4 over time_grid(horizon, dt), the input held per step.
 
-    x0 is one state (n,) or a batch (B, n); input_at(k, x) returns the input
-    held over step k, given the state x at its start.  Returns the states,
-    shape (steps + 1,) + x0.shape.  Batch rows never mix, so every row is
+    The full steps of width dt end on a partial step to horizon when dt
+    does not divide it.  x0 is one state (n,) or a batch (B, n);
+    input_at(k, x) returns the input held over step k, given the state x
+    at its start.  Returns the states, one per sample time, shape
+    (len(times),) + x0.shape.  Batch rows never mix, so every row is
     float-identical to marching its state alone.  With finite_rows, a
     non-finite state among those rows raises IntegrationBlowupError at the
-    step it appears, naming its row within them.
+    sample time it appears, naming its row within them.
     """
-    states = np.empty((steps + 1,) + x0.shape)
-    states[0] = x0
-    x = x0
-    h2, h6 = 0.5 * dt, dt / 6.0
-    for k in range(steps):
-        u = input_at(k, x)
-        k1 = field(x, u)
-        k2 = field(x + h2 * k1, u)
-        k3 = field(x + h2 * k2, u)
-        k4 = field(x + dt * k3, u)
-        x = x + h6 * (k1 + 2.0 * (k2 + k3) + k4)
-        if finite_rows is not None:
-            _check_finite(x[finite_rows], (k + 1) * dt)
-        states[k + 1] = x
+    times, n_full = time_grid(horizon, dt)
+    states = np.empty(times.shape + x0.shape)
+    states[0] = x = x0
+    for h, ks in ((dt, range(n_full)),
+                  (horizon - times[n_full], range(n_full, len(times) - 1))):
+        h2, h6 = 0.5 * h, h / 6.0
+        for k in ks:
+            u = input_at(k, x)
+            k1 = field(x, u)
+            k2 = field(x + h2 * k1, u)
+            k3 = field(x + h2 * k2, u)
+            k4 = field(x + h * k3, u)
+            x = x + h6 * (k1 + 2.0 * (k2 + k3) + k4)
+            if finite_rows is not None:
+                _check_finite(x[finite_rows], times[k + 1])
+            states[k + 1] = x
     return states
 
 
@@ -193,22 +211,10 @@ def _integrate(sys: ControlSystem, x0, signal: ControlSignal, horizon: float,
         raise ValueError("horizon exceeds the signal duration")
     _check_step_alignment(dt, signal.segment_duration)
 
-    if horizon == 0.0:
-        return Trajectory(np.array([0.0]), x0[None].copy())
-
-    n_full = int(horizon / dt + 1e-9)
-    remainder = horizon - n_full * dt
-    times = dt * np.arange(n_full + 1, dtype=float)
-    held = _held_inputs(signal, times)
-    states = march(sys.field, x0, dt, n_full, lambda k, _: held[k],
+    times, _ = time_grid(horizon, dt)
+    held = _held_inputs(signal, times[:-1])
+    states = march(sys.field, x0, dt, horizon, lambda k, _: held[k],
                    finite_rows=slice(None) if check_finite else None)
-    if remainder > 1e-12:
-        x = march(sys.field, states[-1], remainder, 1,
-                  lambda k, _: held[-1])[-1]
-        if check_finite:
-            _check_finite(x, horizon)
-        states = np.concatenate((states, x[None]))
-        times = np.append(times, horizon)
     return Trajectory(times, states)
 
 

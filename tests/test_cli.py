@@ -169,7 +169,12 @@ class TestSimulateVerify:
         ("simulate", "eps", 0.0),
         ("simulate", "alpha", "fast"),
         ("simulate", "steps", "many"),
+        ("simulate", "steps", 0),
+        ("simulate", "steps", -3),
         ("verify", "tau", 1.5),  # in the header of a clean log
+        # rejected before its validation envelope overflows
+        pytest.param("verify", "eps", 1e308, marks=pytest.mark.filterwarnings(
+            "error::RuntimeWarning")),
     ])
     def test_rejected_input_is_config_error(self, sim, tmp_path, capsys,
                                             command, key, value):
@@ -199,6 +204,25 @@ class TestSimulateVerify:
         assert code == EXIT_OK
         (r,) = recs
         assert r["passed"] and not r["record_failures"]
+
+    def test_verify_reads_no_config(self, sim, tmp_path):
+        _, _, log_path, _, _ = sim
+        out = tmp_path / "verify.jsonl"
+        assert main(["--config", str(tmp_path / "missing.yaml"),
+                     "--out", str(out), "verify", str(log_path)]) == EXIT_OK
+        (r,) = [json.loads(line) for line in out.read_text().splitlines()]
+        assert r["passed"]
+
+    @pytest.mark.parametrize("dt", [0.45, 0.9])
+    def test_dt_not_dividing_tau(self, tmp_path, dt):
+        # fragments and plant segments both end each tau step at tau
+        log_path = tmp_path / "ep.jsonl"
+        text = SIM_YAML.format(log_path=log_path, csv_path=tmp_path / "ep.csv")
+        code, (r,) = run(tmp_path, text.replace("dt: 0.01", f"dt: {dt}"),
+                         "simulate")
+        assert code == EXIT_OK and all(r["guarantees"].values())
+        code, (r,) = run(tmp_path, text, "verify", str(log_path))
+        assert code == EXIT_OK and r["passed"]
 
     def test_verify_detects_tampering(self, sim, tmp_path):
         code, recs, log_path, _, text = sim

@@ -94,6 +94,20 @@ class TestClosedLoop:
             assert np.array_equal(states[:, b], s1)
             assert np.array_equal(u_values[:, b], u1)
 
+    @pytest.mark.parametrize("dt", [0.01, 0.03, 0.07, 0.3, 0.45, 0.9])
+    def test_ends_at_duration_on_the_exact_flow(self, dt):
+        # under u = -1 the flow from q is x1 = q1 + q2 t - t^2/2,
+        # x2 = q2 - t; RK4 is exact for it, so the run ends on the flow at
+        # t = 2 whether or not dt divides 2
+        Q0 = np.array([[0.3, -0.8], [-0.9, 0.95], [1.0, 1.0]])
+        states, u_values = closed_loop(double_integrator(),
+                                       lambda x: np.array([-1.0]), Q0, 2.0,
+                                       dt)
+        exact = np.column_stack((Q0[:, 0] + 2.0 * Q0[:, 1] - 2.0,
+                                 Q0[:, 1] - 2.0))
+        np.testing.assert_allclose(states[-1], exact, rtol=0, atol=1e-12)
+        assert len(u_values) == len(states) - 1
+
 
 class TestReferenceFeedback:
     def test_matches_scalar_formula(self, di_controller):
@@ -342,13 +356,25 @@ class TestEpisodeBatch:
         assert batch.value.row == len(x0s) - 1
         assert batch.value.t == alone.value.t
 
-    @pytest.mark.parametrize("dt", [0.01, 0.03, 0.07, 0.3])
+    @pytest.mark.parametrize("dt", [0.03, 0.3, 0.45, 0.9])
+    def test_fragments_and_plant_share_one_time_axis(self, di_controller, dt):
+        # every tau step's fragment and plant segment end at (i+1)*tau
+        log, = run_episodes(double_integrator(), UNIT_SQUARE, di_controller,
+                            self.X0S[:1], 0.1, 2.0, self.ALPHAS[:1], 4, dt)
+        t_hat, _ = log.hat_trajectory()
+        t_pl, _ = log.plant_trajectory()
+        assert np.array_equal(t_hat, t_pl)
+        ends = np.cumsum([len(f) for f in log.frag_states]) - 1
+        np.testing.assert_allclose(t_hat[ends], 2.0 * np.arange(1, 5),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dt", [0.01, 0.03, 0.07, 0.3, 0.45])
     @pytest.mark.parametrize("B", [1, 4])
     def test_replay_oracle(self, di_controller, B, dt):
         # every logged array recomputed from its step's logged inputs by
         # the unbatched closed_loop and integrate, and by replay's one
-        # batch; where dt does not divide tau the plant ends each tau step
-        # on a partial RK4 step
+        # batch; where dt does not divide tau the fragment and the plant
+        # end each tau step on a partial RK4 step
         sys = double_integrator()
         logs = run_episodes(sys, UNIT_SQUARE, di_controller, self.X0S[:B],
                             0.1, 2.0, self.ALPHAS[:B], 4, dt)

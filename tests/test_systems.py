@@ -7,7 +7,7 @@ from recurq import (Box, ControlSignal, ControlSystem, DomainError,
                     IntegrationBlowupError, divergence, double_integrator,
                     eval_field, integrate, jacobian_fd, make_system,
                     scalar_linear)
-from recurq.systems import march
+from recurq.systems import march, time_grid
 
 
 class TestControlSignal:
@@ -71,10 +71,30 @@ class TestRK4:
 
     def test_single_step_matches_loop(self):
         sys = scalar_linear(a=1.0)
-        x1 = march(sys.field, np.array([1.0]), 0.1, 1,
-                   lambda k, x: np.array([0.5]))[-1]
+        x1 = march(sys.field, np.array([1.0]), 0.1, horizon=0.1,
+                   input_at=lambda k, x: np.array([0.5]))[-1]
         traj = integrate(sys, [1.0], ControlSignal.constant([0.5], 0.1), 0.1, 0.1)
         np.testing.assert_allclose(traj.end, x1, rtol=0, atol=0)
+
+
+class TestTimeGrid:
+    @pytest.mark.parametrize("horizon, dt, n_full, partial", [
+        (2.0, 0.45, 4, True), (2.0, 0.9, 2, True), (2.0, 0.01, 200, False),
+        (0.3, 0.1, 3, False), (0.0, 0.1, 0, False)])
+    def test_multiples_of_dt_then_horizon(self, horizon, dt, n_full, partial):
+        times, got_full = time_grid(horizon, dt)
+        assert got_full == n_full
+        assert times.tolist() == ([k * dt for k in range(n_full + 1)]
+                                  + [horizon] * partial)
+
+    def test_march_ends_on_a_partial_step(self):
+        # two full steps, then one step of the remaining 0.125
+        sys = scalar_linear(a=1.0)
+        held = lambda k, x: np.array([0.5])
+        full = march(sys.field, np.array([1.0]), 0.25, 0.5, held)
+        states = march(sys.field, np.array([1.0]), 0.25, 0.625, held)
+        last = march(sys.field, full[-1], 0.125, 0.125, held)
+        assert np.array_equal(states, np.concatenate((full, last[1:])))
 
 
 class TestIntegrate:
