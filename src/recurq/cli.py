@@ -105,6 +105,25 @@ def _require(cfg: dict, key: str, cast=float, default=None):
         raise ConfigError(f"config key '{key}': {exc}")
 
 
+def _floats(values) -> list:
+    """A _require cast for a list of numbers."""
+    if isinstance(values, (str, dict)):
+        raise ValueError(f"expected a list of numbers, not {values!r}")
+    return [float(v) for v in values]
+
+
+def _at_least(low, cast=float, strict=False):
+    """A _require cast that also rejects a value below low, or equal to it
+    when strict."""
+    def read(value):
+        v = cast(value)
+        if not (v > low if strict else v >= low):
+            raise ValueError(f"must be {'above' if strict else 'at least'} "
+                             f"{low}, not {v}")
+        return v
+    return read
+
+
 def corner_return_sweep(sys: ControlSystem, Q: CompactSet, tau: float,
                         values_per_axis: int = 9, dt: float = 0.01,
                         horizon_factor: float = 4.0) -> list:
@@ -136,15 +155,16 @@ def corner_return_sweep(sys: ControlSystem, Q: CompactSet, tau: float,
 def cmd_bounds(cfg: dict, out) -> int:
     sys_ = build_system(cfg)
     Q = build_Q(cfg, sys_.n)
-    tau = _require(cfg, "tau")
-    constants, region = lipschitz_region(sys_, Q, tau,
-                                         seed=int(cfg.get("seed", 0)))
+    tau = _require(cfg, "tau", _at_least(0.0))
+    seed = _require(cfg, "seed", _at_least(0, int), 0)
+    samples = _require(cfg, "samples_per_axis", _at_least(2, int), 5)
+    sweep_values = _require(cfg, "sweep_values", _at_least(1, int), 9)
+    sweep_dt = _require(cfg, "sweep_dt", _at_least(0.0, strict=True), 0.01)
+    constants, region = lipschitz_region(sys_, Q, tau, seed=seed)
     upper = upper_bound(constants.L_tau, Q)
-    lower = lower_bound(sys_, Q, constants.delta_tau,
-                        samples_per_axis=int(cfg.get("samples_per_axis", 5)))
-    sweep = corner_return_sweep(sys_, Q, tau,
-                                values_per_axis=int(cfg.get("sweep_values", 9)),
-                                dt=float(cfg.get("sweep_dt", 0.01)))
+    lower = lower_bound(sys_, Q, constants.delta_tau, samples_per_axis=samples)
+    sweep = corner_return_sweep(sys_, Q, tau, values_per_axis=sweep_values,
+                                dt=sweep_dt)
     bad = [(c, t) for c, t in sweep if t > tau + 1e-6]
     finite = not bad
     witness = None
@@ -167,18 +187,23 @@ def cmd_bounds(cfg: dict, out) -> int:
 def cmd_spanning(cfg: dict, out) -> int:
     sys_ = build_system(cfg)
     Q = build_Q(cfg, sys_.n)
-    horizons = cfg.get("horizons")
-    if not horizons:
+    if not cfg.get("horizons"):
         raise ConfigError("missing 'horizons' list")
-    eps_list = cfg.get("eps_list") or [_require(cfg, "eps")]
-    tau_list = cfg.get("tau_list") or [_require(cfg, "tau")]
-    cand_cfg = cfg.get("candidate") or {}
+    horizons = _require(cfg, "horizons", _floats)
+    eps_list = (_require(cfg, "eps_list", _floats) if cfg.get("eps_list")
+                else [_require(cfg, "eps")])
+    tau_list = (_require(cfg, "tau_list", _floats) if cfg.get("tau_list")
+                else [_require(cfg, "tau")])
+    cand_cfg = _require(cfg, "candidate", dict, {})
     cclass = CandidateClass(
-        values_per_axis=int(cand_cfg.get("values_per_axis", 3)),
-        segment_duration=float(cand_cfg.get("segment_duration", 1.0)))
-    init_delta = float(cfg.get("init_delta", 0.25))
-    max_candidates = int(cfg.get("max_candidates", 24))
-    max_points = int(cfg.get("max_points", 64))
+        values_per_axis=_require(cand_cfg, "values_per_axis",
+                                 _at_least(1, int), 3),
+        segment_duration=_require(cand_cfg, "segment_duration",
+                                  _at_least(0.0, strict=True), 1.0))
+    init_delta = _require(cfg, "init_delta", _at_least(0.0, strict=True),
+                          0.25)
+    max_candidates = _require(cfg, "max_candidates", int, 24)
+    max_points = _require(cfg, "max_points", int, 64)
     mode = cfg.get("mode", "recurrence")
     if mode not in ("recurrence", "invariance"):
         raise ConfigError("mode must be 'recurrence' or 'invariance'")
@@ -188,11 +213,12 @@ def cmd_spanning(cfg: dict, out) -> int:
     for eps in eps_list:
         for tau in tau_list:
             for T in horizons:
-                spec = RecurrenceSpec(Q, tau=0.0 if mode == "invariance" else tau,
-                                      eps=eps, T=float(T))
-                rec = {"kind": "spanning", "T": float(T), "eps": float(eps),
-                       "tau": float(tau), "mode": mode}
+                rec = {"kind": "spanning", "T": T, "eps": eps, "tau": tau,
+                       "mode": mode}
                 try:
+                    spec = RecurrenceSpec(
+                        Q, tau=0.0 if mode == "invariance" else tau,
+                        eps=eps, T=T)
                     inst = build_spanning_instance(
                         sys_, Q, spec, init_delta, cclass,
                         max_candidates=max_candidates, max_points=max_points)
@@ -201,6 +227,8 @@ def cmd_spanning(cfg: dict, out) -> int:
                                 "note": str(exc)})
                     _record(rec, out)
                     continue
+                except ValueError as exc:  # rejected by its name
+                    raise ConfigError(str(exc)) from exc
                 r, chosen = min_spanning_cardinality(inst)
                 feasible = math.isfinite(r)
                 any_infeasible |= not feasible

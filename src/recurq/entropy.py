@@ -15,6 +15,10 @@ from .systems import ControlSignal, ControlSystem, divergence, integrate
 
 LN2 = math.log(2.0)
 
+#: rows of one spanning-build march: past about 128 rows a march step's
+#: cost grows with the rows, and a wider batch only adds memory
+_BATCH_ROWS = 512
+
 
 class InstanceTooLargeError(ValueError):
     """Candidate/point counts exceed the exact-search caps."""
@@ -64,6 +68,14 @@ class CandidateClass:
     values_per_axis: int
     segment_duration: float
 
+    def __post_init__(self):
+        if self.values_per_axis < 1:
+            raise ValueError(f"values_per_axis must be at least 1, not "
+                             f"{self.values_per_axis}")
+        if not self.segment_duration > 0:
+            raise ValueError(f"segment_duration must be positive, not "
+                             f"{self.segment_duration}")
+
     def input_values(self, U: Box) -> np.ndarray:
         axes = [np.linspace(l, h, self.values_per_axis)
                 for l, h in zip(U.lo, U.hi)]
@@ -73,7 +85,8 @@ class CandidateClass:
     def signals(self, U: Box, T: float) -> list:
         n_seg = int(round(T / self.segment_duration))
         if abs(n_seg * self.segment_duration - T) > 1e-9:
-            raise ValueError("segment duration must divide the horizon T")
+            raise ValueError(f"segment_duration {self.segment_duration} "
+                             f"must divide the horizon T={T}")
         values = self.input_values(U)
         out = []
         for combo in itertools.product(range(len(values)), repeat=n_seg):
@@ -123,6 +136,9 @@ def build_spanning_instance(sys: ControlSystem, Q: CompactSet,
     T = spec.T
     if not math.isfinite(T):
         raise ValueError("spanning instances need a finite horizon T")
+    if not 0 < init_delta < math.inf:
+        raise ValueError(f"init_delta must be positive and finite, not "
+                         f"{init_delta}")
     candidates = candidate_class.signals(sys.U, T)
     points = initial_point_grid(Q, init_delta)
     if len(candidates) > max_candidates or len(points) > max_points:
@@ -134,15 +150,24 @@ def build_spanning_instance(sys: ControlSystem, Q: CompactSet,
         # snap to an exact divisor of the segment duration
         k = max(1, int(round(candidate_class.segment_duration / base)))
         dt = candidate_class.segment_duration / k
-    feas = np.zeros((len(candidates), len(points)), dtype=bool)
-    for j, sig in enumerate(candidates):
-        # one candidate from every initial point at once: (K+1, points, n)
-        held = np.repeat(sig.values[:, None], len(points), axis=1)
-        batch = integrate(sys, points, ControlSignal(sig.segment_duration,
-                                                     held), T, dt)
+    n_pts = len(points)
+    # c whole candidates from every initial point per march, rows
+    # candidate-major; rows never mix, so each verdict is the one of its
+    # row marched alone
+    per_batch = max(1, _BATCH_ROWS // n_pts)
+    values = np.stack([sig.values for sig in candidates], axis=1)
+    feas = np.empty((len(candidates), n_pts), dtype=bool)
+    for start in range(0, len(candidates), per_batch):
+        chunk = values[:, start:start + per_batch]
+        c = chunk.shape[1]
+        batch = integrate(sys, np.tile(points, (c, 1)),
+                          ControlSignal(candidate_class.segment_duration,
+                                        np.repeat(chunk, n_pts, axis=1)),
+                          T, dt)
         verdicts = (is_recurrent(batch, spec) if spec.tau > 0
                     else is_invariant(batch, spec.Q, spec.eps, T))
-        feas[j] = [ok for ok, _ in verdicts]
+        feas[start:start + c] = np.reshape([ok for ok, _ in verdicts],
+                                           (c, n_pts))
     return SpanningInstance(initial_points=points, candidates=tuple(candidates),
                             feasibility=feas, spec=spec)
 

@@ -134,9 +134,16 @@ def distance(y, Q: CompactSet) -> float:
 def distance_many(X: np.ndarray, Q: CompactSet) -> np.ndarray:
     """Vectorized distance(., Q) over the points along X's last axis."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    per_box = [np.max(np.maximum(np.abs(X - b.center) - b.radius, 0.0), axis=-1)
-               for b in Q.boxes]
-    return np.min(per_box, axis=0)
+    # one scratch array of X's size, reused for every box
+    excess = np.empty_like(X)
+    best = None
+    for b in Q.boxes:
+        np.subtract(X, b.center, out=excess)
+        np.abs(excess, out=excess)
+        np.subtract(excess, b.radius, out=excess)
+        d = np.maximum(excess, 0.0, out=excess).max(axis=-1)
+        best = d if best is None else np.minimum(best, d, out=best)
+    return best
 
 
 def neighborhood(Q: CompactSet, eps: float) -> CompactSet:

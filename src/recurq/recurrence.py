@@ -13,7 +13,7 @@ import numpy as np
 
 from .geometry import Box, CompactSet, distance_many, neighborhood
 from .systems import (ControlSignal, ControlSystem, Trajectory, march,
-                      time_grid, _held_inputs, _integrate)
+                      time_grid, _integrate, _segment_of)
 
 #: membership slack absorbing floating-point noise on box boundaries
 _MEMBERSHIP_TOL = 1e-12
@@ -113,7 +113,7 @@ def first_return_time(sys: ControlSystem, x0, signal: ControlSignal, Q: CompactS
     a list of B such times, each equal to the time of its row marched alone.
     """
     traj = _integrate(sys, x0, signal, horizon, dt, check_finite=False)
-    held = _held_inputs(signal, traj.times[:-1])
+    held = signal.values[_segment_of(signal, traj.times[:-1])]
     # the last step is partial when dt does not divide the horizon
     times, n_full = time_grid(horizon, dt)
     last_h = float(times[-1] - times[-2]) if len(times) > n_full + 1 else dt

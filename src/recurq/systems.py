@@ -188,9 +188,11 @@ def integrate(sys: ControlSystem, x0, signal: ControlSignal,
               horizon: float, dt: float) -> Trajectory:
     """Classical fixed-step RK4; deterministic for identical inputs.
 
-    dt must divide the signal's segment duration so the input is constant
-    within every step.  x0 may be a batch (B, n) driven by a signal of
-    shape (segments, B, m); each row then integrates exactly as alone.
+    When the horizon passes a segment boundary, dt must divide the
+    segment duration so the input is constant within every step; a
+    horizon within the first segment may end on a partial step.  x0 may
+    be a batch (B, n) driven by a signal of shape (segments, B, m); each
+    row then integrates exactly as alone.
     A non-finite state raises IntegrationBlowupError.
     """
     return _integrate(sys, x0, signal, horizon, dt, check_finite=True)
@@ -209,20 +211,21 @@ def _integrate(sys: ControlSystem, x0, signal: ControlSignal, horizon: float,
         raise ValueError("horizon must be nonnegative")
     if horizon > signal.total_duration + 1e-9:
         raise ValueError("horizon exceeds the signal duration")
-    _check_step_alignment(dt, signal.segment_duration)
+    if horizon > signal.segment_duration + 1e-9:  # a boundary inside
+        _check_step_alignment(dt, signal.segment_duration)
 
     times, _ = time_grid(horizon, dt)
-    held = _held_inputs(signal, times[:-1])
-    states = march(sys.field, x0, dt, horizon, lambda k, _: held[k],
+    seg, values = _segment_of(signal, times[:-1]), signal.values
+    # values[seg[k]] is a view: no (steps, B, m) copy of a batch's inputs
+    states = march(sys.field, x0, dt, horizon, lambda k, _: values[seg[k]],
                    finite_rows=slice(None) if check_finite else None)
     return Trajectory(times, states)
 
 
-def _held_inputs(signal: ControlSignal, times: np.ndarray) -> np.ndarray:
-    """The signal's value held from each of the step start times."""
-    values = signal.values
+def _segment_of(signal: ControlSignal, times: np.ndarray) -> np.ndarray:
+    """Index of the signal segment that holds from each step start time."""
     seg = (times / signal.segment_duration + 1e-9).astype(int)
-    return values[np.minimum(seg, values.shape[0] - 1)]
+    return np.minimum(seg, signal.values.shape[0] - 1)
 
 
 def jacobian_fd(sys: ControlSystem, x, u) -> np.ndarray:

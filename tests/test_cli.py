@@ -62,6 +62,24 @@ class TestBounds:
         assert r["verdict"] == "infinite"
         assert r["witness"] == [1.0, 1.0]
 
+    @pytest.mark.parametrize("sweep_dt", [0.015625, 0.03])
+    def test_sweep_dt_not_dividing_the_horizon(self, tmp_path, sweep_dt):
+        # the sweep's one held segment ends on a partial step at 6.8 s
+        text = BOUNDS_YAML.format(tau=1.7)
+        code, (want,) = run(tmp_path, text + "sweep_dt: 0.01\n", "bounds")
+        code, (r,) = run(tmp_path, text + f"sweep_dt: {sweep_dt}\n", "bounds")
+        assert code == EXIT_OK
+        assert r["verdict"] == "infinite" and r["witness"] == [1.0, 1.0]
+        for got, ref in zip(r["corner_min_returns"], want["corner_min_returns"]):
+            assert got["corner"] == ref["corner"]
+            if sweep_dt == 0.03 and got["min_return"] is None:
+                # the return of (1, 1) and (-1, -1) grazes Q at t = 2,
+                # which no sample of a 0.03 s grid meets
+                assert ref["min_return"] == 2.0
+                continue
+            assert got["min_return"] == pytest.approx(ref["min_return"],
+                                                      rel=0, abs=1e-8)
+
     def test_missing_tau_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("system: {name: double_integrator}\n"
@@ -171,6 +189,19 @@ class TestSimulateVerify:
         ("simulate", "steps", "many"),
         ("simulate", "steps", 0),
         ("simulate", "steps", -3),
+        ("bounds", "sweep_dt", "fast"),
+        ("bounds", "sweep_dt", 0.0),
+        ("bounds", "sweep_values", 0),  # read as "infinite" before
+        ("bounds", "samples_per_axis", 1),
+        ("bounds", "seed", -1),
+        ("bounds", "tau", -1.0),
+        ("spanning", "init_delta", 0.0),
+        ("spanning", "init_delta", "fast"),
+        ("spanning", "max_candidates", "many"),
+        ("spanning", "values_per_axis", 0),  # read as "infeasible" before
+        ("spanning", "segment_duration", 0.0),
+        ("spanning", "segment_duration", 3.0),  # does not divide T = 4
+        ("spanning", "horizons", "48"),
         ("verify", "tau", 1.5),  # in the header of a clean log
         # rejected before its validation envelope overflows
         pytest.param("verify", "eps", 1e308, marks=pytest.mark.filterwarnings(
@@ -179,12 +210,17 @@ class TestSimulateVerify:
     def test_rejected_input_is_config_error(self, sim, tmp_path, capsys,
                                             command, key, value):
         _, _, log_path, _, text = sim
-        cfg = yaml.safe_load(text)
-        if command == "simulate":
-            cfg[key] = value
+        if command != "verify":
+            cfg = yaml.safe_load({"simulate": text,
+                                  "bounds": BOUNDS_YAML.format(tau=2.0),
+                                  "spanning": SPAN_YAML.format(horizons="[4]"),
+                                  }[command])
+            in_candidate = key in ("values_per_axis", "segment_duration")
+            (cfg["candidate"] if in_candidate else cfg)[key] = value
             log_path.unlink()
-            args = ["simulate"]
+            args = [command]
         else:
+            cfg = yaml.safe_load(text)
             lines = log_path.read_text().splitlines()
             lines[0] = json.dumps({**json.loads(lines[0]), key: value})
             log_path.write_text("\n".join(lines) + "\n")

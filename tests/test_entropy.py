@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recurq import (Box, CandidateClass, CompactSet, InfeasibleInstanceError,
+from recurq import entropy, systems
+from recurq import (Box, CandidateClass, CompactSet, ControlSignal,
+                    InfeasibleInstanceError,
                     InstanceTooLargeError, RecurrenceSpec, SpanningInstance,
                     build_spanning_instance, dim_box_counting, double_integrator,
                     empirical_rate, greedy_cover, initial_point_grid,
@@ -62,6 +64,12 @@ class TestCandidateClass:
         cc = CandidateClass(values_per_axis=3, segment_duration=2.0)
         with pytest.raises(ValueError):
             cc.signals(Box([0.0], [1.0]), 5.0)
+
+    @pytest.mark.parametrize("values_per_axis, segment_duration", [
+        (0, 2.0), (-1, 2.0), (3, 0.0), (3, -1.0), (3, float("nan"))])
+    def test_rejects_empty_class(self, values_per_axis, segment_duration):
+        with pytest.raises(ValueError, match="values_per_axis|segment_duration"):
+            CandidateClass(values_per_axis, segment_duration)
 
     def test_deterministic_enumeration(self):
         cc = CandidateClass(values_per_axis=3, segment_duration=1.0)
@@ -184,6 +192,47 @@ class TestBuildInstance:
                 else:
                     ok, _ = is_invariant(traj, UNIT_SQUARE, 0.1, 4.0)
                 assert inst.feasibility[j, i] == ok, (j, i)
+
+    @pytest.mark.parametrize("tau", [2.0, 0.0])
+    def test_batches_match_per_candidate_loop(self, tau, monkeypatch):
+        # T = 8: 81 candidates x 16 points span several batches, the last
+        # one partial
+        sys = double_integrator()
+        # eps = 1 leaves both kinds of cell in the invariance instance too
+        spec = RecurrenceSpec(UNIT_SQUARE, tau=tau, eps=1.0, T=8.0)
+        cc = CandidateClass(values_per_axis=3, segment_duration=2.0)
+        rows = []
+
+        def counted(field, x0, *args, **kwargs):
+            rows.append(len(x0))
+            return march(field, x0, *args, **kwargs)
+
+        march = systems.march
+        monkeypatch.setattr(systems, "march", counted)
+        inst = build_spanning_instance(sys, UNIT_SQUARE, spec, 0.25, cc,
+                                       dt=0.05, max_candidates=128)
+        monkeypatch.undo()
+        per_batch = entropy._BATCH_ROWS // 16
+        assert 1 < math.ceil(81 / per_batch) and 81 % per_batch
+        assert rows == [16 * per_batch] * (81 // per_batch) + [16 * (81 % per_batch)]
+        assert inst.feasibility.shape == (81, 16)
+        assert inst.feasibility.any() and not inst.feasibility.all()
+        # the build it replaces: one integrate per candidate
+        points = inst.initial_points
+        for j, sig in enumerate(inst.candidates):
+            held = np.repeat(sig.values[:, None], len(points), axis=1)
+            batch = integrate(sys, points, ControlSignal(2.0, held), 8.0, 0.05)
+            verdicts = (is_recurrent(batch, spec) if tau > 0 else
+                        is_invariant(batch, UNIT_SQUARE, 1.0, 8.0))
+            assert inst.feasibility[j].tolist() == [ok for ok, _ in verdicts], j
+
+    @pytest.mark.parametrize("init_delta", [0.0, -0.25, float("inf")])
+    def test_rejects_init_delta(self, init_delta):
+        sys = double_integrator()
+        spec = RecurrenceSpec(UNIT_SQUARE, tau=2.0, eps=0.1, T=4.0)
+        cc = CandidateClass(values_per_axis=3, segment_duration=2.0)
+        with pytest.raises(ValueError, match="init_delta"):
+            build_spanning_instance(sys, UNIT_SQUARE, spec, init_delta, cc)
 
     def test_caps_enforced(self):
         sys = double_integrator()

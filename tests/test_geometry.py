@@ -71,6 +71,26 @@ class TestCompactSet:
         for x, d in zip(X, vec):
             assert d == pytest.approx(distance(x, Q), abs=0.0)
 
+    @pytest.mark.parametrize("shape", [(2,), (40, 2), (11, 7, 2)])
+    def test_distance_many_matches_unfused_form(self, shape):
+        # the form with one temporary per operation, bit for bit, over
+        # any leading shape and rows holding NaN or infinities
+        Q = CompactSet((Box([0.0, 0.0], [1.0, 0.5]), Box([3.0, 3.0], [0.5, 0.5])))
+        X = np.random.default_rng(2).uniform(-5, 5, size=shape)
+        rows = X.reshape(-1, 2)
+        for k, bad in enumerate([[np.nan, 0.0], [np.inf, 3.0],
+                                 [-np.inf, np.nan], [0.5, -np.inf]]):
+            if k < len(rows):
+                rows[-1 - k] = bad
+        before = X.copy()
+        got = distance_many(X, Q)
+        want = np.min([np.max(np.maximum(np.abs(np.atleast_2d(X) - b.center)
+                                         - b.radius, 0.0), axis=-1)
+                       for b in Q.boxes], axis=0)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert X.tobytes() == before.tobytes()
+
     def test_bounding_box(self):
         Q = CompactSet((Box([0.0], [1.0]), Box([10.0], [2.0])))
         bb = Q.bounding_box()

@@ -112,9 +112,24 @@ class TestIntegrate:
         assert traj.end[0] == pytest.approx(math.exp(0.55), rel=1e-6)
 
     def test_dt_must_divide_segment(self):
+        # the boundary at t = 1 lies inside the horizon
         sys = double_integrator()
         with pytest.raises(ValueError):
-            integrate(sys, [0.0, 0.0], ControlSignal(1.0, [[0.0]]), 1.0, 0.3)
+            integrate(sys, [0.0, 0.0], ControlSignal(1.0, [[0.0], [1.0]]),
+                      2.0, 0.3)
+
+    @pytest.mark.parametrize("horizon, times", [
+        (1.0, [0.0, 0.3, 0.6, 0.9, 1.0]), (0.7, [0.0, 0.3, 0.6, 0.7])])
+    def test_one_segment_ends_on_a_partial_step(self, horizon, times):
+        # no boundary inside the horizon: dt need not divide the segment
+        sys = double_integrator()
+        traj = integrate(sys, [0.2, 0.5], ControlSignal(1.0, [[-1.0], [1.0]]),
+                         horizon, 0.3)
+        np.testing.assert_allclose(traj.times, times, rtol=0, atol=1e-15)
+        # RK4 is exact on the quadratic flow of one held input
+        np.testing.assert_allclose(
+            traj.end, [0.2 + 0.5 * horizon - horizon**2 / 2, 0.5 - horizon],
+            rtol=0, atol=1e-12)
 
     def test_horizon_beyond_signal_rejected(self):
         sys = double_integrator()
