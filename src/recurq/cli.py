@@ -195,26 +195,28 @@ def cmd_spanning(cfg: dict, out) -> int:
     tau_list = (_require(cfg, "tau_list", _floats) if cfg.get("tau_list")
                 else [_require(cfg, "tau")])
     cand_cfg = _require(cfg, "candidate", dict, {})
-    cclass = CandidateClass(
-        values_per_axis=_require(cand_cfg, "values_per_axis",
-                                 _at_least(1, int), 3),
-        segment_duration=_require(cand_cfg, "segment_duration",
-                                  _at_least(0.0, strict=True), 1.0))
-    init_delta = _require(cfg, "init_delta", _at_least(0.0, strict=True),
-                          0.25)
+    values_per_axis = _require(cand_cfg, "values_per_axis", int, 3)
+    segment_duration = _require(cand_cfg, "segment_duration", default=1.0)
+    init_delta = _require(cfg, "init_delta", default=0.25)
     max_candidates = _require(cfg, "max_candidates", int, 24)
     max_points = _require(cfg, "max_points", int, 64)
     mode = cfg.get("mode", "recurrence")
     if mode not in ("recurrence", "invariance"):
         raise ConfigError("mode must be 'recurrence' or 'invariance'")
+    try:
+        cclass = CandidateClass(values_per_axis, segment_duration)
+    except ValueError as exc:  # rejected by its name
+        raise ConfigError(str(exc)) from exc
 
-    any_infeasible = False
-    rate_points = {}
+    # written once every instance is built, so a run that a later
+    # instance's config error stops writes no record
+    records, rate_points = [], {}
     for eps in eps_list:
         for tau in tau_list:
             for T in horizons:
                 rec = {"kind": "spanning", "T": T, "eps": eps, "tau": tau,
                        "mode": mode}
+                records.append(rec)
                 try:
                     spec = RecurrenceSpec(
                         Q, tau=0.0 if mode == "invariance" else tau,
@@ -225,28 +227,28 @@ def cmd_spanning(cfg: dict, out) -> int:
                 except InstanceTooLargeError as exc:
                     rec.update({"exact": False, "greedy_only": True,
                                 "note": str(exc)})
-                    _record(rec, out)
                     continue
                 except ValueError as exc:  # rejected by its name
                     raise ConfigError(str(exc)) from exc
                 r, chosen = min_spanning_cardinality(inst)
                 feasible = math.isfinite(r)
-                any_infeasible |= not feasible
                 rec.update({"exact": True,
                             "r": (int(r) if feasible else None),
                             "feasible": feasible, "chosen": chosen,
                             "n_candidates": len(inst.candidates),
                             "n_points": len(inst.initial_points)})
-                _record(rec, out)
                 if feasible:
                     rate_points.setdefault((eps, tau), []).append(
-                        (float(T), math.log2(r)))
+                        (T, math.log2(r)))
     for (eps, tau), pts in sorted(rate_points.items()):
         if len({T for T, _ in pts}) >= 3:
             slope = float(np.polyfit([p[0] for p in pts],
                                      [p[1] for p in pts], 1)[0])
-            _record({"kind": "rate_fit", "eps": eps, "tau": tau,
-                     "rate_bits_per_s": slope, "n_points": len(pts)}, out)
+            records.append({"kind": "rate_fit", "eps": eps, "tau": tau,
+                            "rate_bits_per_s": slope, "n_points": len(pts)})
+    for rec in records:
+        _record(rec, out)
+    any_infeasible = any(rec.get("feasible") is False for rec in records)
     return EXIT_INFEASIBLE if any_infeasible else EXIT_OK
 
 

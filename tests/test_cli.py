@@ -130,6 +130,17 @@ class TestSpanning:
         by_T = {r["T"]: r for r in recs if r["kind"] == "spanning"}
         assert by_T[4.0]["feasible"] and not by_T[6.0]["feasible"]
 
+    def test_late_config_error_writes_no_record(self, tmp_path, capsys):
+        # T = 4 builds; T = 5 is not a whole number of 2 s segments
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(SPAN_YAML.format(horizons="[4, 5]"))
+        out = tmp_path / "out.jsonl"
+        out.write_text("kept\n")
+        assert main(["--config", str(cfg), "--out", str(out),
+                     "spanning"]) == EXIT_CONFIG
+        assert "segment_duration" in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
+
     def test_greedy_only_flag_when_capped(self, tmp_path):
         text = SPAN_YAML.format(horizons="[8]").replace("max_candidates: 128",
                                                         "max_candidates: 24")
@@ -207,20 +218,22 @@ class TestSimulateVerify:
         pytest.param("verify", "eps", 1e308, marks=pytest.mark.filterwarnings(
             "error::RuntimeWarning")),
     ])
-    def test_rejected_input_is_config_error(self, sim, tmp_path, capsys,
+    def test_rejected_input_is_config_error(self, request, tmp_path, capsys,
                                             command, key, value):
-        _, _, log_path, _, text = sim
-        if command != "verify":
-            cfg = yaml.safe_load({"simulate": text,
-                                  "bounds": BOUNDS_YAML.format(tau=2.0),
-                                  "spanning": SPAN_YAML.format(horizons="[4]"),
-                                  }[command])
+        if command in ("bounds", "spanning"):
+            cfg = yaml.safe_load(BOUNDS_YAML.format(tau=2.0) if command == "bounds"
+                                 else SPAN_YAML.format(horizons="[4]"))
             in_candidate = key in ("values_per_axis", "segment_duration")
             (cfg["candidate"] if in_candidate else cfg)[key] = value
-            log_path.unlink()
             args = [command]
         else:
+            _, _, log_path, _, text = request.getfixturevalue("sim")
             cfg = yaml.safe_load(text)
+        if command == "simulate":
+            cfg[key] = value
+            log_path.unlink()
+            args = ["simulate"]
+        elif command == "verify":
             lines = log_path.read_text().splitlines()
             lines[0] = json.dumps({**json.loads(lines[0]), key: value})
             log_path.write_text("\n".join(lines) + "\n")
@@ -232,7 +245,7 @@ class TestSimulateVerify:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert re.search(rf"\b{key}\b", err), err
-        assert command == "verify" or not log_path.exists()
+        assert command != "simulate" or not log_path.exists()
 
     def test_verify_clean_log(self, sim, tmp_path):
         code, recs, log_path, _, text = sim
