@@ -211,6 +211,7 @@ def cmd_spanning(cfg: dict, out) -> int:
     # written once every instance is built, so a run that a later
     # instance's config error stops writes no record
     records, rate_points = [], {}
+    any_infeasible = False
     for eps in eps_list:
         for tau in tau_list:
             for T in horizons:
@@ -232,6 +233,7 @@ def cmd_spanning(cfg: dict, out) -> int:
                     raise ConfigError(str(exc)) from exc
                 r, chosen = min_spanning_cardinality(inst)
                 feasible = math.isfinite(r)
+                any_infeasible |= not feasible
                 rec.update({"exact": True,
                             "r": (int(r) if feasible else None),
                             "feasible": feasible, "chosen": chosen,
@@ -248,7 +250,6 @@ def cmd_spanning(cfg: dict, out) -> int:
                             "rate_bits_per_s": slope, "n_points": len(pts)})
     for rec in records:
         _record(rec, out)
-    any_infeasible = any(rec.get("feasible") is False for rec in records)
     return EXIT_INFEASIBLE if any_infeasible else EXIT_OK
 
 

@@ -15,8 +15,9 @@ from .systems import ControlSignal, ControlSystem, divergence, integrate
 
 LN2 = math.log(2.0)
 
-#: rows of one spanning-build march: past about 128 rows a march step's
-#: cost grows with the rows, and a wider batch only adds memory
+#: rows of one spanning-build march: a step's cost is mostly numpy call
+#: overhead up to about 128 rows; past 512 the build gets no faster and
+#: a wider batch only adds memory
 _BATCH_ROWS = 512
 
 
