@@ -7,23 +7,21 @@ instances, and running a quantized sensor/controller loop whose bit rate
 and guarantees can be audited offline.
 """
 
-from .geometry import (Box, CompactSet, GridCover, OverlapError, distance,
-                       distance_many, grid, lebesgue, min_cover_size,
-                       neighborhood)
+from .geometry import (Box, CompactSet, GridCover, distance, distance_many,
+                       grid, neighborhood)
 from .systems import (BUILTIN_SYSTEMS, ControlSignal, ControlSystem,
                       DomainError, IntegrationBlowupError, Trajectory,
-                      divergence, double_integrator, eval_field, integrate,
-                      jacobian_fd, make_system, scalar_linear)
+                      divergence, double_integrator, integrate, jacobian_fd,
+                      make_system, scalar_linear)
 from .recurrence import (ContainmentConstants, RecurrenceSpec, ResolutionError,
                          containment_radius, estimate_F_Q, estimate_L,
                          first_return_time, is_invariant, is_recurrent,
                          lipschitz_region)
-from .entropy import (CandidateClass, InfeasibleInstanceError,
-                      InstanceTooLargeError, SpanningInstance,
-                      build_spanning_instance, dim_box_counting,
-                      empirical_rate, greedy_cover, initial_point_grid,
-                      lower_bound, min_spanning_cardinality,
-                      uncoverable_points, upper_bound)
+from .entropy import (CandidateClass, InstanceTooLargeError, SpanningInstance,
+                      build_spanning_instance, dim_box_counting, greedy_cover,
+                      initial_point_grid, lower_bound,
+                      min_spanning_cardinality, uncoverable_points,
+                      upper_bound)
 from .quantized import (BitRateReport, ClauseResult, ControllerInvalidError,
                         CountedChannel, DeterminismError, EpisodeLog,
                         GridMirror, GuaranteeReport, GuaranteeViolationError,

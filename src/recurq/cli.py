@@ -33,6 +33,9 @@ EXIT_CONFIG = 2
 EXIT_GUARANTEE = 3
 EXIT_INFEASIBLE = 4
 
+#: corner_return_sweep's horizon in multiples of tau, and at least 5 s
+_RETURN_TAUS = 4.0
+
 
 class ConfigError(ValueError):
     pass
@@ -125,14 +128,13 @@ def _at_least(low, cast=float, strict=False):
 
 
 def corner_return_sweep(sys: ControlSystem, Q: CompactSet, tau: float,
-                        values_per_axis: int = 9, dt: float = 0.01,
-                        horizon_factor: float = 4.0) -> list:
+                        values_per_axis: int = 9, dt: float = 0.01) -> list:
     """Minimum first-return time from each corner of Q over constant controls.
 
     A corner whose best sampled return exceeds tau is evidence (within the
     candidate class) that Q is not recurrent for that window.
     """
-    horizon = max(horizon_factor * tau, 5.0)
+    horizon = max(_RETURN_TAUS * tau, 5.0)
     u_grid = CandidateClass(values_per_axis, horizon).input_values(sys.U)
     corners = np.vstack([box.corners() for box in Q.boxes])
     # every corner under every input in one batch, corner-major

@@ -25,10 +25,6 @@ class InstanceTooLargeError(ValueError):
     """Candidate/point counts exceed the exact-search caps."""
 
 
-class InfeasibleInstanceError(RuntimeError):
-    """Some initial point admits no feasible candidate control."""
-
-
 def dim_box_counting(Q: CompactSet) -> int:
     """Box-counting dimension of a box union: count of positive-width axes."""
     widths = np.max([b.radius for b in Q.boxes], axis=0)
@@ -83,17 +79,19 @@ class CandidateClass:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def signals(self, U: Box, T: float) -> list:
+    def _segments(self, T: float) -> int:
+        """Segments in a signal of horizon T, which they must divide."""
         n_seg = int(round(T / self.segment_duration))
         if abs(n_seg * self.segment_duration - T) > 1e-9:
             raise ValueError(f"segment_duration {self.segment_duration} "
                              f"must divide the horizon T={T}")
+        return n_seg
+
+    def signals(self, U: Box, T: float) -> list:
         values = self.input_values(U)
-        out = []
-        for combo in itertools.product(range(len(values)), repeat=n_seg):
-            out.append(ControlSignal(self.segment_duration,
-                                     values[list(combo)]))
-        return out
+        return [ControlSignal(self.segment_duration, values[list(combo)])
+                for combo in itertools.product(range(len(values)),
+                                               repeat=self._segments(T))]
 
 
 @dataclass(frozen=True)
@@ -140,12 +138,15 @@ def build_spanning_instance(sys: ControlSystem, Q: CompactSet,
     if not 0 < init_delta < math.inf:
         raise ValueError(f"init_delta must be positive and finite, not "
                          f"{init_delta}")
-    candidates = candidate_class.signals(sys.U, T)
+    n_seg = candidate_class._segments(T)
     points = initial_point_grid(Q, init_delta)
-    if len(candidates) > max_candidates or len(points) > max_points:
+    # counted before any candidate is built
+    n_cand = len(candidate_class.input_values(sys.U)) ** n_seg
+    if n_cand > max_candidates or len(points) > max_points:
         raise InstanceTooLargeError(
-            f"{len(candidates)} candidates x {len(points)} points exceeds "
+            f"{n_cand} candidates x {len(points)} points exceeds "
             f"caps {max_candidates} x {max_points}")
+    candidates = candidate_class.signals(sys.U, T)
     if dt is None:
         base = spec.tau / 20 if spec.tau > 0 else candidate_class.segment_duration / 20
         # snap to an exact divisor of the segment duration
@@ -227,33 +228,3 @@ def min_spanning_cardinality(instance: SpanningInstance) -> tuple:
 def uncoverable_points(instance: SpanningInstance) -> list:
     """Indices of initial points no candidate makes recurrent."""
     return list(np.flatnonzero(~instance.feasibility.any(axis=0)))
-
-
-def empirical_rate(sys: ControlSystem, Q: CompactSet, specs: list,
-                   init_delta: float, candidate_class: CandidateClass,
-                   dt: Optional[float] = None,
-                   max_candidates: int = 128,
-                   max_points: int = 64) -> float:
-    """Least-squares slope of log2(exact cover size) against the horizon T.
-
-    The covers are restricted to the finite candidate class, so the slope
-    estimates the class-restricted growth rate only.
-    """
-    horizons = sorted({s.T for s in specs})
-    if len(horizons) < 3:
-        raise ValueError("need at least 3 distinct horizons")
-    Ts, logs = [], []
-    for spec in specs:
-        inst = build_spanning_instance(sys, Q, spec, init_delta,
-                                       candidate_class, dt=dt,
-                                       max_candidates=max_candidates,
-                                       max_points=max_points)
-        r, _ = min_spanning_cardinality(inst)
-        if not math.isfinite(r):
-            raise InfeasibleInstanceError(
-                f"instance at T={spec.T} infeasible; rate undefined for "
-                f"(eps={spec.eps}, tau={spec.tau})")
-        Ts.append(spec.T)
-        logs.append(math.log2(r))
-    slope = float(np.polyfit(Ts, logs, 1)[0])
-    return slope

@@ -1,8 +1,7 @@
 """Axis-aligned box geometry under the max norm.
 
 Compact sets are finite unions of boxes, which keeps distances,
-neighborhoods, grid covers, and Lebesgue measure exact in the
-infinity norm.
+neighborhoods and grid covers exact in the infinity norm.
 """
 
 from __future__ import annotations
@@ -11,10 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class OverlapError(ValueError):
-    """Raised when an operation requires pairwise-disjoint boxes."""
 
 
 def _as_vector(v, dim=None, name="vector"):
@@ -82,10 +77,6 @@ class Box:
         axes = [np.linspace(l, h, points_per_axis) for l, h in zip(self.lo, self.hi)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(2.0 * self.radius))
 
     @staticmethod
     def from_bounds(lo, hi) -> "Box":
@@ -212,35 +203,3 @@ def grid(S: Box, delta: float) -> GridCover:
     counts = tuple(_axis_count(r, delta) for r in S.radius)
     first = S.center - delta * (np.asarray(counts, dtype=float) - 1.0)
     return GridCover(region=S, delta=float(delta), counts=counts, first=first)
-
-
-def min_cover_size(Q: CompactSet, delta: float) -> int:
-    """Minimal-cover cardinality for a box; per-box sum for unions.
-
-    For a single box this is the exact closed form under the infinity
-    norm.  For unions it over-approximates the true minimum.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    total = 0
-    for b in Q.boxes:
-        total += int(np.prod([_axis_count(r, delta) for r in b.radius]))
-    return total
-
-
-def _boxes_overlap(a: Box, b: Box) -> bool:
-    # shared faces have measure zero and do not count as overlap
-    return bool(np.all(np.abs(a.center - b.center) < a.radius + b.radius - 1e-12))
-
-
-def lebesgue(Q: CompactSet) -> float:
-    """Sum of box volumes; rejects overlapping unions."""
-    boxes = Q.boxes
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            if _boxes_overlap(boxes[i], boxes[j]):
-                raise OverlapError(
-                    f"boxes {i} and {j} overlap; measure of overlapping unions "
-                    "is unsupported"
-                )
-    return float(sum(b.volume for b in boxes))

@@ -21,6 +21,12 @@ from .systems import ControlSystem, march, time_grid
 
 LN2 = math.log(2.0)
 
+#: build_feedback_controller's sweep: grid spacing over Q, RK4 step and
+#: horizon in taus; fixed, as verify rebuilds a controller from (Q, tau, eps)
+_SWEEP_DELTA, _SWEEP_DT, _SWEEP_TAUS = 0.25, 0.01, 6.0
+#: verify_guarantees' allowance on the tracking clause
+_TRACKING_TOL = 1e-6
+
 
 class ProtocolError(ValueError):
     """Bit vector inconsistent with the agreed grid size."""
@@ -162,9 +168,7 @@ def _excursion_tails(times, states, dists, slack=1e-9):
 
 
 def build_feedback_controller(sys: ControlSystem, Q: CompactSet, tau: float,
-                              eps: float, feedback: Callable,
-                              grid_delta: float = 0.25, dt: float = 0.01,
-                              horizon_factor: float = 6.0) -> RecurrenceController:
+                              eps: float, feedback: Callable) -> RecurrenceController:
     """Certify a feedback law by a closed-loop sweep from a grid over Q.
 
     Checks that every swept trajectory revisits Q within tau, that the
@@ -176,12 +180,12 @@ def build_feedback_controller(sys: ControlSystem, Q: CompactSet, tau: float,
     if eps <= 0:
         raise ValueError("eps must be positive")
     box = Q.bounding_box()
-    centers = grid(box, grid_delta).centers()
+    centers = grid(box, _SWEEP_DELTA).centers()
     centers = centers[[Q.contains(c, tol=1e-12) for c in centers]]
-    horizon = horizon_factor * tau
+    horizon = _SWEEP_TAUS * tau
     # every grid state marched at once: (K+1, B, n)
-    swept, _ = closed_loop(sys, feedback, centers, horizon, dt)
-    times, _ = time_grid(horizon, dt)
+    swept, _ = closed_loop(sys, feedback, centers, horizon, _SWEEP_DT)
+    times, _ = time_grid(horizon, _SWEEP_DT)
     dists = distance_many(swept, Q)
     failures = []
     tails = []
@@ -190,7 +194,7 @@ def build_feedback_controller(sys: ControlSystem, Q: CompactSet, tau: float,
         gaps, _ = _visit_gaps(times[dists[:, b] <= 1e-9], 0.0, horizon)
         gap = float(np.max(gaps))  # tail included; inf with no visit
         max_gap = max(max_gap, gap)
-        if gap > tau + 2 * dt:
+        if gap > tau + 2 * _SWEEP_DT:
             failures.append((c, gap))
         tails.extend(_excursion_tails(times, swept[:, b], dists[:, b]))
     if failures:
@@ -209,7 +213,7 @@ def build_feedback_controller(sys: ControlSystem, Q: CompactSet, tau: float,
         tts = np.array([t[1] for t in tails])
         seps = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=-1)
         dtt = np.abs(tts[:, None] - tts[None, :])
-        mask = seps > max(4.0 * dt, 1e-3)
+        mask = seps > max(4.0 * _SWEEP_DT, 1e-3)
         if mask.any():
             c_star = float(np.max(dtt[mask] / seps[mask]))
 
@@ -230,8 +234,9 @@ def reference_controller_double_integrator(Q: CompactSet, tau: float,
                                            eps: float) -> RecurrenceController:
     """Saturated linear feedback u = clip(-x1 - 1.5*x2) for x'' = u.
 
-    The feedback accepts one state (n,) or a batch (B, n).  Validated with
-    build_feedback_controller's defaults, (Q, tau, eps) name it completely.
+    The feedback accepts one state (n,) or a batch (B, n).  Validated by
+    build_feedback_controller's fixed sweep, (Q, tau, eps) name it
+    completely.
     """
     from .systems import double_integrator
     if tau < 2.0:
@@ -663,7 +668,7 @@ def _windowed_recurrence_margin(times, dists, slacks, windows, starts,
     return worst
 
 
-def verify_guarantees(log: EpisodeLog, tracking_tol: float = 1e-6) -> GuaranteeReport:
+def verify_guarantees(log: EpisodeLog) -> GuaranteeReport:
     """Offline check of the tracking, containment-ball, and recurrence claims."""
     cfg = log.config
     eps, tau, alpha = cfg["eps"], cfg["tau"], cfg["alpha"]
@@ -685,7 +690,7 @@ def verify_guarantees(log: EpisodeLog, tracking_tol: float = 1e-6) -> GuaranteeR
     diffs = np.max(np.abs(x_hat - x_pl), axis=1)
     envelope = eps * np.exp(-alpha * t_hat)
     worst_b = float(np.max(diffs - envelope))
-    clause_b = ClauseResult(worst_b <= tracking_tol, worst_b)
+    clause_b = ClauseResult(worst_b <= _TRACKING_TOL, worst_b)
 
     # (c)/(d) windowed recurrence with geometrically shrinking slack
     d_hat = distance_many(x_hat, Q)

@@ -17,6 +17,12 @@ from .systems import (ControlSignal, ControlSystem, Trajectory, march,
 
 #: membership slack absorbing floating-point noise on box boundaries
 _MEMBERSHIP_TOL = 1e-12
+#: width at which first_return_time's bisection stops
+_REFINE_TOL = 1e-9
+#: grid points per axis of estimate_F_Q's Q x U and estimate_L's region
+_POINTS_PER_AXIS = 5
+#: estimate_L's random point pairs; lipschitz_region's most re-estimates
+_L_SAMPLES, _REGION_ITERS = 200, 10
 
 
 class ResolutionError(ValueError):
@@ -104,7 +110,7 @@ def is_invariant(traj: Trajectory, Q: CompactSet, eps: float, T: float):
 
 
 def first_return_time(sys: ControlSystem, x0, signal: ControlSignal, Q: CompactSet,
-                      horizon: float, dt: float, refine_tol: float = 1e-9):
+                      horizon: float, dt: float):
     """First t > 0 with the trajectory inside Q, refined by bisection.
 
     Returns None if the trajectory never meets Q in (0, horizon]; a state
@@ -118,15 +124,14 @@ def first_return_time(sys: ControlSystem, x0, signal: ControlSignal, Q: CompactS
     times, n_full = time_grid(horizon, dt)
     last_h = float(times[-1] - times[-2]) if len(times) > n_full + 1 else dt
     if traj.states.ndim == 2:
-        return _first_entry(sys.field, traj.states, held, dt, Q, refine_tol,
-                            last_h)
+        return _first_entry(sys.field, traj.states, held, dt, Q, last_h)
     return [_first_entry(sys.field, traj.states[:, b], held[:, b], dt, Q,
-                         refine_tol, last_h)
+                         last_h)
             for b in range(traj.states.shape[1])]
 
 
 def _first_entry(field, states, inputs, dt: float, Q: CompactSet,
-                 refine_tol: float, last_h: float):
+                 last_h: float):
     """Time of the first entry into Q after states[0], or None.
 
     states[k + 1] is one RK4 step of width dt from states[k] under the
@@ -144,7 +149,7 @@ def _first_entry(field, states, inputs, dt: float, Q: CompactSet,
     x, u = states[k], inputs[k]
     lo, hi = 0.0, last_h if k + 1 == len(inside) else dt
     for _ in range(80):
-        if hi - lo <= refine_tol:
+        if hi - lo <= _REFINE_TOL:
             break
         mid = 0.5 * (lo + hi)
         if Q.contains(march(field, x, mid, mid, lambda *_: u)[-1],
@@ -155,15 +160,12 @@ def _first_entry(field, states, inputs, dt: float, Q: CompactSet,
     return k * dt + hi
 
 
-def estimate_F_Q(sys: ControlSystem, Q: CompactSet,
-                 samples_per_axis: int = 5) -> float:
+def estimate_F_Q(sys: ControlSystem, Q: CompactSet) -> float:
     """Max of ||f(x, u)||_inf over a corner-including grid of Q x U."""
-    if samples_per_axis < 2:
-        raise ValueError("need at least 2 samples per axis")
-    u_grid = sys.U.sample_grid(samples_per_axis)
+    u_grid = sys.U.sample_grid(_POINTS_PER_AXIS)
     best = 0.0
     for box in Q.boxes:
-        xs = box.sample_grid(samples_per_axis)
+        xs = box.sample_grid(_POINTS_PER_AXIS)
         # every (x, u) pair of the box in one call, x-major
         X = np.repeat(xs, len(u_grid), axis=0)
         U = np.tile(u_grid, (len(xs), 1))
@@ -176,19 +178,17 @@ def estimate_F_Q(sys: ControlSystem, Q: CompactSet,
     return best
 
 
-def estimate_L(sys: ControlSystem, region: Box, samples: int = 200,
-               seed: int = 0, jac_points_per_axis: int = 5) -> float:
+def estimate_L(sys: ControlSystem, region: Box, seed: int = 0) -> float:
     """Lipschitz bound of f in x over a box region.
 
     Takes the larger of the sampled difference quotients and, when an
     analytic Jacobian exists, its max infinity norm over a tensor grid;
     for smooth fields the Jacobian sup dominates.
     """
-    if samples < 2:
-        raise ValueError("need at least 2 sampled pairs")
     rng = np.random.default_rng(seed)
     # the same draws, in the same order, as x1 then x2 for each sample
-    pairs = rng.uniform(region.lo, region.hi, size=(samples, 2, region.dim))
+    pairs = rng.uniform(region.lo, region.hi,
+                        size=(_L_SAMPLES, 2, region.dim))
     sep = np.max(np.abs(pairs[:, 0] - pairs[:, 1]), axis=-1)
     pairs, sep = pairs[sep >= 1e-12], sep[sep >= 1e-12]
     X = np.concatenate((pairs[:, 0], pairs[:, 1]))
@@ -200,7 +200,7 @@ def estimate_L(sys: ControlSystem, region: Box, samples: int = 200,
         # fmax skips a NaN quotient, as the running max(best, q) did
         best = float(np.fmax.reduce(quotients, initial=best))
     if sys.jacobian is not None:
-        x_grid = region.sample_grid(jac_points_per_axis)
+        x_grid = region.sample_grid(_POINTS_PER_AXIS)
         for x in x_grid:
             for u in u_points:
                 J = np.asarray(sys.jacobian(x, u), dtype=float)
@@ -216,7 +216,6 @@ def containment_radius(F_Q: float, L_tau: float, tau: float) -> float:
 
 
 def lipschitz_region(sys: ControlSystem, Q: CompactSet, tau: float,
-                     max_iters: int = 10, samples: int = 200,
                      seed: int = 0) -> tuple:
     """Fixed-point over-approximation of the Lipschitz bound's domain.
 
@@ -225,21 +224,18 @@ def lipschitz_region(sys: ControlSystem, Q: CompactSet, tau: float,
     the radius stabilizes within 1%.  Returns (constants, box); the box
     always contains every state reachable by recurrent trajectories.
     """
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
     F_Q = estimate_F_Q(sys, Q)
     box = Q.bounding_box()
-    L = estimate_L(sys, box, samples=samples, seed=seed)
+    L = estimate_L(sys, box, seed=seed)
     delta = containment_radius(F_Q, L, tau)
     converged = False
-    for _ in range(max_iters):
+    for _ in range(_REGION_ITERS):
         box = neighborhood(Q, delta).bounding_box() if delta > 0 else Q.bounding_box()
-        L_new = estimate_L(sys, box, samples=samples, seed=seed)
+        L_new = estimate_L(sys, box, seed=seed)
         delta_new = containment_radius(F_Q, L_new, tau)
-        if abs(delta_new - delta) <= 0.01 * max(delta_new, 1e-30):
-            L, delta = L_new, delta_new
-            converged = True
-            break
+        converged = abs(delta_new - delta) <= 0.01 * max(delta_new, 1e-30)
         L, delta = L_new, delta_new
+        if converged:
+            break
     return ContainmentConstants(F_Q=F_Q, L_tau=L, delta_tau=delta,
                                 converged=converged), box

@@ -117,7 +117,7 @@ def test_criterion_4_tracking_and_containment_ball(episode_bundle):
     worst_tracking = -math.inf
     worst_ball = -math.inf
     for alpha, seed, log in episodes:
-        report = verify_guarantees(log, tracking_tol=1e-6)
+        report = verify_guarantees(log)
         assert report.tracking.passed, (
             f"alpha={alpha} seed={seed}: tracking margin "
             f"{report.tracking.worst_margin}")

@@ -10,6 +10,9 @@ import yaml
 from recurq.cli import (EXIT_CONFIG, EXIT_GUARANTEE, EXIT_INFEASIBLE, EXIT_OK,
                         main)
 
+# a stray numpy warning (overflow, invalid value) fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 LN2 = math.log(2.0)
 
 BOUNDS_YAML = """\
@@ -141,6 +144,39 @@ class TestSpanning:
         assert "segment_duration" in capsys.readouterr().err
         assert out.read_text() == "kept\n"
 
+    def test_rate_fit_is_the_slope_over_its_records(self, tmp_path):
+        cfg = yaml.safe_load(SPAN_YAML.format(horizons="[4, 6, 8]"))
+        cfg.update(eps_list=[0.5], tau_list=[2.0, 3.0])
+        code, recs = run(tmp_path, yaml.safe_dump(cfg), "spanning")
+        assert code == EXIT_OK
+        fits = {(r["eps"], r["tau"]): r for r in recs
+                if r["kind"] == "rate_fit"}
+        assert sorted(fits) == [(0.5, 2.0), (0.5, 3.0)]
+        for key, fit in fits.items():
+            Ts, logs = zip(*[(r["T"], math.log2(r["r"])) for r in recs
+                             if r["kind"] == "spanning"
+                             and (r["eps"], r["tau"]) == key])
+            assert fit["n_points"] == len(Ts) == 3
+            assert fit["rate_bits_per_s"] == float(np.polyfit(Ts, logs, 1)[0])
+
+    def test_two_horizons_write_no_rate_fit(self, tmp_path):
+        cfg = yaml.safe_load(SPAN_YAML.format(horizons="[4, 6]"))
+        cfg["eps_list"] = [0.5]
+        code, recs = run(tmp_path, yaml.safe_dump(cfg), "spanning")
+        assert code == EXIT_OK
+        assert [(r["kind"], r["feasible"]) for r in recs] == [
+            ("spanning", True)] * 2
+
+    def test_infeasible_writes_no_rate_fit(self, tmp_path):
+        # with no slack no candidate reaches a Q this far away
+        cfg = yaml.safe_load(SPAN_YAML.format(horizons="[4, 6, 8]"))
+        cfg.update(Q=[{"center": [50.0, 50.0], "radius": [0.1, 0.1]}],
+                   eps_list=[0.0], init_delta=0.1)
+        code, recs = run(tmp_path, yaml.safe_dump(cfg), "spanning")
+        assert code == EXIT_INFEASIBLE
+        assert [(r["kind"], r["feasible"]) for r in recs] == [
+            ("spanning", False)] * 3
+
     def test_greedy_only_flag_when_capped(self, tmp_path):
         text = SPAN_YAML.format(horizons="[8]").replace("max_candidates: 128",
                                                         "max_candidates: 24")
@@ -214,9 +250,7 @@ class TestSimulateVerify:
         ("spanning", "segment_duration", 3.0),  # does not divide T = 4
         ("spanning", "horizons", "48"),
         ("verify", "tau", 1.5),  # in the header of a clean log
-        # rejected before its validation envelope overflows
-        pytest.param("verify", "eps", 1e308, marks=pytest.mark.filterwarnings(
-            "error::RuntimeWarning")),
+        ("verify", "eps", 1e308),  # rejected before its envelope overflows
     ])
     def test_rejected_input_is_config_error(self, request, tmp_path, capsys,
                                             command, key, value):
@@ -348,8 +382,10 @@ class TestSimulateVerify:
         # a state so large that its replayed plant segment overflows
         clean[2]["x"] = [1.5e308, 1.5e308]
         log_path.write_text("".join(json.dumps(rec) + "\n" for rec in clean))
+        capsys.readouterr()
         assert main(["verify", str(log_path)]) == EXIT_GUARANTEE
-        assert "non-finite" in capsys.readouterr().err
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("guarantee violation:") and "non-finite" in line
 
     def test_failed_run_leaves_out_file(self, tmp_path):
         out = tmp_path / "results.jsonl"

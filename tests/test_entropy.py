@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from recurq import entropy, systems
 from recurq import (Box, CandidateClass, CompactSet, ControlSignal,
-                    InfeasibleInstanceError,
                     InstanceTooLargeError, RecurrenceSpec, SpanningInstance,
                     build_spanning_instance, dim_box_counting, double_integrator,
-                    empirical_rate, greedy_cover, initial_point_grid,
+                    greedy_cover, initial_point_grid,
                     integrate, is_invariant, is_recurrent, lower_bound,
                     min_spanning_cardinality, scalar_linear,
                     uncoverable_points, upper_bound)
@@ -242,6 +241,18 @@ class TestBuildInstance:
             build_spanning_instance(sys, UNIT_SQUARE, spec, 0.5, cc,
                                     max_candidates=4)
 
+    def test_cap_checked_before_building(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("candidates built past the cap")
+        monkeypatch.setattr(CandidateClass, "signals", build)
+        sys = double_integrator()
+        spec = RecurrenceSpec(UNIT_SQUARE, tau=2.0, eps=0.1, T=24.0)
+        cc = CandidateClass(values_per_axis=3, segment_duration=2.0)
+        # 3 ** 12 candidates, refused before one is built
+        with pytest.raises(InstanceTooLargeError, match=(
+                r"^531441 candidates x 16 points exceeds caps 24 x 64$")):
+            build_spanning_instance(sys, UNIT_SQUARE, spec, 0.25, cc)
+
     def test_requires_finite_horizon(self):
         sys = double_integrator()
         spec = RecurrenceSpec(UNIT_SQUARE, tau=2.0, eps=0.1)
@@ -249,22 +260,3 @@ class TestBuildInstance:
         with pytest.raises(ValueError):
             build_spanning_instance(sys, UNIT_SQUARE, spec, 0.5, cc)
 
-
-class TestEmpiricalRate:
-    def test_needs_three_horizons(self):
-        sys = double_integrator()
-        cc = CandidateClass(values_per_axis=3, segment_duration=2.0)
-        specs = [RecurrenceSpec(UNIT_SQUARE, tau=2.0, eps=0.1, T=T)
-                 for T in (4.0, 6.0)]
-        with pytest.raises(ValueError):
-            empirical_rate(sys, UNIT_SQUARE, specs, 0.5, cc)
-
-    def test_infeasible_instance_raises(self):
-        # with a huge slack everything is feasible; with none, nothing is
-        sys = double_integrator()
-        cc = CandidateClass(values_per_axis=3, segment_duration=2.0)
-        far = CompactSet.box([50.0, 50.0], [0.1, 0.1])
-        specs = [RecurrenceSpec(far, tau=2.0, eps=0.0, T=T)
-                 for T in (4.0, 6.0, 8.0)]
-        with pytest.raises(InfeasibleInstanceError):
-            empirical_rate(sys, far, specs, 0.1, cc)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recurq import (Box, CompactSet, OverlapError, distance, distance_many,
-                    grid, lebesgue, min_cover_size, neighborhood)
+from recurq import (Box, CompactSet, distance, distance_many, grid,
+                    neighborhood)
 
 UNIT_SQUARE = CompactSet.box([0.0, 0.0], [1.0, 1.0])
 
@@ -50,10 +50,6 @@ class TestBox:
         pts = {tuple(p) for p in b.sample_grid(3)}
         for c in b.corners():
             assert tuple(c) in pts
-
-    def test_volume(self):
-        assert Box([0.0, 0.0], [1.0, 1.0]).volume == 4.0
-        assert Box([5.0], [0.25]).volume == 0.5
 
 
 class TestCompactSet:
@@ -195,22 +191,3 @@ def test_quantize_within_delta_property(x, delta):
     assert 0 <= idx < C.size
     assert np.max(np.abs(np.asarray(x) - q)) <= delta * (1 + 1e-9)
 
-
-class TestMeasure:
-    def test_min_cover_size_matches_grid(self):
-        Q = UNIT_SQUARE
-        for delta in (0.25, 0.1, 0.1 * math.exp(-2.0)):
-            assert min_cover_size(Q, delta) == grid(Q.boxes[0], delta).size
-
-    def test_lebesgue_disjoint_union(self):
-        Q = CompactSet((Box([0.0, 0.0], [1.0, 1.0]), Box([3.0, 0.0], [0.5, 2.0])))
-        assert lebesgue(Q) == 4.0 + 4.0
-
-    def test_lebesgue_shared_face_ok(self):
-        Q = CompactSet((Box([0.0], [1.0]), Box([2.0], [1.0])))
-        assert lebesgue(Q) == 4.0
-
-    def test_lebesgue_overlap_rejected(self):
-        Q = CompactSet((Box([0.0], [1.0]), Box([1.0], [1.0])))
-        with pytest.raises(OverlapError):
-            lebesgue(Q)

@@ -5,43 +5,22 @@ import pytest
 
 from recurq import (Box, ControlSignal, ControlSystem, DomainError,
                     IntegrationBlowupError, divergence, double_integrator,
-                    eval_field, integrate, jacobian_fd, make_system,
-                    scalar_linear)
-from recurq.systems import march, time_grid
+                    integrate, jacobian_fd, make_system, scalar_linear)
+from recurq.systems import _segment_of, march, time_grid
 
 
 class TestControlSignal:
-    def test_value_at_segments(self):
+    def test_segment_of(self):
         sig = ControlSignal(1.0, [[-1.0], [0.0], [1.0]])
-        np.testing.assert_allclose(sig.value_at(0.0), [-1.0])
-        np.testing.assert_allclose(sig.value_at(0.999), [-1.0])
-        np.testing.assert_allclose(sig.value_at(1.0), [0.0])
-        np.testing.assert_allclose(sig.value_at(2.5), [1.0])
-        # clamped at the right endpoint
-        np.testing.assert_allclose(sig.value_at(3.0), [1.0])
-
-    def test_negative_time_rejected(self):
-        sig = ControlSignal.constant([0.5], 2.0)
-        with pytest.raises(ValueError):
-            sig.value_at(-0.1)
+        times = np.array([0.0, 0.999, 1 - 1e-10, 1.0, 2.5, 3.0])
+        # a step start within 1e-9 of a boundary takes the next segment, as
+        # integrate's steps do; 3.0 is clamped to the last segment
+        assert _segment_of(sig, times).tolist() == [0, 0, 1, 1, 2, 2]
 
     def test_constant_helper(self):
         sig = ControlSignal.constant([-1.0], 4.0)
         assert sig.total_duration == 4.0
-        np.testing.assert_allclose(sig.value_at(3.9), [-1.0])
-
-
-class TestEvalField:
-    def test_domain_check(self):
-        sys = double_integrator()
-        np.testing.assert_allclose(eval_field(sys, [0.0, 2.0], [1.0]), [2.0, 1.0])
-        with pytest.raises(DomainError):
-            eval_field(sys, [0.0, 0.0], [1.5])
-
-    def test_dimension_check(self):
-        sys = double_integrator()
-        with pytest.raises(ValueError):
-            eval_field(sys, [0.0], [0.0])
+        np.testing.assert_array_equal(sig.values, [[-1.0]])
 
 
 class TestRK4:
@@ -137,7 +116,7 @@ class TestIntegrate:
             integrate(sys, [0.0, 0.0], ControlSignal.constant([0.0], 1.0),
                       2.0, 0.1)
 
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_blowup_detected(self):
         cubic = ControlSystem(
             n=1, m=1, U=Box([0.0], [1.0]),
@@ -167,7 +146,7 @@ class TestIntegrate:
             assert np.array_equal(batch.times, alone.times)
             assert np.array_equal(batch.states[:, b], alone.states)
 
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_batch_blowup_names_row(self):
         cubic = ControlSystem(n=1, m=1, U=Box([0.0], [1.0]),
                               field=lambda x, u: x ** 3, name="cubic")
@@ -215,6 +194,16 @@ class TestJacobians:
         sys = scalar_linear(a=2.5)
         bare = ControlSystem(n=1, m=1, U=sys.U, field=sys.field, name="bare")
         assert divergence(bare, [0.3], [0.1]) == pytest.approx(2.5, abs=1e-6)
+
+    def test_divergence_domain_check(self):
+        sys = double_integrator()
+        with pytest.raises(DomainError):
+            divergence(sys, [0.0, 0.0], [1.5])
+
+    def test_divergence_dimension_check(self):
+        sys = double_integrator()
+        with pytest.raises(ValueError):
+            divergence(sys, [0.0], [0.0])
 
 
 class TestFactory:
