@@ -1,7 +1,7 @@
 """One quantized-control episode end to end, with bit accounting.
 
 A sensor quantizes the plant state on a shrinking grid and ships only
-the cell index over a counted bit channel; the controller mirrors the
+the cell index as a logged bit string; the controller mirrors the
 grid, reconstructs the same cell, and both sides derive the next control
 segment from the quantized point alone.  Afterwards the log is audited
 offline: tracking envelope, containment balls, and windowed recurrence

@@ -23,8 +23,8 @@ from .entropy import (CandidateClass, InstanceTooLargeError, SpanningInstance,
                       min_spanning_cardinality, uncoverable_points,
                       upper_bound)
 from .quantized import (BitRateReport, ClauseResult, ControllerInvalidError,
-                        CountedChannel, DeterminismError, EpisodeLog,
-                        GridMirror, GuaranteeReport, GuaranteeViolationError,
+                        DeterminismError, EpisodeLog, GridMirror,
+                        GuaranteeReport, GuaranteeViolationError,
                         ProtocolError, RecurrenceController, StepRecord,
                         bit_rate, build_feedback_controller, closed_loop,
                         decode, encode, load_step_records,

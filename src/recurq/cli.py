@@ -142,15 +142,11 @@ def corner_return_sweep(sys: ControlSystem, Q: CompactSet, tau: float,
     U = np.tile(u_grid, (len(corners), 1))
     returns = first_return_time(sys, X, ControlSignal(horizon, U[None]), Q,
                                 horizon, dt)
+    k = len(u_grid)
     results = []
     for c, corner in enumerate(corners):
-        best = math.inf
-        for t in returns[c * len(u_grid):(c + 1) * len(u_grid)]:
-            if t is not None:
-                best = min(best, t)
-            if best <= tau:
-                break
-        results.append((corner, best))
+        hits = [t for t in returns[c * k:(c + 1) * k] if t is not None]
+        results.append((corner, min(hits, default=math.inf)))
     return results
 
 
@@ -217,13 +213,14 @@ def cmd_spanning(cfg: dict, out) -> int:
     for eps in eps_list:
         for tau in tau_list:
             for T in horizons:
+                # the record names what is built: a spec with tau 0 is
+                # checked for invariance
+                spec_tau = 0.0 if mode == "invariance" else tau
                 rec = {"kind": "spanning", "T": T, "eps": eps, "tau": tau,
-                       "mode": mode}
+                       "mode": "invariance" if spec_tau == 0 else "recurrence"}
                 records.append(rec)
                 try:
-                    spec = RecurrenceSpec(
-                        Q, tau=0.0 if mode == "invariance" else tau,
-                        eps=eps, T=T)
+                    spec = RecurrenceSpec(Q, tau=spec_tau, eps=eps, T=T)
                     inst = build_spanning_instance(
                         sys_, Q, spec, init_delta, cclass,
                         max_candidates=max_candidates, max_points=max_points)
@@ -262,9 +259,16 @@ def _controller(sys_: ControlSystem, Q: CompactSet, tau: float, eps: float):
             "a validated reference controller is only available for the "
             "double_integrator system")
     try:
-        return reference_controller_double_integrator(Q, tau, eps)
+        controller = reference_controller_double_integrator(Q, tau, eps)
     except (ValueError, OverflowError) as exc:  # rejected by its name
         raise ConfigError(str(exc)) from exc
+    U, V = sys_.U, controller.sys.U
+    if not (np.array_equal(U.lo, V.lo) and np.array_equal(U.hi, V.hi)):
+        raise ConfigError(
+            f"system: input box {U.lo.tolist()}..{U.hi.tolist()} differs from "
+            f"{V.lo.tolist()}..{V.hi.tolist()}, the box the reference "
+            f"controller was validated on")
+    return controller
 
 
 def cmd_simulate(cfg: dict, out) -> int:
@@ -276,10 +280,8 @@ def cmd_simulate(cfg: dict, out) -> int:
     dt = _require(cfg, "dt", default=1e-3)
     steps = _require(cfg, "steps", int, 100)
     seed = _require(cfg, "seed", int, 0)
-    if "x0" in cfg:
+    if "x0" in cfg:  # run_episodes checks that it lies in Q
         x0 = _require(cfg, "x0", lambda v: _as_vector(v, sys_.n, "x0"))
-        if not Q.contains(x0, tol=1e-12):
-            raise ConfigError(f"x0 {x0.tolist()} must lie in Q")
     else:
         rng = np.random.default_rng(seed)
         box = Q.boxes[0]
@@ -345,9 +347,9 @@ def cmd_verify(log_path: str, out) -> int:
         _require(header, key) for key in ("eps", "tau", "alpha", "dt", "L_tau",
                                           "c_star", "steps", "total_bits"))
     x0 = _require(header, "x0", lambda v: _as_vector(v, sys_.n, "x0"))
-    if not (0 < dt <= tau and alpha >= 0):
-        raise ConfigError(f"need 0 < dt <= tau and alpha >= 0, not dt={dt}, "
-                          f"tau={tau}, alpha={alpha}")
+    if not (0 < dt <= tau and 0 <= alpha < math.inf):
+        raise ConfigError(f"need 0 < dt <= tau and a finite alpha >= 0, not "
+                          f"dt={dt}, tau={tau}, alpha={alpha}")
     if not steps or len(steps[0].x) != sys_.n:
         raise ConfigError(f"log holds no step records of dimension {sys_.n}")
     controller = _controller(sys_, Q, tau, eps)

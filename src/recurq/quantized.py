@@ -1,4 +1,4 @@
-"""Quantized sensing loop enforcing recurrence over a counted bit channel.
+"""Quantized sensing loop enforcing recurrence over logged bit strings.
 
 A sensor quantizes the state on a shrinking grid, ships the cell index as
 a fixed-width bit vector, and a mirrored controller reconstructs the same
@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -72,23 +71,6 @@ def decode(bits: str, cover_size: int) -> int:
     return index
 
 
-@dataclass
-class CountedChannel:
-    """Ordered lossless in-process pipe whose observable is the bit count."""
-
-    total_bits: int = 0
-    _queue: deque = field(default_factory=deque)
-
-    def send(self, bits: str):
-        self.total_bits += len(bits)
-        self._queue.append(bits)
-
-    def recv(self) -> str:
-        if not self._queue:
-            raise ProtocolError("receive on an empty channel")
-        return self._queue.popleft()
-
-
 # --------------------------------------------------------------------------
 # reference controllers
 
@@ -128,17 +110,15 @@ class RecurrenceController:
     """Validated return-to-Q feedback with its certification constants."""
 
     sys: ControlSystem
-    Q: CompactSet
     tau: float
     feedback: Callable
     c_star: float
-    envelope: Box
     eps_star: float
     L_tau: float
     max_visit_gap: float
 
 
-def _excursion_tails(times, states, dists, slack=1e-9):
+def _excursion_tails(times, states, dists):
     """Return-phase samples of each excursion: (state, time-to-entry) pairs.
 
     Walks each excursion backward from its re-entry and keeps the suffix
@@ -159,11 +139,11 @@ def _excursion_tails(times, states, dists, slack=1e-9):
             break  # excursion truncated by the horizon; skip it
         entry_t = times[k]
         j = k - 1
-        while j - 1 >= start and dists[j - 1] >= dists[j] - slack:
+        # a rise of up to 1e-9 still counts as nonincreasing
+        while j - 1 >= start and dists[j - 1] >= dists[j] - 1e-9:
             j -= 1
         for idx in range(j, k):
-            out.append((states[idx].copy(), entry_t - times[idx],
-                        dists[idx]))
+            out.append((states[idx].copy(), entry_t - times[idx]))
     return out
 
 
@@ -222,11 +202,9 @@ def build_feedback_controller(sys: ControlSystem, Q: CompactSet, tau: float,
     # Python floats overflow to inf without numpy's warning
     if not all(math.isfinite(h - l) for l, h in zip(lo.tolist(), hi.tolist())):
         raise ValueError(f"eps={eps} leaves the validation envelope unbounded")
-    envelope = Box.from_bounds(lo, hi)
-    L_tau = estimate_L(sys, envelope)
-    return RecurrenceController(sys=sys, Q=Q, tau=tau, feedback=feedback,
-                                c_star=c_star, envelope=envelope,
-                                eps_star=eps, L_tau=L_tau,
+    return RecurrenceController(sys=sys, tau=tau, feedback=feedback,
+                                c_star=c_star, eps_star=eps,
+                                L_tau=estimate_L(sys, Box.from_bounds(lo, hi)),
                                 max_visit_gap=max_gap)
 
 
@@ -239,9 +217,10 @@ def reference_controller_double_integrator(Q: CompactSet, tau: float,
     completely.
     """
     from .systems import double_integrator
-    if tau < 2.0:
-        raise ValueError("tau must be at least 2: the double integrator's "
-                         "unit box is not recurrent for shorter windows")
+    if not 2.0 <= tau < math.inf:
+        raise ValueError(f"tau must be finite and at least 2, not {tau}: the "
+                         "double integrator's unit box is not recurrent for "
+                         "shorter windows")
     sys = double_integrator()
 
     def feedback(x):
@@ -270,8 +249,7 @@ class GridMirror:
         self.tau = tau
         self.alpha = alpha
         self.dt = dt
-        self.L_tau = controller.L_tau
-        self.granularity_factor = math.exp(-(self.L_tau + alpha) * tau)
+        self.granularity_factor = math.exp(-(controller.L_tau + alpha) * tau)
         self.r = eps
         self.S = S0
         self.C = grid(S0, eps * self.granularity_factor)
@@ -336,11 +314,15 @@ class EpisodeLog:
     steps: list
     frag_states: list     # per step: (K+1, n) closed-loop fragment from q_i
     plant_states: list    # per step: (K+1, n) true trajectory from x_i
-    total_bits: int
 
     @property
     def n_steps(self) -> int:
         return len(self.steps)
+
+    @property
+    def total_bits(self) -> int:
+        """Bits the sensor sent: the sum of the logged widths."""
+        return sum(len(s.bits) for s in self.steps)
 
     def hat_trajectory(self) -> tuple:
         """(times, states) of the concatenated fragments."""
@@ -485,8 +467,7 @@ def replay(controller: RecurrenceController, config: dict,
         np.array([s.x for s in steps]), controller.tau, config["dt"])
     return EpisodeLog(config=config, steps=list(steps),
                       frag_states=list(frags.transpose(1, 0, 2)),
-                      plant_states=list(plants.transpose(1, 0, 2)),
-                      total_bits=sum(len(s.bits) for s in steps))
+                      plant_states=list(plants.transpose(1, 0, 2)))
 
 
 def run_episode(sys: ControlSystem, Q: CompactSet,
@@ -505,8 +486,8 @@ def run_episodes(sys: ControlSystem, Q: CompactSet,
     """Run B episodes in lockstep, one tau step at a time.
 
     Episode b starts at x0s[b] with contraction rate alphas[b] and logs
-    seeds[b] (default b).  Quantizing, the codec, the channel and each
-    mirror's grid/ball update stay per episode.  Each tau step marches one
+    seeds[b] (default b).  Quantizing, the codec and each mirror's
+    grid/ball update stay per episode.  Each tau step marches one
     (3B, n) batch through _march_tau_step: the B sensor fragments from the
     quantized centres, the B receiver fragments from the receivers' own
     decoded centres (recomputed, not copied, so the mirror comparison
@@ -532,8 +513,9 @@ def run_episodes(sys: ControlSystem, Q: CompactSet,
     if steps < 1:
         raise ValueError(f"steps must be at least 1, not {steps}")
     for b, (x0, alpha) in enumerate(zip(x0s, alphas)):
-        if alpha < 0:
-            raise ValueError(f"episode {b}: alpha must be nonnegative")
+        if not 0 <= alpha < math.inf:
+            raise ValueError(f"episode {b}: alpha must be finite and "
+                             f"nonnegative, not {alpha}")
         if not Q.contains(x0, tol=1e-12):
             raise ValueError(f"episode {b}: x0 must lie in Q")
 
@@ -541,7 +523,6 @@ def run_episodes(sys: ControlSystem, Q: CompactSet,
     box = Q.boxes[0]
     sensors = [GridMirror(controller, box, eps, tau, a, dt) for a in alphas]
     receivers = [GridMirror(controller, box, eps, tau, a, dt) for a in alphas]
-    channels = [CountedChannel() for _ in range(B)]
     logs = []
     for x0, alpha, seed in zip(x0s, alphas, seeds):
         config = {"system": sys.name, "Q_center": box.center,
@@ -550,7 +531,7 @@ def run_episodes(sys: ControlSystem, Q: CompactSet,
                   "c_star": controller.c_star, "dt": dt, "steps": steps,
                   "seed": seed, "x0": x0}
         logs.append(EpisodeLog(config=config, steps=[], frag_states=[],
-                               plant_states=[], total_bits=0))
+                               plant_states=[]))
 
     X = x0s.copy()
     Q_s = np.empty_like(X)
@@ -564,8 +545,7 @@ def run_episodes(sys: ControlSystem, Q: CompactSet,
                     f"(center {S_i.center}, radius {S_i.radius[0]:.6g}); "
                     f"violates x_i in S_i")
             record = sensors[b].record(x.copy())
-            channels[b].send(record.bits)
-            rx_index = decode(channels[b].recv(), receivers[b].C.size)
+            rx_index = decode(record.bits, receivers[b].C.size)
             Q_s[b] = record.q
             Q_c[b] = receivers[b].C.center(rx_index)
             logs[b].steps.append(record)
@@ -585,9 +565,6 @@ def run_episodes(sys: ControlSystem, Q: CompactSet,
             logs[b].frag_states.append(frag)
             logs[b].plant_states.append(plant[:, b].copy())
         X = plant[-1].copy()
-
-    for log, channel in zip(logs, channels):
-        log.total_bits = channel.total_bits
     return logs
 
 

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 import yaml
 
+from recurq import (CompactSet, ControlSignal, double_integrator,
+                    first_return_time)
 from recurq.cli import (EXIT_CONFIG, EXIT_GUARANTEE, EXIT_INFEASIBLE, EXIT_OK,
                         main)
-
-# a stray numpy warning (overflow, invalid value) fails the test
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 LN2 = math.log(2.0)
 
@@ -64,6 +63,22 @@ class TestBounds:
         (r,) = recs
         assert r["verdict"] == "infinite"
         assert r["witness"] == [1.0, 1.0]
+
+    def test_min_return_is_the_minimum(self, tmp_path):
+        code, (r,) = run(tmp_path, BOUNDS_YAML.format(tau=5.0), "bounds")
+        assert code == EXIT_OK and r["verdict"] == "finite"
+        # each corner under the 9 swept inputs, over the sweep's horizon
+        # max(4 tau, 5 s) = 20 s
+        u = np.linspace(-1.0, 1.0, 9)[None, :, None]
+        for rec in r["corner_min_returns"]:
+            returns = first_return_time(
+                double_integrator(), np.repeat([rec["corner"]], 9, axis=0),
+                ControlSignal(20.0, u), CompactSet.box([0.0, 0.0], [1.0, 1.0]),
+                20.0, 0.01)
+            hits = [t for t in returns if t is not None]
+            assert rec["min_return"] == (min(hits) if hits else None)
+        assert r["corner_min_returns"][0] == {"corner": [-1.0, -1.0],
+                                              "min_return": 2.0}
 
     @pytest.mark.parametrize("sweep_dt", [0.015625, 0.03])
     def test_sweep_dt_not_dividing_the_horizon(self, tmp_path, sweep_dt):
@@ -185,6 +200,21 @@ class TestSpanning:
         (r,) = recs
         assert r["greedy_only"] and not r["exact"]
 
+    def test_tau_zero_is_labelled_invariance(self, tmp_path):
+        # tau 0 builds the invariance instance that mode: invariance builds;
+        # with eps 1 it has a cover
+        cfg = dict(yaml.safe_load(SPAN_YAML.format(horizons="[4]")),
+                   eps_list=[1.0])
+        recs = []
+        for edit in ({"tau_list": [0.0]}, {"mode": "invariance"}):
+            code, (r,) = run(tmp_path, yaml.safe_dump({**cfg, **edit}),
+                             "spanning")
+            assert code == EXIT_OK
+            recs.append(r)
+        zero, inv = recs
+        assert zero["mode"] == inv["mode"] == "invariance"
+        assert (zero["r"], zero["chosen"]) == (inv["r"], inv["chosen"])
+
 
 class TestSimulateVerify:
     @pytest.fixture()
@@ -230,7 +260,14 @@ class TestSimulateVerify:
 
     @pytest.mark.parametrize("command, key, value", [
         ("simulate", "tau", 1.5),
+        ("simulate", "tau", math.nan),
+        ("simulate", "tau", math.inf),
         ("simulate", "alpha", -0.1),
+        ("simulate", "alpha", math.nan),
+        ("simulate", "alpha", math.inf),
+        # the reference controller was validated with |u| <= 1
+        ("simulate", "system", {"name": "double_integrator",
+                                "params": {"u_max": 0.5}}),
         ("simulate", "eps", 0.0),
         ("simulate", "alpha", "fast"),
         ("simulate", "steps", "many"),
@@ -250,6 +287,12 @@ class TestSimulateVerify:
         ("spanning", "segment_duration", 3.0),  # does not divide T = 4
         ("spanning", "horizons", "48"),
         ("verify", "tau", 1.5),  # in the header of a clean log
+        ("verify", "tau", math.nan),
+        ("verify", "tau", math.inf),
+        ("verify", "alpha", math.nan),
+        ("verify", "alpha", math.inf),
+        ("verify", "system", {"name": "double_integrator",
+                              "params": {"u_max": 0.5}}),
         ("verify", "eps", 1e308),  # rejected before its envelope overflows
     ])
     def test_rejected_input_is_config_error(self, request, tmp_path, capsys,

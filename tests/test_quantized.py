@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recurq import (Box, CompactSet, ControlSignal, ControlSystem,
-                    ControllerInvalidError, CountedChannel, DeterminismError,
+                    ControllerInvalidError, DeterminismError,
                     GridMirror, IntegrationBlowupError, ProtocolError,
                     bit_rate, closed_loop, decode, double_integrator, encode,
                     integrate, load_step_records,
@@ -54,18 +54,6 @@ class TestCodec:
         bits = encode(idx, size)
         assert len(bits) == (size - 1).bit_length()
         assert decode(bits, size) == idx
-
-
-class TestChannel:
-    def test_fifo_and_count(self):
-        ch = CountedChannel()
-        ch.send("101")
-        ch.send("0")
-        assert ch.total_bits == 4
-        assert ch.recv() == "101"
-        assert ch.recv() == "0"
-        with pytest.raises(ProtocolError):
-            ch.recv()
 
 
 class TestClosedLoop:

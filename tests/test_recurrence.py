@@ -149,7 +149,6 @@ class TestFirstReturn:
                               UNIT_SQUARE, 8.0, 0.01)
         assert t == pytest.approx(2.0, abs=1e-9)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_none_when_never_returning(self):
         sys = double_integrator()
         t = first_return_time(sys, [1.0, 1.0],

