@@ -33,10 +33,6 @@ EXIT_CONFIG = 2
 EXIT_GUARANTEE = 3
 EXIT_INFEASIBLE = 4
 
-#: corner_return_sweep's horizon in multiples of tau, and at least 5 s
-_RETURN_TAUS = 4.0
-
-
 class ConfigError(ValueError):
     pass
 
@@ -116,15 +112,20 @@ def _floats(values) -> list:
 
 
 def _at_least(low, cast=float, strict=False):
-    """A _require cast that also rejects a value below low, or equal to it
-    when strict."""
+    """A _require cast that also rejects a value that is not finite, or is
+    below low (or equal to it when strict)."""
     def read(value):
         v = cast(value)
-        if not (v > low if strict else v >= low):
-            raise ValueError(f"must be {'above' if strict else 'at least'} "
-                             f"{low}, not {v}")
+        if not (math.isfinite(v) and (v > low if strict else v >= low)):
+            bound = "above" if strict else "at least"
+            raise ValueError(f"must be finite and {bound} {low}, not {v}")
         return v
     return read
+
+
+def _sweep_horizon(tau: float) -> float:
+    """corner_return_sweep's horizon: four windows tau, and at least 5 s."""
+    return max(4.0 * tau, 5.0)
 
 
 def corner_return_sweep(sys: ControlSystem, Q: CompactSet, tau: float,
@@ -134,7 +135,7 @@ def corner_return_sweep(sys: ControlSystem, Q: CompactSet, tau: float,
     A corner whose best sampled return exceeds tau is evidence (within the
     candidate class) that Q is not recurrent for that window.
     """
-    horizon = max(_RETURN_TAUS * tau, 5.0)
+    horizon = _sweep_horizon(tau)
     u_grid = CandidateClass(values_per_axis, horizon).input_values(sys.U)
     corners = np.vstack([box.corners() for box in Q.boxes])
     # every corner under every input in one batch, corner-major
@@ -158,6 +159,9 @@ def cmd_bounds(cfg: dict, out) -> int:
     samples = _require(cfg, "samples_per_axis", _at_least(2, int), 5)
     sweep_values = _require(cfg, "sweep_values", _at_least(1, int), 9)
     sweep_dt = _require(cfg, "sweep_dt", _at_least(0.0, strict=True), 0.01)
+    if sweep_dt > _sweep_horizon(tau):
+        raise ConfigError(f"config key 'sweep_dt': must be at most the sweep "
+                          f"horizon {_sweep_horizon(tau)}, not {sweep_dt}")
     constants, region = lipschitz_region(sys_, Q, tau, seed=seed)
     upper = upper_bound(constants.L_tau, Q)
     lower = lower_bound(sys_, Q, constants.delta_tau, samples_per_axis=samples)

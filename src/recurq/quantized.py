@@ -74,11 +74,11 @@ def decode(bits: str, cover_size: int) -> int:
 # --------------------------------------------------------------------------
 # reference controllers
 
-def _saturated(sys: ControlSystem, feedback: Callable, x) -> np.ndarray:
-    """feedback(x) clipped to the input box U."""
-    # lo and hi have shape (m,), so a caller that stores the result in a
-    # (B, m) row broadcasts a feedback returning one (m,) input to the batch
-    return np.minimum(np.maximum(feedback(x), sys.U.lo), sys.U.hi)
+def _saturated(feedback: Callable, x, lo, hi, out) -> np.ndarray:
+    """feedback(x) clipped to [lo, hi], the input box, written into out."""
+    # lo and hi have shape (m,), so a (B, m) out broadcasts a feedback
+    # returning one (m,) input to the batch
+    return np.minimum(np.maximum(feedback(x), lo, out=out), hi, out=out)
 
 
 def closed_loop(sys: ControlSystem, feedback: Callable, x0, duration: float,
@@ -97,10 +97,10 @@ def closed_loop(sys: ControlSystem, feedback: Callable, x0, duration: float,
     x0 = np.array(x0, dtype=float)
     times, _ = time_grid(duration, dt)
     u_values = np.empty((len(times) - 1,) + x0.shape[:-1] + (sys.m,))
+    lo, hi = sys.U.lo, sys.U.hi
 
     def held(k, x):
-        u_values[k] = _saturated(sys, feedback, x)
-        return u_values[k]
+        return _saturated(feedback, x, lo, hi, u_values[k])
 
     return march(sys.field, x0, dt, duration, held), u_values
 
@@ -225,9 +225,10 @@ def reference_controller_double_integrator(Q: CompactSet, tau: float,
 
     def feedback(x):
         if x.ndim == 1:  # scalar arithmetic is cheaper for a single state
-            return np.array((min(1.0, max(-1.0, -x[0] - 1.5 * x[1])),))
-        # fmin/fmax pass NaN over exactly as Python's min/max do above
-        v = np.fmin(1.0, np.fmax(-1.0, -x[..., 0] - 1.5 * x[..., 1]))
+            return np.array((min(1.0, max(-1.0, -1.5 * x[1] - x[0])),))
+        # fmin/fmax pass NaN over exactly as Python's min/max do above;
+        # -1.5*x2 - x1 rounds as -x1 - 1.5*x2 does, with one ufunc fewer
+        v = np.fmin(1.0, np.fmax(-1.0, -1.5 * x[..., 1] - x[..., 0]))
         return v[..., None]
 
     return build_feedback_controller(sys, Q, tau, eps, feedback)
@@ -438,10 +439,12 @@ def _march_tau_step(sys: ControlSystem, feedback: Callable,
     """
     F, P = len(frags0), len(plants0)
     u = np.empty((F + P, sys.m))
+    lo, hi = sys.U.lo, sys.U.hi
+    u_frags, u_plants, u_held = u[:F], u[F:], u[:P]
 
     def held(k, x):
-        u[:F] = _saturated(sys, feedback, x[:F])
-        u[F:] = u[:P]
+        _saturated(feedback, x[:F], lo, hi, u_frags)
+        u_plants[...] = u_held
         return u
 
     states = march(sys.field, np.concatenate((frags0, plants0)), dt, tau,

@@ -10,6 +10,9 @@ import numpy as np
 
 from .geometry import Box, _as_vector
 
+#: state entries per chunk of march's finiteness scan
+_SCAN_CHUNK = 1 << 14
+
 
 class DomainError(ValueError):
     """Input vector outside the admissible input box."""
@@ -110,17 +113,6 @@ def _check_step_alignment(dt: float, segment_duration: float):
         )
 
 
-def _check_finite(x: np.ndarray, t: float):
-    # one reduction over the whole batch; rows are inspected only on failure
-    if math.isfinite(float(np.abs(x).sum())):
-        return
-    if x.ndim == 1:
-        raise IntegrationBlowupError(t)
-    bad = ~np.isfinite(np.abs(x).sum(axis=-1))
-    if bad.any():
-        raise IntegrationBlowupError(t, row=int(np.argmax(bad)))
-
-
 def time_grid(horizon: float, dt: float) -> tuple:
     """march's sample times over [0, horizon] and its count of full steps.
 
@@ -143,31 +135,46 @@ def march(field, x0: np.ndarray, dt: float, horizon: float,
     The full steps of width dt end on a partial step to horizon when dt
     does not divide it.  x0 is one state (n,) or a batch (B, n);
     input_at(k, x) returns the input held over step k, given the state x
-    at its start.  Returns the states, one per sample time, shape
+    at its start.  field must return a new array, since the stage points
+    share one buffer.  Returns the states, one per sample time, shape
     (len(times),) + x0.shape.  Batch rows never mix, so every row is
-    float-identical to marching its state alone.  With finite_rows, a
-    non-finite state among those rows raises IntegrationBlowupError at the
-    sample time it appears, naming its row within them.  Overflow raises
-    no numpy warning: finite_rows reports it, and unchecked rows may blow
-    up by design.
+    float-identical to marching its state alone.  With finite_rows, one
+    scan after the march finds the first sample time at which a row among
+    them has a non-finite absolute sum, and raises IntegrationBlowupError
+    there, naming the first such row within them.  Overflow raises no
+    numpy warning: finite_rows reports it, and unchecked rows may blow up
+    by design.
     """
     times, n_full = time_grid(horizon, dt)
     states = np.empty(times.shape + x0.shape)
     states[0] = x = x0
+    y, d = np.empty(x0.shape), np.empty(x0.shape)  # stage point, update
     with np.errstate(over="ignore", invalid="ignore"):
         for h, ks in ((dt, range(n_full)),
                       (horizon - times[n_full], range(n_full, len(times) - 1))):
-            h2, h6 = 0.5 * h, h / 6.0
+            # 0-d arrays: a ufunc converts a Python float on every call
+            h2, h6, h = np.array(0.5 * h), np.array(h / 6.0), np.array(h)
             for k in ks:
                 u = input_at(k, x)
                 k1 = field(x, u)
-                k2 = field(x + h2 * k1, u)
-                k3 = field(x + h2 * k2, u)
-                k4 = field(x + h * k3, u)
-                x = x + h6 * (k1 + 2.0 * (k2 + k3) + k4)
-                if finite_rows is not None:
-                    _check_finite(x[finite_rows], times[k + 1])
-                states[k + 1] = x
+                k2 = field(np.add(np.multiply(k1, h2, out=y), x, out=y), u)
+                k3 = field(np.add(np.multiply(k2, h2, out=y), x, out=y), u)
+                k4 = field(np.add(np.multiply(k3, h, out=y), x, out=y), u)
+                # h/6 (k1 + 2 (k2 + k3) + k4), in that order of operations
+                np.add(k2, k3, out=d)
+                d *= 2.0
+                d += k1
+                d += k4
+                d *= h6
+                x = np.add(x, d, out=states[k + 1])
+        if finite_rows is not None:  # in chunks, to bound the temporaries
+            chunk = max(1, _SCAN_CHUNK // max(1, x0.size))
+            for i in range(1, len(times), chunk):
+                part = np.abs(states[i:i + chunk, finite_rows])
+                bad = ~np.isfinite(part.sum(axis=-1))
+                if bad.any():  # the first bad sample, then its first bad row
+                    k, *row = np.unravel_index(np.argmax(bad), bad.shape)
+                    raise IntegrationBlowupError(times[i + k], *map(int, row))
     return states
 
 
@@ -249,7 +256,7 @@ def double_integrator(u_max: float = 1.0) -> ControlSystem:
     def field(x, u):
         if x.ndim == 1:  # scalar indexing is cheaper for a single state
             return np.array((x[1], u[0]))
-        return np.array((x[..., 1], u[..., 0])).T
+        return np.concatenate((x[..., 1:], u), axis=-1)
 
     def jac(x, u):
         return A

@@ -294,6 +294,9 @@ class TestSimulateVerify:
         ("verify", "system", {"name": "double_integrator",
                               "params": {"u_max": 0.5}}),
         ("verify", "eps", 1e308),  # rejected before its envelope overflows
+        ("bounds", "tau", math.inf),  # an OverflowError traceback before
+        ("bounds", "sweep_dt", math.inf),  # read as "infinite" before
+        ("bounds", "sweep_dt", 100.0),  # above the sweep horizon, 8 s
     ])
     def test_rejected_input_is_config_error(self, request, tmp_path, capsys,
                                             command, key, value):

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recurq import (Box, ControlSignal, ControlSystem, DomainError,
                     IntegrationBlowupError, divergence, double_integrator,
                     integrate, jacobian_fd, make_system, scalar_linear)
+from recurq import systems
 from recurq.systems import _segment_of, march, time_grid
 
 
@@ -54,6 +57,143 @@ class TestRK4:
                    input_at=lambda k, x: np.array([0.5]))[-1]
         traj = integrate(sys, [1.0], ControlSignal.constant([0.5], 0.1), 0.1, 0.1)
         np.testing.assert_allclose(traj.end, x1, rtol=0, atol=0)
+
+
+def check_finite_oracle(x, t):
+    """A non-finite row of x at sample time t raises, as march's scan must
+    report it: the first row whose absolute sum is not finite."""
+    if math.isfinite(float(np.abs(x).sum())):
+        return
+    if x.ndim == 1:
+        raise IntegrationBlowupError(t)
+    bad = ~np.isfinite(np.abs(x).sum(axis=-1))
+    if bad.any():
+        raise IntegrationBlowupError(t, row=int(np.argmax(bad)))
+
+
+def march_oracle(field, x0, dt, horizon, input_at, finite_rows=None):
+    """RK4 over time_grid that allocates every stage and checks finiteness
+    after every step: march's result and errors, computed the plain way."""
+    times, n_full = time_grid(horizon, dt)
+    states = np.empty(times.shape + x0.shape)
+    states[0] = x = x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h, ks in ((dt, range(n_full)),
+                      (horizon - times[n_full], range(n_full, len(times) - 1))):
+            h2, h6 = 0.5 * h, h / 6.0
+            for k in ks:
+                u = input_at(k, x)
+                k1 = field(x, u)
+                k2 = field(x + h2 * k1, u)
+                k3 = field(x + h2 * k2, u)
+                k4 = field(x + h * k3, u)
+                x = x + h6 * (k1 + 2.0 * (k2 + k3) + k4)
+                if finite_rows is not None:
+                    check_finite_oracle(x[finite_rows], times[k + 1])
+                states[k + 1] = x
+    return states
+
+
+PENDULUM = ControlSystem(
+    n=2, m=1, U=Box([0.0], [1.0]), name="pendulum",
+    field=lambda x, u: np.stack((x[..., 1], u[..., 0] - np.sin(x[..., 0])), -1))
+
+
+class TestMarchOracle:
+    @given(sys=st.sampled_from([double_integrator(), scalar_linear(a=1.5),
+                                PENDULUM]),
+           batch=st.sampled_from([None, 1, 4]),
+           dt=st.sampled_from([0.1, 0.07, 0.25]),
+           horizon=st.sampled_from([0.0, 0.5, 0.7, 1.0]),
+           finite_rows=st.sampled_from([None, slice(None), slice(1, None)]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical(self, sys, batch, dt, horizon, finite_rows, seed):
+        # 0.07 and 0.25 do not divide every horizon: a partial last step
+        rng = np.random.default_rng(seed)
+        x0 = rng.uniform(-2.0, 2.0, (sys.n,) if batch is None
+                         else (batch, sys.n))
+        table = rng.uniform(-1.0, 1.0, (len(time_grid(horizon, dt)[0]),)
+                            + x0.shape[:-1] + (sys.m,))
+
+        def input_at(k, x):  # depends on the state at the step's start
+            return table[k] + 0.1 * np.tanh(x[..., :1])
+
+        args = (sys.field, x0, dt, horizon, input_at, finite_rows)
+        assert np.array_equal(march(*args), march_oracle(*args))
+
+    def test_calls_return_fresh_arrays(self):
+        sys = double_integrator()
+        x0 = np.array([[0.1, 0.2], [0.3, -0.4]])
+        held = lambda k, x: -x[..., :1]
+        a = march(sys.field, x0, 0.1, 0.55, held)
+        b = march(sys.field, x0, 0.1, 0.55, held)
+        assert np.array_equal(a, b)
+        assert not np.shares_memory(a, b)
+        assert not np.shares_memory(a, x0)
+
+
+class TestBlowupScan:
+    """The scan after the march reports what the per-step check did."""
+
+    @staticmethod
+    def outcome(march_fn, *args):
+        try:
+            return march_fn(*args)
+        except IntegrationBlowupError as exc:
+            return exc.t, exc.row
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_in_the_partial_last_step(self, batch):
+        # 0.25 = two steps of 0.1 and a partial one; row 1 of the batch
+        # is driven to infinity only over that last step
+        x0 = np.zeros((3, 1)) if batch else np.zeros(1)
+        inf_last = np.array([[0.5], [np.inf], [0.5]]) if batch else [np.inf]
+
+        def held(k, x):
+            return np.array(inf_last if k == 2 else np.full(x.shape, 0.5))
+
+        args = (lambda x, u: u * np.ones_like(x), x0, 0.1, 0.25, held,
+                slice(None))
+        got = self.outcome(march, *args)
+        assert got == (0.25, 1 if batch else None)
+        assert got == self.outcome(march_oracle, *args)
+
+    def test_unchecked_row_may_blow_up(self):
+        # row 0 (a fragment) overflows; the checked row 1 stays finite
+        args = (lambda x, u: x ** 3, np.array([[5.0], [0.1]]), 0.01, 1.0,
+                lambda k, x: np.zeros((2, 1)), slice(1, None))
+        states = march(*args)
+        assert not np.isfinite(states[-1, 0]).all()
+        assert np.isfinite(states[:, 1]).all()
+        assert np.array_equal(states, march_oracle(*args), equal_nan=True)
+
+    @pytest.mark.parametrize("scan_chunk", [1, 6, 1 << 14])
+    def test_across_chunks_of_the_scan(self, monkeypatch, scan_chunk):
+        # samples of 3 entries: chunks of 1 sample, 2 samples and all
+        monkeypatch.setattr(systems, "_SCAN_CHUNK", scan_chunk)
+        args = (lambda x, u: x ** 3, np.array([[0.1], [5.0], [4.0]]), 0.01,
+                1.0, lambda k, x: np.zeros((3, 1)), slice(1, None))
+        got = self.outcome(march, *args)
+        assert got == self.outcome(march_oracle, *args)
+        assert got[0] > 0.01 and got[1] == 0
+
+    @pytest.mark.parametrize("x0, expected", [
+        ([1e308, 1e308], (0.1, None)),
+        ([[0.0, 0.0], [1e308, 1e308]], (0.1, 1)),
+        # each row's sum is finite, only the whole batch's overflows
+        ([[1e308, 0.0], [1e308, 0.0]], None),
+    ])
+    def test_overflowing_absolute_sum(self, x0, expected):
+        x0 = np.array(x0)
+        args = (lambda x, u: np.zeros_like(x), x0, 0.1, 0.3,
+                lambda k, x: np.zeros(x.shape[:-1] + (1,)), slice(None))
+        got = self.outcome(march, *args)
+        oracle = self.outcome(march_oracle, *args)
+        if expected is None:
+            assert np.array_equal(got, oracle)
+        else:
+            assert got == oracle == expected
 
 
 class TestTimeGrid:
@@ -172,6 +312,15 @@ class TestBuiltinFields:
             single = sys.field(x, u)
             assert single.shape == (sys.n,)
             assert np.array_equal(single, row)
+
+    def test_double_integrator_batch_is_c_contiguous(self):
+        X = np.array([[0.3, -0.8], [1.0, 2.5], [-0.1, -0.0]])
+        U = np.array([[1.0], [-0.4], [-0.0]])
+        batch = double_integrator().field(X, U)
+        assert batch.flags.c_contiguous
+        old_form = np.array((X[..., 1], U[..., 0])).T
+        assert np.array_equal(batch, old_form)
+        assert np.array_equal(np.signbit(batch), np.signbit(old_form))
 
 
 class TestJacobians:
