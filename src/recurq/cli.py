@@ -20,8 +20,7 @@ from .entropy import (CandidateClass, InstanceTooLargeError,
                       build_spanning_instance, lower_bound,
                       min_spanning_cardinality, upper_bound)
 from .geometry import Box, CompactSet, _as_vector
-from .quantized import (GridMirror, GuaranteeViolationError, StepRecord,
-                        bit_rate, load_step_records,
+from .quantized import (GuaranteeViolationError, bit_rate, load_step_records,
                         reference_controller_double_integrator, replay,
                         run_episode, verify_guarantees)
 from .recurrence import RecurrenceSpec, first_return_time, lipschitz_region
@@ -104,6 +103,13 @@ def _require(cfg: dict, key: str, cast=float, default=None):
         raise ConfigError(f"config key '{key}': {exc}")
 
 
+def _whole(value) -> int:
+    """A _require cast for an int, or a float with no fraction part."""
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"expected a whole number, not {value!r}")
+
+
 def _floats(values) -> list:
     """A _require cast for a list of numbers."""
     if isinstance(values, (str, dict)):
@@ -155,9 +161,9 @@ def cmd_bounds(cfg: dict, out) -> int:
     sys_ = build_system(cfg)
     Q = build_Q(cfg, sys_.n)
     tau = _require(cfg, "tau", _at_least(0.0))
-    seed = _require(cfg, "seed", _at_least(0, int), 0)
-    samples = _require(cfg, "samples_per_axis", _at_least(2, int), 5)
-    sweep_values = _require(cfg, "sweep_values", _at_least(1, int), 9)
+    seed = _require(cfg, "seed", _at_least(0, _whole), 0)
+    samples = _require(cfg, "samples_per_axis", _at_least(2, _whole), 5)
+    sweep_values = _require(cfg, "sweep_values", _at_least(1, _whole), 9)
     sweep_dt = _require(cfg, "sweep_dt", _at_least(0.0, strict=True), 0.01)
     if sweep_dt > _sweep_horizon(tau):
         raise ConfigError(f"config key 'sweep_dt': must be at most the sweep "
@@ -197,11 +203,11 @@ def cmd_spanning(cfg: dict, out) -> int:
     tau_list = (_require(cfg, "tau_list", _floats) if cfg.get("tau_list")
                 else [_require(cfg, "tau")])
     cand_cfg = _require(cfg, "candidate", dict, {})
-    values_per_axis = _require(cand_cfg, "values_per_axis", int, 3)
+    values_per_axis = _require(cand_cfg, "values_per_axis", _whole, 3)
     segment_duration = _require(cand_cfg, "segment_duration", default=1.0)
     init_delta = _require(cfg, "init_delta", default=0.25)
-    max_candidates = _require(cfg, "max_candidates", int, 24)
-    max_points = _require(cfg, "max_points", int, 64)
+    max_candidates = _require(cfg, "max_candidates", _whole, 24)
+    max_points = _require(cfg, "max_points", _whole, 64)
     mode = cfg.get("mode", "recurrence")
     if mode not in ("recurrence", "invariance"):
         raise ConfigError("mode must be 'recurrence' or 'invariance'")
@@ -262,10 +268,7 @@ def _controller(sys_: ControlSystem, Q: CompactSet, tau: float, eps: float):
         raise ConfigError(
             "a validated reference controller is only available for the "
             "double_integrator system")
-    try:
-        controller = reference_controller_double_integrator(Q, tau, eps)
-    except (ValueError, OverflowError) as exc:  # rejected by its name
-        raise ConfigError(str(exc)) from exc
+    controller = reference_controller_double_integrator(Q, tau, eps)
     U, V = sys_.U, controller.sys.U
     if not (np.array_equal(U.lo, V.lo) and np.array_equal(U.hi, V.hi)):
         raise ConfigError(
@@ -282,8 +285,8 @@ def cmd_simulate(cfg: dict, out) -> int:
     eps = _require(cfg, "eps")
     alpha = _require(cfg, "alpha", default=0.0)
     dt = _require(cfg, "dt", default=1e-3)
-    steps = _require(cfg, "steps", int, 100)
-    seed = _require(cfg, "seed", int, 0)
+    steps = _require(cfg, "steps", _whole, 100)
+    seed = _require(cfg, "seed", _at_least(0, _whole), 0)
     if "x0" in cfg:  # run_episodes checks that it lies in Q
         x0 = _require(cfg, "x0", lambda v: _as_vector(v, sys_.n, "x0"))
     else:
@@ -293,7 +296,7 @@ def cmd_simulate(cfg: dict, out) -> int:
     try:
         log = run_episode(sys_, Q, _controller(sys_, Q, tau, eps), x0, eps,
                           tau, alpha, steps, dt, seed=seed)
-    except ValueError as exc:  # an input the library rejects, by its name
+    except (ValueError, OverflowError) as exc:  # rejected by its name
         raise ConfigError(str(exc)) from exc
     log_path = cfg.get("log_path")
     if log_path:
@@ -303,10 +306,9 @@ def cmd_simulate(cfg: dict, out) -> int:
         _export_csv(log, csv_path)
     rate = bit_rate(log) if steps >= 10 else None
     report = verify_guarantees(log)
-    rec = {"kind": "episode_summary", "system": sys_.name, "steps": steps,
-           "tau": tau, "eps": eps, "alpha": alpha, "dt": dt, "seed": seed,
-           "x0": list(x0), "total_bits": log.total_bits,
-           "log_path": log_path,
+    rec = {"kind": "episode_summary", "total_bits": log.total_bits,
+           "log_path": log_path, **{key: log.config[key] for key in (
+               "system", "steps", "tau", "eps", "alpha", "dt", "seed", "x0")},
            "guarantees": {
                **_passed(report),
                "worst_tracking_margin": report.tracking.worst_margin,
@@ -345,44 +347,12 @@ def cmd_verify(log_path: str, out) -> int:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read log: {exc}")
     sys_ = build_system(header)
-    Q = build_Q({"Q": [{"center": _require(header, "Q_center", list),
-                        "radius": _require(header, "Q_radius", list)}]}, sys_.n)
-    eps, tau, alpha, dt, L_tau, c_star, n_steps, total_bits = (
-        _require(header, key) for key in ("eps", "tau", "alpha", "dt", "L_tau",
-                                          "c_star", "steps", "total_bits"))
-    x0 = _require(header, "x0", lambda v: _as_vector(v, sys_.n, "x0"))
-    if not (0 < dt <= tau and 0 <= alpha < math.inf):
-        raise ConfigError(f"need 0 < dt <= tau and a finite alpha >= 0, not "
-                          f"dt={dt}, tau={tau}, alpha={alpha}")
-    if not steps or len(steps[0].x) != sys_.n:
-        raise ConfigError(f"log holds no step records of dimension {sys_.n}")
-    controller = _controller(sys_, Q, tau, eps)
-    # the audit reads the header's numbers as parsed, and the controller's
-    # constants, which the header's must equal
-    log = replay(controller, dict(header, eps=eps, tau=tau, alpha=alpha,
-                                  dt=dt, L_tau=controller.L_tau,
-                                  c_star=controller.c_star), steps)
-    failures = []
-    if len(steps) != n_steps:
-        failures.append(f"log holds {len(steps)} step records, header says "
-                        f"{header['steps']}")
-    if log.total_bits != total_bits:
-        failures.append(f"header total_bits {header['total_bits']} != "
-                        f"{log.total_bits}, the sum of the bit widths")
-    if (L_tau, c_star) != (controller.L_tau, controller.c_star):
-        failures.append("header L_tau and c_star differ from the rebuilt "
-                        "controller's")
+    Q = build_Q({"Q": [{"center": header["Q_center"],
+                        "radius": header["Q_radius"]}]}, sys_.n)
     try:
-        mirror = GridMirror(controller, Q.boxes[0], eps, tau, alpha, dt)
-        for k, s in enumerate(steps):
-            want = mirror.record(log.plant_states[k - 1][-1] if k else x0)
-            wrong = [key for key in StepRecord.__dataclass_fields__
-                     if not np.array_equal(getattr(s, key), getattr(want, key))]
-            if wrong:
-                failures.append(f"step {k}: the re-run disagrees on "
-                                f"{', '.join(wrong)}")
-            mirror.step_to(log.frag_states[k][-1])
-    except ValueError as exc:  # a header whose grids cannot be built
+        log, failures = replay(_controller(sys_, Q, header["tau"],
+                                           header["eps"]), header, steps)
+    except (ValueError, OverflowError) as exc:  # rejected by its name
         raise ConfigError(f"log header: {exc}") from exc
     report = verify_guarantees(log)
     ok = not failures and report.all_passed

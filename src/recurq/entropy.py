@@ -192,15 +192,17 @@ def greedy_cover(feasibility: np.ndarray) -> Optional[list]:
 def min_spanning_cardinality(instance: SpanningInstance) -> tuple:
     """Exact minimum cover size via branch and bound.
 
-    Returns (r, chosen_indices); (inf, []) with the first uncoverable
-    point's index recorded on the exception-free infeasible path.
+    Returns (r, chosen_indices): (inf, []) when some point has no covering
+    candidate (uncoverable_points names them).  Else chosen, sorted, is
+    the greedy cover if it is minimal, or the first cover of size r that
+    the depth-first search meets; it branches on the uncovered point with
+    the fewest covering candidates, lowest index first, in index order.
     """
     feas = instance.feasibility
     n_cand, n_pts = feas.shape
-    coverable = feas.any(axis=0)
-    if not np.all(coverable):
-        return math.inf, []
     incumbent = greedy_cover(feas)
+    if incumbent is None:
+        return math.inf, []
     best = [len(incumbent), incumbent]
     rows = [frozenset(np.flatnonzero(feas[j])) for j in range(n_cand)]
     covering = [sorted(j for j in range(n_cand) if feas[j, i])

@@ -82,27 +82,22 @@ def _saturated(feedback: Callable, x, lo, hi, out) -> np.ndarray:
 
 
 def closed_loop(sys: ControlSystem, feedback: Callable, x0, duration: float,
-                dt: float) -> tuple:
+                dt: float) -> np.ndarray:
     """Simulate state feedback sampled and held at each step of march's grid.
 
     The steps have width dt, and the last is partial when dt does not
     divide duration, so the run ends at duration.  x0 is one state (n,) or
     a batch (B, n); a batch needs a field that indexes the last axis, and
-    the field gets each step's stored (B, m) inputs even from a feedback
-    that returns one (m,) input.  Returns (states, u_values) of shapes
-    (K+1,) + x0.shape and (K,) + batch shape + (m,), K steps.  Controller
-    validation and GridMirror.advance march through here; _march_tau_step
-    applies the same clipped feedback to its fragment rows.
+    the field gets (B, m) inputs even from a feedback that returns one
+    (m,) input.  Returns the states, shape (K+1,) + x0.shape, K steps.
+    Controller validation and GridMirror.advance march through here;
+    _march_tau_step applies the same clipped feedback to its fragment rows.
     """
     x0 = np.array(x0, dtype=float)
-    times, _ = time_grid(duration, dt)
-    u_values = np.empty((len(times) - 1,) + x0.shape[:-1] + (sys.m,))
+    u = np.empty(x0.shape[:-1] + (sys.m,))
     lo, hi = sys.U.lo, sys.U.hi
-
-    def held(k, x):
-        return _saturated(feedback, x, lo, hi, u_values[k])
-
-    return march(sys.field, x0, dt, duration, held), u_values
+    return march(sys.field, x0, dt, duration,
+                 lambda k, x: _saturated(feedback, x, lo, hi, u))
 
 
 @dataclass
@@ -164,7 +159,7 @@ def build_feedback_controller(sys: ControlSystem, Q: CompactSet, tau: float,
     centers = centers[[Q.contains(c, tol=1e-12) for c in centers]]
     horizon = _SWEEP_TAUS * tau
     # every grid state marched at once: (K+1, B, n)
-    swept, _ = closed_loop(sys, feedback, centers, horizon, _SWEEP_DT)
+    swept = closed_loop(sys, feedback, centers, horizon, _SWEEP_DT)
     times, _ = time_grid(horizon, _SWEEP_DT)
     dists = distance_many(swept, Q)
     failures = []
@@ -257,13 +252,12 @@ class GridMirror:
         self.i = 0
 
     def advance(self, index: int) -> tuple:
-        """Consume a cell index; return (q, u_values, fragment_states)."""
+        """Consume a cell index; return (q, fragment_states)."""
         q = self.C.center(index)
-        frag, u_values = closed_loop(self.controller.sys,
-                                     self.controller.feedback,
-                                     q, self.tau, self.dt)
+        frag = closed_loop(self.controller.sys, self.controller.feedback, q,
+                           self.tau, self.dt)
         self.step_to(frag[-1])
-        return q, u_values, frag
+        return q, frag
 
     def step_to(self, frag_end: np.ndarray):
         """Center the next ball on the fragment's end and shrink the grid.
@@ -340,25 +334,12 @@ class EpisodeLog:
     def to_jsonl(self, path: str):
         with open(path, "w") as fh:
             header = {"type": "header", "total_bits": self.total_bits,
-                      **_jsonable(self.config)}
+                      **self.config}
             fh.write(json.dumps(header) + "\n")
             for s in self.steps:
-                fh.write(json.dumps({
-                    "type": "step", "i": s.i, "x": list(s.x), "q": list(s.q),
-                    "index": s.index, "bits": s.bits,
-                    "cover_size": s.cover_size, "r": s.r,
-                    "S_center": list(s.S_center),
-                    "S_radius": list(s.S_radius)}) + "\n")
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+                fh.write(json.dumps({"type": "step", **{
+                    k: v.tolist() if isinstance(v, np.ndarray) else v
+                    for k, v in vars(s).items()}}) + "\n")
 
 
 def _concat(fragments: list, tau: float, dt: float) -> tuple:
@@ -368,29 +349,47 @@ def _concat(fragments: list, tau: float, dt: float) -> tuple:
             np.vstack(fragments))
 
 
-def _step_record(rec: dict) -> StepRecord:
-    """A step record, each field checked for its JSON type."""
-    fields = {key: rec[key] for key in StepRecord.__dataclass_fields__}
-    for key, types in (("i", (int,)), ("index", (int,)), ("bits", (str,)),
-                       ("cover_size", (int,)), ("r", (int, float))):
-        if type(fields[key]) not in types:  # a bool is not an int here
-            raise ValueError(f"{key} is not of type {types[-1].__name__}")
-    for key in ("x", "q", "S_center", "S_radius"):
-        value = fields[key]
-        if type(value) is list and all(type(v) in (int, float) for v in value):
-            fields[key] = value = np.array(value, dtype=float)
-        if not isinstance(value, np.ndarray) or not np.isfinite(value).all():
-            raise ValueError(f"{key} is not a list of finite numbers")
-    return StepRecord(**fields)
+#: the JSON type of each checked field of a log record
+_STEP_TYPES = {"i": int, "x": list, "q": list, "index": int, "bits": str,
+               "cover_size": int, "r": float, "S_center": list,
+               "S_radius": list}
+_HEADER_TYPES = {"steps": int, "total_bits": int, "eps": float, "tau": float,
+                 "alpha": float, "dt": float, "L_tau": float, "c_star": float,
+                 "Q_center": list, "Q_radius": list, "x0": list}
+
+
+def _typed(rec: dict, types: dict) -> dict:
+    """rec, once each field named in types holds its JSON type: an int
+    (not a bool), a str, a number (made a float; an int too large for one
+    is refused) or a list of finite numbers."""
+    for key, kind in types.items():
+        if key not in rec:
+            raise ValueError(f"missing {key!r}")
+        value = rec[key]
+        try:
+            if kind is list and type(value) is list:
+                ok = all(type(v) in (int, float) and math.isfinite(v)
+                         for v in value)
+            elif kind is float and type(value) in (int, float):
+                rec[key], ok = float(value), True
+            else:
+                ok = type(value) is kind
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise ValueError(f"{key} is not " + ("a list of finite numbers"
+                             if kind is list else f"of type {kind.__name__}"))
+    return rec
 
 
 def load_step_records(path: str) -> tuple:
-    """Parse a JSONL episode log into (config, [StepRecord]) of checked types.
+    """Parse a JSONL episode log into (header, [StepRecord]) of checked types.
 
-    A step field of the wrong type, or state vectors of unequal lengths,
-    raise ValueError.
+    The header is the run's config, vectors as lists, plus total_bits.  A
+    missing or mistyped field, no step record, or vectors of unequal
+    lengths (Q_center, Q_radius and x0 among them) raise ValueError.
     """
-    config = None
+    header = None
     steps = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -398,30 +397,29 @@ def load_step_records(path: str) -> tuple:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"malformed log record {lineno}: {exc}") from exc
-            if not isinstance(rec, dict):
+                if not isinstance(rec, dict):
+                    raise ValueError("not a JSON object")
+                if rec.get("type") == "header":
+                    header = _typed(rec, _HEADER_TYPES)
+                    del header["type"]
+                elif rec.get("type") == "step":
+                    _typed(rec, _STEP_TYPES)
+                    steps.append(StepRecord(**{
+                        k: np.array(rec[k], dtype=float) if kind is list
+                        else rec[k] for k, kind in _STEP_TYPES.items()}))
+                else:
+                    raise ValueError("unknown type")
+            except ValueError as exc:  # JSONDecodeError among them
                 raise ValueError(
-                    f"malformed log record {lineno}: not a JSON object")
-            if rec.get("type") == "header":
-                config = {k: v for k, v in rec.items() if k != "type"}
-            elif rec.get("type") == "step":
-                try:
-                    steps.append(_step_record(rec))
-                except KeyError as exc:
-                    raise ValueError(
-                        f"malformed log record {lineno}: missing {exc}") from exc
-                except (OverflowError, ValueError) as exc:
-                    raise ValueError(
-                        f"malformed log record {lineno}: {exc}") from exc
-            else:
-                raise ValueError(f"malformed log record {lineno}: unknown type")
-    if config is None:
-        raise ValueError("log has no header record")
-    if len({len(v) for s in steps
-            for v in (s.x, s.q, s.S_center, s.S_radius)}) > 1:
-        raise ValueError("step records hold state vectors of unequal lengths")
-    return config, steps
+                    f"malformed log record {lineno}: {exc}") from exc
+    if header is None or not steps:
+        raise ValueError(f"log has no {'step' if header else 'header'} record")
+    vectors = [header["Q_center"], header["Q_radius"], header["x0"]] + [
+        v for s in steps for v in (s.x, s.q, s.S_center, s.S_radius)]
+    if len({len(v) for v in vectors}) > 1:
+        raise ValueError("Q_center, Q_radius, x0 and the step records hold "
+                         "state vectors of unequal lengths")
+    return header, steps
 
 
 def _march_tau_step(sys: ControlSystem, feedback: Callable,
@@ -432,10 +430,9 @@ def _march_tau_step(sys: ControlSystem, feedback: Callable,
     All F + P rows march to tau on march's grid, so fragments and plant
     segments share one time axis ending at tau, with a partial last step
     when dt does not divide tau.  The fragments are held at the clipped
-    feedback, as in closed_loop; plant row j is held at fragment j's input,
-    as in integrate of closed_loop's inputs.  A non-finite plant state
-    raises IntegrationBlowupError naming its row.  Returns (frags, plants),
-    shapes (K+1, F, n) and (K+1, P, n).
+    feedback, as in closed_loop; plant row j is held at fragment j's input.
+    A non-finite plant state raises IntegrationBlowupError naming its row.
+    Returns (frags, plants), shapes (K+1, F, n) and (K+1, P, n).
     """
     F, P = len(frags0), len(plants0)
     u = np.empty((F + P, sys.m))
@@ -452,25 +449,55 @@ def _march_tau_step(sys: ControlSystem, feedback: Callable,
     return states[:, :F], states[:, F:]
 
 
-def replay(controller: RecurrenceController, config: dict,
-           steps: list) -> EpisodeLog:
-    """An EpisodeLog of logged steps, its trajectories recomputed at once.
+def replay(controller: RecurrenceController, header: dict,
+           steps: list) -> tuple:
+    """Re-run a logged episode and check its links: (EpisodeLog, failures).
 
-    Fragment i is marched from the logged q_i and plant segment i from the
-    logged x_i, all N steps in one _march_tau_step at config's dt, each
-    to tau on march's grid, as run_episodes marched them.  By
-    induction over i this equals the sequential run that wrote the log,
-    once the log's links hold (x_{i+1} is the end of plant segment i, and
-    q_{i+1} quantizes it on the grid centred on fragment i's end): step i
-    of run_episodes marches the same two rows from the same q_i and x_i
-    through _march_tau_step, and march's rows never mix.
+    header and steps are a log's (load_step_records).  A dt or alpha the
+    controller cannot run raises ValueError.  All N steps march in one
+    _march_tau_step, fragment i from the logged q_i and plant segment i
+    from x_i, as run_episodes marched them.  failures name, in order, a
+    step count, total_bits, L_tau or c_star that the header gets wrong,
+    and each step whose record a fresh GridMirror does not reproduce from
+    x0 and the ends of the plant segments and fragments.  With none, by
+    induction over i the log is the run that wrote it, as march's rows
+    never mix.  The log's config takes the controller's L_tau and c_star,
+    and not total_bits, which the log sums from its widths.
     """
+    eps, tau, alpha, dt = (header[k] for k in ("eps", "tau", "alpha", "dt"))
+    if not (0 < dt <= tau and 0 <= alpha < math.inf):
+        raise ValueError(f"need 0 < dt <= tau and a finite alpha >= 0, not "
+                         f"dt={dt}, tau={tau}, alpha={alpha}")
     frags, plants = _march_tau_step(
         controller.sys, controller.feedback, np.array([s.q for s in steps]),
-        np.array([s.x for s in steps]), controller.tau, config["dt"])
-    return EpisodeLog(config=config, steps=list(steps),
-                      frag_states=list(frags.transpose(1, 0, 2)),
-                      plant_states=list(plants.transpose(1, 0, 2)))
+        np.array([s.x for s in steps]), controller.tau, dt)
+    config = {k: v for k, v in header.items() if k != "total_bits"}
+    config.update(L_tau=controller.L_tau, c_star=controller.c_star)
+    log = EpisodeLog(config=config, steps=list(steps),
+                     frag_states=list(frags.transpose(1, 0, 2)),
+                     plant_states=list(plants.transpose(1, 0, 2)))
+    failures = []
+    if len(steps) != header["steps"]:
+        failures.append(f"log holds {len(steps)} step records, header says "
+                        f"{header['steps']}")
+    if log.total_bits != header["total_bits"]:
+        failures.append(f"header total_bits {header['total_bits']} != "
+                        f"{log.total_bits}, the sum of the bit widths")
+    if any(header[k] != config[k] for k in ("L_tau", "c_star")):
+        failures.append("header L_tau and c_star differ from the rebuilt "
+                        "controller's")
+    mirror = GridMirror(controller, Box(header["Q_center"], header["Q_radius"]),
+                        eps, tau, alpha, dt)
+    for k, s in enumerate(steps):
+        want = mirror.record(log.plant_states[k - 1][-1] if k
+                             else header["x0"])
+        wrong = [key for key in StepRecord.__dataclass_fields__
+                 if not np.array_equal(getattr(s, key), getattr(want, key))]
+        if wrong:
+            failures.append(f"step {k}: the re-run disagrees on "
+                            f"{', '.join(wrong)}")
+        mirror.step_to(log.frag_states[k][-1])
+    return log, failures
 
 
 def run_episode(sys: ControlSystem, Q: CompactSet,
@@ -528,11 +555,11 @@ def run_episodes(sys: ControlSystem, Q: CompactSet,
     receivers = [GridMirror(controller, box, eps, tau, a, dt) for a in alphas]
     logs = []
     for x0, alpha, seed in zip(x0s, alphas, seeds):
-        config = {"system": sys.name, "Q_center": box.center,
-                  "Q_radius": box.radius, "eps": eps, "tau": tau,
-                  "alpha": alpha, "L_tau": controller.L_tau,
+        config = {"system": sys.name, "Q_center": box.center.tolist(),
+                  "Q_radius": box.radius.tolist(), "eps": eps, "tau": tau,
+                  "alpha": float(alpha), "L_tau": controller.L_tau,
                   "c_star": controller.c_star, "dt": dt, "steps": steps,
-                  "seed": seed, "x0": x0}
+                  "seed": int(seed), "x0": x0.tolist()}
         logs.append(EpisodeLog(config=config, steps=[], frag_states=[],
                                plant_states=[]))
 

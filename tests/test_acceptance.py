@@ -330,7 +330,7 @@ class TestCriterion8Properties:
                 assert mirror.r == s.r
                 assert np.array_equal(mirror.S.center, s.S_center)
                 assert np.array_equal(mirror.S.radius, s.S_radius)
-                q, _, _ = mirror.advance(s.index)
+                q, _ = mirror.advance(s.index)
                 assert np.array_equal(q, s.q)
         print("\n[criterion 8e] PASS: replayed mirrors float-identical to "
               "logged sensor state")

@@ -297,6 +297,23 @@ class TestSimulateVerify:
         ("bounds", "tau", math.inf),  # an OverflowError traceback before
         ("bounds", "sweep_dt", math.inf),  # read as "infinite" before
         ("bounds", "sweep_dt", 100.0),  # above the sweep horizon, 8 s
+        # integer keys refuse a bool, a string or a fraction
+        ("simulate", "steps", 3.7),  # ran 3 steps before
+        ("simulate", "seed", True),  # read as 1 before
+        ("simulate", "seed", -1),  # a traceback when x0 was drawn
+        ("bounds", "samples_per_axis", 2.9),  # read as 2 before
+        ("bounds", "seed", 0.5),
+        ("spanning", "values_per_axis", 2.5),
+        ("spanning", "max_candidates", 24.5),
+        # header fields are typed as step fields are: the clean log's own
+        # values as strings, a fractional count and a bool
+        ("verify", "tau", "2.0"),
+        ("verify", "dt", "0.01"),
+        ("verify", "steps", "12"),
+        ("verify", "total_bits", "79"),
+        ("verify", "steps", 4.5),
+        ("verify", "alpha", True),
+        ("verify", "x0", [0.4, -0.2, 0.0]),  # longer than the step vectors
     ])
     def test_rejected_input_is_config_error(self, request, tmp_path, capsys,
                                             command, key, value):
