@@ -20,7 +20,8 @@ from .entropy import (CandidateClass, InstanceTooLargeError,
                       build_spanning_instance, lower_bound,
                       min_spanning_cardinality, upper_bound)
 from .geometry import Box, CompactSet, _as_vector
-from .quantized import (GuaranteeViolationError, bit_rate, load_step_records,
+from .quantized import (GuaranteeViolationError, _typed, bit_rate,
+                        load_step_records,
                         reference_controller_double_integrator, replay,
                         run_episode, verify_guarantees)
 from .recurrence import RecurrenceSpec, first_return_time, lipschitz_region
@@ -40,7 +41,7 @@ def _record(obj, out):
     out.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def load_config(path: Optional[str], overrides: dict) -> dict:
+def load_config(path: Optional[str]) -> dict:
     cfg = {}
     if path:
         try:
@@ -52,10 +53,31 @@ def load_config(path: Optional[str], overrides: dict) -> dict:
             raise ConfigError(f"config parse error in {path}: {exc}")
         if not isinstance(cfg, dict):
             raise ConfigError(f"config root in {path} must be a mapping")
-    for key, value in overrides.items():
-        if value is not None:
-            cfg[key] = value
     return cfg
+
+
+def _read(cfg: dict, key: str, kind=float, default=None, low=None,
+          strict=False):
+    """cfg[key], checked by the rule of the log header (quantized._typed):
+    an int (not a bool), a str, a number (read as a float), a list of finite
+    numbers (read as floats) or a dict.  With low, the number must also be
+    finite and at least low (above it when strict).  A missing or None
+    value takes default, and with no default is an error."""
+    value = cfg.get(key)
+    if value is None:
+        if default is None:
+            raise ConfigError(f"missing required key '{key}'")
+        return default
+    try:
+        value = _typed({key: value}, {key: kind})[key]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if low is not None and not (-math.inf < value < math.inf and (
+            value > low if strict else value >= low)):
+        bound = "" if low == -math.inf else (
+            f" and {'above' if strict else 'at least'} {low}")
+        raise ConfigError(f"{key} must be finite{bound}, not {value}")
+    return value
 
 
 def build_system(cfg: dict) -> ControlSystem:
@@ -66,67 +88,37 @@ def build_system(cfg: dict) -> ControlSystem:
         spec = {"name": spec}
     if not isinstance(spec, dict):
         raise ConfigError("system must be a name or a mapping")
-    name = spec.get("name")
-    if not name:
-        raise ConfigError("system section needs a 'name'")
-    params = spec.get("params", {}) or {}
+    try:
+        name = _read(spec, "name", str)
+        params = _read(spec, "params", dict, {})
+        # checked, then passed as written: a system's name, which records
+        # carry, prints its params as given
+        for key in params:
+            _read(params, key, low=-math.inf)
+    except ConfigError as exc:
+        raise ConfigError(f"system: {exc}")
     try:
         return make_system(name, **params)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"system: {exc}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"system {name}, params {params}: {exc}")
 
 
 def build_Q(cfg: dict, n: int) -> CompactSet:
     boxes_cfg = cfg.get("Q")
-    if not boxes_cfg:
-        raise ConfigError("missing 'Q' box list")
+    if not (boxes_cfg and type(boxes_cfg) is list
+            and all(type(b) is dict for b in boxes_cfg)):
+        raise ConfigError("Q must be a nonempty list of boxes, each a mapping")
     boxes = []
     for k, b in enumerate(boxes_cfg):
         try:
-            boxes.append(Box(b["center"], b["radius"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            boxes.append(Box(_read(b, "center", list),
+                             _read(b, "radius", list)))
+        except ValueError as exc:
             raise ConfigError(f"Q[{k}]: {exc}")
     Q = CompactSet(tuple(boxes))
     if Q.dim != n:
         raise ConfigError(f"Q dimension {Q.dim} does not match the system ({n})")
     return Q
-
-
-def _require(cfg: dict, key: str, cast=float, default=None):
-    """cfg[key] through cast; a missing key takes default, if one is given."""
-    value = cfg.get(key, default)
-    if value is None:
-        raise ConfigError(f"missing required key '{key}'")
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config key '{key}': {exc}")
-
-
-def _whole(value) -> int:
-    """A _require cast for an int, or a float with no fraction part."""
-    if type(value) is int or type(value) is float and value.is_integer():
-        return int(value)
-    raise ValueError(f"expected a whole number, not {value!r}")
-
-
-def _floats(values) -> list:
-    """A _require cast for a list of numbers."""
-    if isinstance(values, (str, dict)):
-        raise ValueError(f"expected a list of numbers, not {values!r}")
-    return [float(v) for v in values]
-
-
-def _at_least(low, cast=float, strict=False):
-    """A _require cast that also rejects a value that is not finite, or is
-    below low (or equal to it when strict)."""
-    def read(value):
-        v = cast(value)
-        if not (math.isfinite(v) and (v > low if strict else v >= low)):
-            bound = "above" if strict else "at least"
-            raise ValueError(f"must be finite and {bound} {low}, not {v}")
-        return v
-    return read
 
 
 def _sweep_horizon(tau: float) -> float:
@@ -160,14 +152,14 @@ def corner_return_sweep(sys: ControlSystem, Q: CompactSet, tau: float,
 def cmd_bounds(cfg: dict, out) -> int:
     sys_ = build_system(cfg)
     Q = build_Q(cfg, sys_.n)
-    tau = _require(cfg, "tau", _at_least(0.0))
-    seed = _require(cfg, "seed", _at_least(0, _whole), 0)
-    samples = _require(cfg, "samples_per_axis", _at_least(2, _whole), 5)
-    sweep_values = _require(cfg, "sweep_values", _at_least(1, _whole), 9)
-    sweep_dt = _require(cfg, "sweep_dt", _at_least(0.0, strict=True), 0.01)
+    tau = _read(cfg, "tau", low=0.0)
+    seed = _read(cfg, "seed", int, 0, low=0)
+    samples = _read(cfg, "samples_per_axis", int, 5, low=2)
+    sweep_values = _read(cfg, "sweep_values", int, 9, low=1)
+    sweep_dt = _read(cfg, "sweep_dt", float, 0.01, low=0.0, strict=True)
     if sweep_dt > _sweep_horizon(tau):
-        raise ConfigError(f"config key 'sweep_dt': must be at most the sweep "
-                          f"horizon {_sweep_horizon(tau)}, not {sweep_dt}")
+        raise ConfigError(f"sweep_dt must be at most the sweep horizon "
+                          f"{_sweep_horizon(tau)}, not {sweep_dt}")
     constants, region = lipschitz_region(sys_, Q, tau, seed=seed)
     upper = upper_bound(constants.L_tau, Q)
     lower = lower_bound(sys_, Q, constants.delta_tau, samples_per_axis=samples)
@@ -197,18 +189,18 @@ def cmd_spanning(cfg: dict, out) -> int:
     Q = build_Q(cfg, sys_.n)
     if not cfg.get("horizons"):
         raise ConfigError("missing 'horizons' list")
-    horizons = _require(cfg, "horizons", _floats)
-    eps_list = (_require(cfg, "eps_list", _floats) if cfg.get("eps_list")
-                else [_require(cfg, "eps")])
-    tau_list = (_require(cfg, "tau_list", _floats) if cfg.get("tau_list")
-                else [_require(cfg, "tau")])
-    cand_cfg = _require(cfg, "candidate", dict, {})
-    values_per_axis = _require(cand_cfg, "values_per_axis", _whole, 3)
-    segment_duration = _require(cand_cfg, "segment_duration", default=1.0)
-    init_delta = _require(cfg, "init_delta", default=0.25)
-    max_candidates = _require(cfg, "max_candidates", _whole, 24)
-    max_points = _require(cfg, "max_points", _whole, 64)
-    mode = cfg.get("mode", "recurrence")
+    horizons = _read(cfg, "horizons", list)
+    eps_list = (_read(cfg, "eps_list", list) if cfg.get("eps_list")
+                else [_read(cfg, "eps")])
+    tau_list = (_read(cfg, "tau_list", list) if cfg.get("tau_list")
+                else [_read(cfg, "tau")])
+    cand_cfg = _read(cfg, "candidate", dict, {})
+    values_per_axis = _read(cand_cfg, "values_per_axis", int, 3)
+    segment_duration = _read(cand_cfg, "segment_duration", float, 1.0)
+    init_delta = _read(cfg, "init_delta", float, 0.25)
+    max_candidates = _read(cfg, "max_candidates", int, 24)
+    max_points = _read(cfg, "max_points", int, 64)
+    mode = _read(cfg, "mode", str, "recurrence")
     if mode not in ("recurrence", "invariance"):
         raise ConfigError("mode must be 'recurrence' or 'invariance'")
     try:
@@ -281,27 +273,28 @@ def _controller(sys_: ControlSystem, Q: CompactSet, tau: float, eps: float):
 def cmd_simulate(cfg: dict, out) -> int:
     sys_ = build_system(cfg)
     Q = build_Q(cfg, sys_.n)
-    tau = _require(cfg, "tau")
-    eps = _require(cfg, "eps")
-    alpha = _require(cfg, "alpha", default=0.0)
-    dt = _require(cfg, "dt", default=1e-3)
-    steps = _require(cfg, "steps", _whole, 100)
-    seed = _require(cfg, "seed", _at_least(0, _whole), 0)
+    tau = _read(cfg, "tau")
+    eps = _read(cfg, "eps")
+    alpha = _read(cfg, "alpha", float, 0.0)
+    dt = _read(cfg, "dt", float, 1e-3)
+    steps = _read(cfg, "steps", int, 100)
+    seed = _read(cfg, "seed", int, 0, low=0)
+    log_path, csv_path = (_read(cfg, key, str) if cfg.get(key) is not None
+                          else None for key in ("log_path", "csv_path"))
     if "x0" in cfg:  # run_episodes checks that it lies in Q
-        x0 = _require(cfg, "x0", lambda v: _as_vector(v, sys_.n, "x0"))
+        x0 = _read(cfg, "x0", list)
     else:
         rng = np.random.default_rng(seed)
         box = Q.boxes[0]
         x0 = rng.uniform(box.lo + 0.1 * box.radius, box.hi - 0.1 * box.radius)
     try:
-        log = run_episode(sys_, Q, _controller(sys_, Q, tau, eps), x0, eps,
-                          tau, alpha, steps, dt, seed=seed)
+        log = run_episode(sys_, Q, _controller(sys_, Q, tau, eps),
+                          _as_vector(x0, sys_.n, "x0"), eps, tau, alpha,
+                          steps, dt, seed=seed)
     except (ValueError, OverflowError) as exc:  # rejected by its name
         raise ConfigError(str(exc)) from exc
-    log_path = cfg.get("log_path")
     if log_path:
         log.to_jsonl(log_path)
-    csv_path = cfg.get("csv_path")
     if csv_path:
         _export_csv(log, csv_path)
     rate = bit_rate(log) if steps >= 10 else None
@@ -368,7 +361,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="YAML config file (verify reads none)")
     parser.add_argument("--out", help="output path (default stdout)")
     parser.add_argument("--seed", type=int, help="override config seed")
-    parser.add_argument("--dt", type=float, help="override config dt")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("bounds", help="entropy bounds and finiteness verdict")
     sub.add_parser("spanning", help="spanning-set covers over a (T, eps, tau) grid")
@@ -383,7 +375,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":  # the log names everything it needs
             return cmd_verify(args.log, out)
-        cfg = load_config(args.config, {"seed": args.seed, "dt": args.dt})
+        cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg["seed"] = args.seed
         command = {"bounds": cmd_bounds, "spanning": cmd_spanning,
                    "simulate": cmd_simulate}[args.command]
         return command(cfg, out)

@@ -360,8 +360,8 @@ _HEADER_TYPES = {"steps": int, "total_bits": int, "eps": float, "tau": float,
 
 def _typed(rec: dict, types: dict) -> dict:
     """rec, once each field named in types holds its JSON type: an int
-    (not a bool), a str, a number (made a float; an int too large for one
-    is refused) or a list of finite numbers."""
+    (not a bool), a str, a dict, a number (made a float; an int too large
+    for one is refused) or a list of finite numbers (made floats)."""
     for key, kind in types.items():
         if key not in rec:
             raise ValueError(f"missing {key!r}")
@@ -370,6 +370,8 @@ def _typed(rec: dict, types: dict) -> dict:
             if kind is list and type(value) is list:
                 ok = all(type(v) in (int, float) and math.isfinite(v)
                          for v in value)
+                if ok:
+                    rec[key] = [float(v) for v in value]
             elif kind is float and type(value) in (int, float):
                 rec[key], ok = float(value), True
             else:

@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -314,6 +318,13 @@ class TestSimulateVerify:
         ("verify", "steps", 4.5),
         ("verify", "alpha", True),
         ("verify", "x0", [0.4, -0.2, 0.0]),  # longer than the step vectors
+        # config values follow the header's rule; each ran before unless noted
+        ("simulate", "alpha", True),  # read as alpha 1.0
+        ("simulate", "eps", "0.1"),
+        ("simulate", "x0", [True, 0]),
+        ("simulate", "steps", 2.0),  # an int only, as in the header
+        ("simulate", "csv_path", [1]),  # a traceback from numpy
+        ("spanning", "segment_duration", True),
     ])
     def test_rejected_input_is_config_error(self, request, tmp_path, capsys,
                                             command, key, value):
@@ -343,6 +354,69 @@ class TestSimulateVerify:
         assert err.startswith("config error:")
         assert re.search(rf"\b{key}\b", err), err
         assert command != "simulate" or not log_path.exists()
+
+    @pytest.mark.parametrize("command, edit, key", [
+        ("bounds", {"Q": [{"center": [0.0, 0.0],
+                           "radius": [math.nan, 1.0]}]}, "radius"),
+        ("bounds", {"Q": [{"center": [0.0, 0.0],
+                           "radius": [math.inf, 1.0]}]}, "radius"),
+        ("bounds", {"Q": [{"center": [True, False],
+                           "radius": [1.0, 1.0]}]}, "center"),
+        ("bounds", {"system": {"name": "double_integrator",
+                               "params": {"u_max": -1}}}, "u_max"),
+        ("bounds", {"system": {"name": "double_integrator",
+                               "params": {"u_max": "x"}}}, "u_max"),
+        ("bounds", {"system": {"name": "scalar_linear",
+                               "params": {"a": "fast"}}}, "a"),
+        ("bounds", {"system": {"name": "scalar_linear",
+                               "params": {"a": math.nan}}}, "a"),
+        # in the header of a clean log
+        ("verify", {"system": {"name": "double_integrator",
+                               "params": {"u_max": "x"}}}, "u_max"),
+        ("verify", {"system": {"name": "double_integrator",
+                               "params": {"u_max": -1}}}, "u_max"),
+    ])
+    def test_rejected_section_is_config_error(self, request, tmp_path, capsys,
+                                              command, edit, key):
+        # each ended in a traceback before, or (center) ran
+        out = tmp_path / "results.jsonl"
+        out.write_text('{"kind": "earlier"}\n')
+        before = out.read_bytes()
+        if command == "bounds":
+            path = tmp_path / "bad.yaml"
+            path.write_text(yaml.safe_dump(
+                {**yaml.safe_load(BOUNDS_YAML.format(tau=2.0)), **edit}))
+            args = ["--config", str(path), "bounds"]
+        else:
+            _, _, log_path, _, _ = request.getfixturevalue("sim")
+            lines = log_path.read_text().splitlines()
+            lines[0] = json.dumps({**json.loads(lines[0]), **edit})
+            log_path.write_text("\n".join(lines) + "\n")
+            args = ["verify", str(log_path)]
+        capsys.readouterr()
+        assert main(["--out", str(out), *args]) == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error:")
+        assert re.search(rf"\b{key}\b", line), line
+        assert out.read_bytes() == before
+
+    @pytest.mark.parametrize("log_path", [2, 5])
+    def test_int_log_path_writes_nothing(self, tmp_path, log_path):
+        # an int path was opened as a file descriptor: 2 wrote the log to
+        # stderr and closed it, 5 ended in a traceback.  Its own process
+        # keeps the test's descriptors out of reach.
+        path = tmp_path / "bad.yaml"
+        path.write_text(SIM_YAML.format(log_path=log_path,
+                                        csv_path=tmp_path / "ep.csv"))
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "recurq.cli", "--config", str(path),
+             "simulate"], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_CONFIG
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("config error:") and "log_path" in line
+        assert done.stdout == "" and not (tmp_path / "ep.csv").exists()
 
     def test_verify_clean_log(self, sim, tmp_path):
         code, recs, log_path, _, text = sim
