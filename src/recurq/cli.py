@@ -25,8 +25,7 @@ from .quantized import (GuaranteeViolationError, _typed, bit_rate,
                         reference_controller_double_integrator, replay,
                         run_episode, verify_guarantees)
 from .recurrence import RecurrenceSpec, first_return_time, lipschitz_region
-from .systems import (ControlSignal, ControlSystem, IntegrationBlowupError,
-                      make_system)
+from .systems import ControlSystem, IntegrationBlowupError, make_system
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -139,8 +138,7 @@ def corner_return_sweep(sys: ControlSystem, Q: CompactSet, tau: float,
     # every corner under every input in one batch, corner-major
     X = np.repeat(corners, len(u_grid), axis=0)
     U = np.tile(u_grid, (len(corners), 1))
-    returns = first_return_time(sys, X, ControlSignal(horizon, U[None]), Q,
-                                horizon, dt)
+    returns = first_return_time(sys, X, U, Q, horizon, dt)
     k = len(u_grid)
     results = []
     for c, corner in enumerate(corners):
@@ -373,24 +371,25 @@ def main(argv=None) -> int:
     # writing one leaves an existing --out file as it was
     out = io.StringIO() if args.out else _sys.stdout
     try:
-        if args.command == "verify":  # the log names everything it needs
-            return cmd_verify(args.log, out)
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        command = {"bounds": cmd_bounds, "spanning": cmd_spanning,
-                   "simulate": cmd_simulate}[args.command]
-        return command(cfg, out)
-    except ConfigError as exc:
+        try:
+            if args.command == "verify":  # the log names everything it needs
+                return cmd_verify(args.log, out)
+            cfg = load_config(args.config)
+            if args.seed is not None:
+                cfg["seed"] = args.seed
+            command = {"bounds": cmd_bounds, "spanning": cmd_spanning,
+                       "simulate": cmd_simulate}[args.command]
+            return command(cfg, out)
+        finally:
+            if args.out and out.getvalue():
+                with open(args.out, "w") as fh:
+                    fh.write(out.getvalue())
+    except (ConfigError, OSError) as exc:  # OSError: a path it cannot open
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
     except (GuaranteeViolationError, IntegrationBlowupError) as exc:
         print(f"guarantee violation: {exc}", file=_sys.stderr)
         return EXIT_GUARANTEE
-    finally:
-        if args.out and out.getvalue():
-            with open(args.out, "w") as fh:
-                fh.write(out.getvalue())
 
 
 if __name__ == "__main__":

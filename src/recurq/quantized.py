@@ -114,32 +114,25 @@ class RecurrenceController:
 
 
 def _excursion_tails(times, states, dists):
-    """Return-phase samples of each excursion: (state, time-to-entry) pairs.
+    """Return-phase samples of every excursion: (states, times to entry).
 
-    Walks each excursion backward from its re-entry and keeps the suffix
-    along which the distance is nonincreasing; only on that suffix is the
-    monotone-return property meaningful.
+    Keeps the suffix of each excursion of the batch dists (K+1, B) along
+    which the distance is nonincreasing (a rise of up to 1e-9 counts, NaN
+    ends it), and nothing of one the horizon cuts off; only on that suffix
+    is the monotone-return property meaningful.  Row by row, in time order.
     """
-    out = []
-    n = len(dists)
-    k = 0
-    while k < n:
-        if dists[k] <= 1e-12:
-            k += 1
-            continue
-        start = k
-        while k < n and dists[k] > 1e-12:
-            k += 1
-        if k >= n:
-            break  # excursion truncated by the horizon; skip it
-        entry_t = times[k]
-        j = k - 1
-        # a rise of up to 1e-9 still counts as nonincreasing
-        while j - 1 >= start and dists[j - 1] >= dists[j] - 1e-9:
-            j -= 1
-        for idx in range(j, k):
-            out.append((states[idx].copy(), entry_t - times[idx]))
-    return out
+    last = len(dists)
+    idx = np.arange(last)[:, None]
+
+    def next_at(mask):  # index of the first True at or after each sample
+        return np.minimum.accumulate(np.where(mask, idx, last)[::-1])[::-1]
+
+    entry = next_at(dists <= 1e-12)
+    rise = np.ones(dists.shape, dtype=bool)  # dists[j + 1] > dists[j] + 1e-9
+    rise[:-1] = ~(dists[:-1] >= dists[1:] - 1e-9)
+    keep = (dists > 1e-12) & (entry < last) & (next_at(rise) >= entry - 1)
+    k, b = np.nonzero(keep.T)[::-1]
+    return states[k, b], times[entry[k, b]] - times[k]
 
 
 def build_feedback_controller(sys: ControlSystem, Q: CompactSet, tau: float,
@@ -162,30 +155,22 @@ def build_feedback_controller(sys: ControlSystem, Q: CompactSet, tau: float,
     swept = closed_loop(sys, feedback, centers, horizon, _SWEEP_DT)
     times, _ = time_grid(horizon, _SWEEP_DT)
     dists = distance_many(swept, Q)
-    failures = []
-    tails = []
-    max_gap = 0.0
-    for b, c in enumerate(centers):
-        gaps, _ = _visit_gaps(times[dists[:, b] <= 1e-9], 0.0, horizon)
-        gap = float(np.max(gaps))  # tail included; inf with no visit
-        max_gap = max(max_gap, gap)
-        if gap > tau + 2 * _SWEEP_DT:
-            failures.append((c, gap))
-        tails.extend(_excursion_tails(times, swept[:, b], dists[:, b]))
-    if failures:
+    # each row's longest gap, tail included; inf with no visit
+    gaps = np.array([np.max(_visit_gaps(times[row], 0.0, horizon)[0])
+                     for row in (dists <= 1e-9).T])
+    failed = np.flatnonzero(gaps > tau + 2 * _SWEEP_DT)
+    if len(failed):
         raise ControllerInvalidError(
-            f"{len(failures)} grid states break tau-recurrence under the "
-            f"feedback (worst gap {max(g for _, g in failures):.4g} > "
-            f"tau={tau}); first: {failures[0][0]}")
+            f"{len(failed)} grid states break tau-recurrence under the "
+            f"feedback (worst gap {np.max(gaps[failed]):.4g} > "
+            f"tau={tau}); first: {centers[failed[0]]}")
 
     # Lipschitz constant of the time-to-return map from return-phase pairs
+    pts, tts = _excursion_tails(times, swept, dists)
+    stride = len(tts) // 400 + 1 if len(tts) > 400 else 1
+    pts, tts = pts[::stride], tts[::stride]
     c_star = 0.0
-    if len(tails) >= 2:
-        if len(tails) > 400:
-            stride = len(tails) // 400 + 1
-            tails = tails[::stride]
-        pts = np.array([t[0] for t in tails])
-        tts = np.array([t[1] for t in tails])
+    if len(tts) >= 2:
         seps = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=-1)
         dtt = np.abs(tts[:, None] - tts[None, :])
         mask = seps > max(4.0 * _SWEEP_DT, 1e-3)
@@ -200,7 +185,7 @@ def build_feedback_controller(sys: ControlSystem, Q: CompactSet, tau: float,
     return RecurrenceController(sys=sys, tau=tau, feedback=feedback,
                                 c_star=c_star, eps_star=eps,
                                 L_tau=estimate_L(sys, Box.from_bounds(lo, hi)),
-                                max_visit_gap=max_gap)
+                                max_visit_gap=float(np.max(gaps, initial=0.0)))
 
 
 def reference_controller_double_integrator(Q: CompactSet, tau: float,

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Box, CompactSet, distance_many, neighborhood
-from .systems import (ControlSignal, ControlSystem, Trajectory, march,
-                      time_grid, _integrate, _segment_of)
+from .systems import (ControlSystem, Trajectory, march, time_grid,
+                      _checked_start)
 
 #: membership slack absorbing floating-point noise on box boundaries
 _MEMBERSHIP_TOL = 1e-12
@@ -109,35 +109,34 @@ def is_invariant(traj: Trajectory, Q: CompactSet, eps: float, T: float):
     return verdicts if outside.ndim == 2 else verdicts[0]
 
 
-def first_return_time(sys: ControlSystem, x0, signal: ControlSignal, Q: CompactSet,
+def first_return_time(sys: ControlSystem, x0, u, Q: CompactSet,
                       horizon: float, dt: float):
     """First t > 0 with the trajectory inside Q, refined by bisection.
 
-    Returns None if the trajectory never meets Q in (0, horizon]; a state
-    that blows up never meets it.  x0 may be a batch (B, n) driven by a
-    signal of shape (segments, B, m), as for integrate; the result is then
-    a list of B such times, each equal to the time of its row marched alone.
+    The input u (m,) is held throughout.  None if the trajectory never
+    meets Q in (0, horizon]; a state that blows up never meets it.  A batch
+    x0 (B, n) with inputs u (B, m) gives a list of B times, each as if
+    its row were marched alone.
     """
-    traj = _integrate(sys, x0, signal, horizon, dt, check_finite=False)
-    held = signal.values[_segment_of(signal, traj.times[:-1])]
+    x0 = _checked_start(sys, x0, horizon, dt)
+    u = np.asarray(u, dtype=float)
+    states = march(sys.field, x0, dt, horizon, lambda *_: u)
     # the last step is partial when dt does not divide the horizon
     times, n_full = time_grid(horizon, dt)
     last_h = float(times[-1] - times[-2]) if len(times) > n_full + 1 else dt
-    if traj.states.ndim == 2:
-        return _first_entry(sys.field, traj.states, held, dt, Q, last_h)
-    return [_first_entry(sys.field, traj.states[:, b], held[:, b], dt, Q,
-                         last_h)
-            for b in range(traj.states.shape[1])]
+    if states.ndim == 2:
+        return _first_entry(sys.field, states, u, dt, Q, last_h)
+    return [_first_entry(sys.field, states[:, b], u[b], dt, Q, last_h)
+            for b in range(states.shape[1])]
 
 
-def _first_entry(field, states, inputs, dt: float, Q: CompactSet,
-                 last_h: float):
+def _first_entry(field, states, u, dt: float, Q: CompactSet, last_h: float):
     """Time of the first entry into Q after states[0], or None.
 
     states[k + 1] is one RK4 step of width dt from states[k] under the
-    held input inputs[k], and the last step has width last_h.  The
-    entry is bisected inside the first step that lands in Q, probing with
-    one-step marches from its start.
+    constant input u, and the last step has width last_h.  The entry is
+    bisected inside the first step that lands in Q, probing with one-step
+    marches from its start.
     """
     inside = np.zeros(len(states) - 1, dtype=bool)
     for b in Q.boxes:  # Box.contains, over every sample at once
@@ -146,13 +145,12 @@ def _first_entry(field, states, inputs, dt: float, Q: CompactSet,
     if not inside.any():
         return None
     k = int(np.argmax(inside))
-    x, u = states[k], inputs[k]
     lo, hi = 0.0, last_h if k + 1 == len(inside) else dt
     for _ in range(80):
         if hi - lo <= _REFINE_TOL:
             break
         mid = 0.5 * (lo + hi)
-        if Q.contains(march(field, x, mid, mid, lambda *_: u)[-1],
+        if Q.contains(march(field, states[k], mid, mid, lambda *_: u)[-1],
                       tol=_MEMBERSHIP_TOL):
             hi = mid
         else:

@@ -189,20 +189,7 @@ def integrate(sys: ControlSystem, x0, signal: ControlSignal,
     row then integrates exactly as alone.
     A non-finite state raises IntegrationBlowupError.
     """
-    return _integrate(sys, x0, signal, horizon, dt, check_finite=True)
-
-
-def _integrate(sys: ControlSystem, x0, signal: ControlSignal, horizon: float,
-               dt: float, check_finite: bool) -> Trajectory:
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 2:
-        x0 = _as_vector(x0, dim=sys.n, name="x0")
-    elif x0.shape[1] != sys.n:
-        raise ValueError(f"x0 has dimension {x0.shape[1]}, expected {sys.n}")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    x0 = _checked_start(sys, x0, horizon, dt)
     if horizon > signal.total_duration + 1e-9:
         raise ValueError("horizon exceeds the signal duration")
     if horizon > signal.segment_duration + 1e-9:  # a boundary inside
@@ -212,8 +199,22 @@ def _integrate(sys: ControlSystem, x0, signal: ControlSignal, horizon: float,
     seg, values = _segment_of(signal, times[:-1]), signal.values
     # values[seg[k]] is a view: no (steps, B, m) copy of a batch's inputs
     states = march(sys.field, x0, dt, horizon, lambda k, _: values[seg[k]],
-                   finite_rows=slice(None) if check_finite else None)
+                   finite_rows=slice(None))
     return Trajectory(times, states)
+
+
+def _checked_start(sys: ControlSystem, x0, horizon: float, dt: float):
+    """x0 as one float state (n,) or a batch (B, n); checks dt and horizon."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim != 2:
+        x0 = _as_vector(x0, dim=sys.n, name="x0")
+    elif x0.shape[1] != sys.n:
+        raise ValueError(f"x0 has dimension {x0.shape[1]}, expected {sys.n}")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    return x0
 
 
 def _segment_of(signal: ControlSignal, times: np.ndarray) -> np.ndarray:

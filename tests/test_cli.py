@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from recurq import (CompactSet, ControlSignal, double_integrator,
-                    first_return_time)
+from recurq import CompactSet, double_integrator, first_return_time
 from recurq.cli import (EXIT_CONFIG, EXIT_GUARANTEE, EXIT_INFEASIBLE, EXIT_OK,
                         main)
 
@@ -73,16 +72,32 @@ class TestBounds:
         assert code == EXIT_OK and r["verdict"] == "finite"
         # each corner under the 9 swept inputs, over the sweep's horizon
         # max(4 tau, 5 s) = 20 s
-        u = np.linspace(-1.0, 1.0, 9)[None, :, None]
+        u = np.linspace(-1.0, 1.0, 9)[:, None]
         for rec in r["corner_min_returns"]:
             returns = first_return_time(
                 double_integrator(), np.repeat([rec["corner"]], 9, axis=0),
-                ControlSignal(20.0, u), CompactSet.box([0.0, 0.0], [1.0, 1.0]),
-                20.0, 0.01)
+                u, CompactSet.box([0.0, 0.0], [1.0, 1.0]), 20.0, 0.01)
             hits = [t for t in returns if t is not None]
             assert rec["min_return"] == (min(hits) if hits else None)
         assert r["corner_min_returns"][0] == {"corner": [-1.0, -1.0],
                                               "min_return": 2.0}
+
+    @pytest.mark.parametrize("tau, verdict, witness, delta_tau", [
+        (1.5, "infinite", [1.0, 1.0], 6.722533605507097),
+        (2.0, "finite", None, 14.7781121978613),
+        (2.5, "finite", None, 30.456234901758684)])
+    def test_pinned_records(self, tmp_path, tau, verdict, witness, delta_tau):
+        text = BOUNDS_YAML.format(tau=tau) + "sweep_dt: 0.01\n"
+        code, (r,) = run(tmp_path, text, "bounds")
+        assert code == EXIT_OK
+        assert (r["verdict"], r["witness"]) == (verdict, witness)
+        assert (r["L_tau"], r["delta_tau"]) == (1.0, delta_tau)
+        # the corners on Q return at the bisection's first probe width
+        assert r["corner_min_returns"] == [
+            {"corner": [-1.0, -1.0], "min_return": 2.0},
+            {"corner": [-1.0, 1.0], "min_return": 5.960464477539063e-10},
+            {"corner": [1.0, -1.0], "min_return": 5.960464477539063e-10},
+            {"corner": [1.0, 1.0], "min_return": 2.0}]
 
     @pytest.mark.parametrize("sweep_dt", [0.015625, 0.03])
     def test_sweep_dt_not_dividing_the_horizon(self, tmp_path, sweep_dt):
@@ -399,6 +414,25 @@ class TestSimulateVerify:
         assert line.startswith("config error:")
         assert re.search(rf"\b{key}\b", line), line
         assert out.read_bytes() == before
+
+    @pytest.mark.parametrize("key", ["log_path", "csv_path", "--out"])
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys, key):
+        missing = tmp_path / "nonexistent" / "x"
+        paths = {"log_path": tmp_path / "ep.jsonl",
+                 "csv_path": tmp_path / "ep.csv", key: missing}
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(SIM_YAML.format(log_path=paths["log_path"],
+                                       csv_path=paths["csv_path"]))
+        out = paths.get("--out", tmp_path / "out.jsonl")
+        if key != "--out":
+            out.write_text("kept\n")
+        capsys.readouterr()
+        code = main(["--config", str(cfg), "--out", str(out), "simulate"])
+        assert code == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error:") and str(missing) in line
+        # a run that fails before its record leaves --out as it was
+        assert key == "--out" or out.read_text() == "kept\n"
 
     @pytest.mark.parametrize("log_path", [2, 5])
     def test_int_log_path_writes_nothing(self, tmp_path, log_path):

@@ -1,11 +1,17 @@
 import dataclasses
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from recurq import (Box, CompactSet, ControlSignal, ControlSystem,
                     ControllerInvalidError, DeterminismError,
@@ -133,6 +139,91 @@ class TestController:
         with pytest.raises(ControllerInvalidError):
             build_feedback_controller(sys, UNIT_SQUARE, 2.0, 0.1,
                                       lambda x: np.array([1.0]))
+
+
+def walk_tails(times, states, dists):
+    """Oracle: the per-sample walk over one row that the scan replaced.
+
+    Walks each excursion backward from its re-entry and keeps the suffix
+    along which the distance is nonincreasing.  It never advances past a
+    NaN distance, so it is only called on NaN-free rows.
+    """
+    out = []
+    n = len(dists)
+    k = 0
+    while k < n:
+        if dists[k] <= 1e-12:
+            k += 1
+            continue
+        start = k
+        while k < n and dists[k] > 1e-12:
+            k += 1
+        if k >= n:
+            break  # excursion truncated by the horizon; skip it
+        entry_t = times[k]
+        j = k - 1
+        # a rise of up to 1e-9 still counts as nonincreasing
+        while j - 1 >= start and dists[j - 1] >= dists[j] - 1e-9:
+            j -= 1
+        for idx in range(j, k):
+            out.append((states[idx].copy(), entry_t - times[idx]))
+    return out
+
+
+# in Q, just outside, ties and rises at the 1e-9 tolerance, and inf
+DISTANCES = st.sampled_from([0.0, 1e-12, 2e-12, 0.5, 0.5 + 1e-9,
+                             0.5 + 5e-10, 0.5 - 1e-9, 0.5 + 2e-9, 1.0,
+                             math.inf]) | st.floats(0.0, 2.0)
+
+
+class TestExcursionTails:
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(float, st.tuples(st.integers(1, 40), st.integers(1, 4)),
+                  elements=DISTANCES),
+           st.booleans())
+    def test_scan_matches_the_walk(self, dists, quiet_row):
+        if quiet_row:  # a row that never leaves Q
+            dists = np.column_stack((dists, np.zeros(len(dists))))
+        times = 0.01 * np.arange(len(dists))
+        states = np.arange(dists.size * 2, dtype=float).reshape(
+            dists.shape + (2,))
+        pts, tts = quantized._excursion_tails(times, states, dists)
+        want = [t for b in range(dists.shape[1])
+                for t in walk_tails(times, states[:, b], dists[:, b])]
+        assert np.array_equal(pts.reshape(-1, 2),
+                              np.array([p for p, _ in want]).reshape(-1, 2))
+        assert np.array_equal(tts, np.array([t for _, t in want]))
+
+    def test_nan_ends_a_tail(self):
+        dists = np.array([[1.0], [0.9], [np.nan], [0.5], [0.2], [0.0]])
+        states = np.arange(6.0).reshape(6, 1, 1)
+        pts, tts = quantized._excursion_tails(np.arange(6.0), states, dists)
+        assert pts.ravel().tolist() == [3.0, 4.0]
+        assert tts.tolist() == [2.0, 1.0]
+
+    def test_nan_feedback_rejected_promptly(self):
+        # the walk looped forever on a NaN distance, appending as it went;
+        # its own process, with a short timeout, keeps a regression from
+        # hanging the suite or filling memory
+        code = textwrap.dedent("""\
+            import time
+            import numpy as np
+            from recurq import (CompactSet, ControllerInvalidError,
+                                build_feedback_controller, double_integrator)
+            t0 = time.monotonic()
+            try:
+                build_feedback_controller(
+                    double_integrator(), CompactSet.box([0.0, 0.0], [1.0, 1.0]),
+                    2.0, 0.1, lambda x: np.full(x.shape[:-1] + (1,), np.nan))
+            except ControllerInvalidError:
+                print(time.monotonic() - t0)
+            """)
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=10)
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) < 5.0
 
 
 class TestGridMirror:

@@ -144,20 +144,15 @@ class TestIsInvariant:
 class TestFirstReturn:
     def test_closed_form_return_at_2(self):
         sys = double_integrator()
-        t = first_return_time(sys, [1.0, 1.0],
-                              ControlSignal.constant([-1.0], 8.0),
-                              UNIT_SQUARE, 8.0, 0.01)
+        t = first_return_time(sys, [1.0, 1.0], [-1.0], UNIT_SQUARE, 8.0, 0.01)
         assert t == pytest.approx(2.0, abs=1e-9)
 
     def test_none_when_never_returning(self):
         sys = double_integrator()
-        t = first_return_time(sys, [1.0, 1.0],
-                              ControlSignal.constant([1.0], 8.0),
-                              UNIT_SQUARE, 8.0, 0.01)
+        t = first_return_time(sys, [1.0, 1.0], [1.0], UNIT_SQUARE, 8.0, 0.01)
         assert t is None
         # x' = 200 x leaves [-1, 1] from 1.5 and overflows before t = 5
-        t = first_return_time(scalar_linear(a=200.0), [1.5],
-                              ControlSignal.constant([0.0], 5.0),
+        t = first_return_time(scalar_linear(a=200.0), [1.5], [0.0],
                               CompactSet.box([0.0], [1.0]), 5.0, 0.01)
         assert t is None
 
@@ -167,13 +162,11 @@ class TestFirstReturn:
         U = np.array([[-1.0], [1.0], [-0.5], [1.0]])
         # 7.995 s ends on a partial step
         for horizon in (8.0, 7.995):
-            batch = first_return_time(sys, X, ControlSignal(8.0, U[None]),
-                                      UNIT_SQUARE, horizon, 0.01)
+            batch = first_return_time(sys, X, U, UNIT_SQUARE, horizon, 0.01)
             assert len(batch) == 4 and batch[1] is None  # full thrust escapes
             for x0, u, t in zip(X, U, batch):
-                alone = first_return_time(sys, x0,
-                                          ControlSignal.constant(u, 8.0),
-                                          UNIT_SQUARE, horizon, 0.01)
+                alone = first_return_time(sys, x0, u, UNIT_SQUARE, horizon,
+                                          0.01)
                 assert t == alone
 
     def test_entry_inside_partial_last_step(self):
@@ -181,16 +174,23 @@ class TestFirstReturn:
         # the horizon 7.998 ends on a partial step of 0.008 s, so bisecting
         # over a full 0.01 s step would run past the exit
         sys = scalar_linear(a=0.0)
-        t = first_return_time(sys, [7.998], ControlSignal.constant([-1.0], 8.0),
+        t = first_return_time(sys, [7.998], [-1.0],
                               CompactSet.box([0.0], [1e-4]), 7.998, 0.01)
         assert t == pytest.approx(7.9979, abs=1e-8)
 
     def test_interior_start_returns_immediately(self):
         sys = double_integrator()
-        t = first_return_time(sys, [0.0, 0.0],
-                              ControlSignal.constant([0.0], 1.0),
-                              UNIT_SQUARE, 1.0, 0.01)
+        t = first_return_time(sys, [0.0, 0.0], [0.0], UNIT_SQUARE, 1.0, 0.01)
         assert t is not None and t <= 0.01
+
+    @pytest.mark.parametrize("x0, horizon, dt", [
+        ([1.0, 1.0], 8.0, 0.0), ([1.0, 1.0], 8.0, -0.01),
+        ([1.0, 1.0], -1.0, 0.01), ([1.0], 8.0, 0.01),
+        ([1.0, 1.0, 1.0], 8.0, 0.01), ([[1.0, 1.0, 1.0]], 8.0, 0.01)])
+    def test_bad_input_rejected(self, x0, horizon, dt):
+        with pytest.raises(ValueError):
+            first_return_time(double_integrator(), x0, [-1.0], UNIT_SQUARE,
+                              horizon, dt)
 
 
 class TestConstants:
