@@ -132,7 +132,10 @@ def distance_many(X: np.ndarray, Q: CompactSet) -> np.ndarray:
         np.subtract(X, b.center, out=excess)
         np.abs(excess, out=excess)
         np.subtract(excess, b.radius, out=excess)
-        d = np.maximum(excess, 0.0, out=excess).max(axis=-1)
+        # one component at a time: a max over the short last axis is slower
+        d = np.maximum(excess[..., 0], 0.0)
+        for j in range(1, X.shape[-1]):
+            np.maximum(d, excess[..., j], out=d)
         best = d if best is None else np.minimum(best, d, out=best)
     return best
 

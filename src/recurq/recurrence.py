@@ -76,37 +76,53 @@ def is_recurrent(traj: Trajectory, spec: RecurrenceSpec):
 
     True iff every window [t, t+tau] with t in [0, T-tau] contains a
     sample inside the eps-neighborhood of Q, at sample resolution.  On
-    failure the witness is the start of the first visit gap that holds a
-    violating window.  A batch (K+1, B, n) gives a list of B such pairs.
+    failure the witness is the start of the first gap of _visit_gaps that
+    holds a violating window.  One scan of the (K+1, B) visit mask checks
+    a batch (K+1, B, n), giving a list of B pairs, or one state (B = 1).
     """
     T = min(spec.T, traj.horizon)
     if traj.horizon + 1e-9 < spec.T and math.isfinite(spec.T):
         raise ValueError("trajectory shorter than the requested horizon T")
     _check_resolution(traj, spec.tau)
-    tau, tol = spec.tau, _MEMBERSHIP_TOL
-    visited = ((distance_many(traj.states, spec.Q).T <= spec.eps + tol)
-               & (traj.times <= T + tol))
-    verdicts = []
-    for row in np.atleast_2d(visited):
-        gaps, starts = _visit_gaps(traj.times[row], 0.0, T)
-        # the head and the tail fail on length alone; an interior gap only
-        # if it starts before T - tau
-        fail = gaps > tau + tol
-        fail[1:-1] &= starts[1:-1] < T - tau - tol
-        verdicts.append((False, float(starts[np.argmax(fail)]))
-                        if fail.any() else (True, None))
-    return verdicts if visited.ndim == 2 else verdicts[0]
+    times, limit = traj.times, spec.tau + _MEMBERSHIP_TOL
+    visited = (distance_many(traj.states, spec.Q).reshape(len(times), -1)
+               <= spec.eps + _MEMBERSHIP_TOL)
+    visited &= (times <= T + _MEMBERSHIP_TOL)[:, None]
+    # last[k, b]: row b's last visit at or before sample k, or -1
+    last = np.where(visited, np.arange(len(times), dtype=np.int32)[:, None], -1)
+    np.maximum.accumulate(last, axis=0, out=last)
+    # the gap ending at visit k starts at times[prev[k - 1]] (a first visit
+    # reads times[-1]: gap <= 0); it fails only if it starts before T - tau
+    prev = last[:-1]
+    gaps = times[prev]
+    inner = gaps < T - spec.tau - _MEMBERSHIP_TOL
+    inner &= np.subtract(times[1:, None], gaps, out=gaps) > limit
+    inner &= visited[1:]
+    # the earliest failing start: an interior gap, or the tail and the head
+    # (0), which fail on length alone; no visit is an infinite head.  take's
+    # default mode would buffer out=; "wrap" reads -1 as indexing does
+    witness = np.min(np.take(times, prev, out=gaps, mode="wrap"), axis=0,
+                     where=inner, initial=math.inf)
+    seen = last[-1] >= 0
+    np.minimum(witness, times[last[-1]], out=witness,
+               where=seen & (T - times[last[-1]] > limit))
+    witness[np.where(seen, times[np.argmax(visited, axis=0)], math.inf)
+            > limit] = 0.0
+    verdicts = [(True, None) if w == math.inf else (False, w)
+                for w in witness.tolist()]
+    return verdicts[0] if traj.states.ndim == 2 else verdicts
 
 
 def is_invariant(traj: Trajectory, Q: CompactSet, eps: float, T: float):
     """Every sample of [0, T] lies in the eps-neighborhood of Q; returns
     (ok, first time outside), a list of such pairs for a batch."""
-    T = min(T, traj.horizon)
-    outside = ((distance_many(traj.states, Q).T > eps + _MEMBERSHIP_TOL)
-               & (traj.times <= T + _MEMBERSHIP_TOL))
-    verdicts = [(False, float(traj.times[np.argmax(row)])) if row.any()
-                else (True, None) for row in np.atleast_2d(outside)]
-    return verdicts if outside.ndim == 2 else verdicts[0]
+    outside = (distance_many(traj.states, Q).reshape(len(traj.times), -1)
+               > eps + _MEMBERSHIP_TOL)
+    outside &= (traj.times <= min(T, traj.horizon) + _MEMBERSHIP_TOL)[:, None]
+    first = traj.times[np.argmax(outside, axis=0)].tolist()
+    verdicts = [(False, t) if out else (True, None)
+                for out, t in zip(outside.any(axis=0).tolist(), first)]
+    return verdicts[0] if traj.states.ndim == 2 else verdicts
 
 
 def first_return_time(sys: ControlSystem, x0, u, Q: CompactSet,
@@ -139,9 +155,11 @@ def _first_entry(field, states, u, dt: float, Q: CompactSet, last_h: float):
     marches from its start.
     """
     inside = np.zeros(len(states) - 1, dtype=bool)
-    for b in Q.boxes:  # Box.contains, over every sample at once
-        inside |= np.all(np.abs(states[1:] - b.center)
-                         <= b.radius + _MEMBERSHIP_TOL, axis=-1)
+    for b in Q.boxes:  # Box.contains over every sample, component-wise
+        within = np.ones_like(inside)
+        for x, c, r in zip(states[1:].T, b.center, b.radius + _MEMBERSHIP_TOL):
+            within &= np.abs(x - c) <= r
+        inside |= within
     if not inside.any():
         return None
     k = int(np.argmax(inside))

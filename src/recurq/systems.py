@@ -140,10 +140,10 @@ def march(field, x0: np.ndarray, dt: float, horizon: float,
     (len(times),) + x0.shape.  Batch rows never mix, so every row is
     float-identical to marching its state alone.  With finite_rows, one
     scan after the march finds the first sample time at which a row among
-    them has a non-finite absolute sum, and raises IntegrationBlowupError
-    there, naming the first such row within them.  Overflow raises no
-    numpy warning: finite_rows reports it, and unchecked rows may blow up
-    by design.
+    them has a non-finite absolute sum (left-to-right sum over the
+    components), and raises IntegrationBlowupError there, naming the first
+    such row within them.  Overflow raises no numpy warning: finite_rows
+    reports it, and unchecked rows may blow up by design.
     """
     times, n_full = time_grid(horizon, dt)
     states = np.empty(times.shape + x0.shape)
@@ -170,8 +170,11 @@ def march(field, x0: np.ndarray, dt: float, horizon: float,
         if finite_rows is not None:  # in chunks, to bound the temporaries
             chunk = max(1, _SCAN_CHUNK // max(1, x0.size))
             for i in range(1, len(times), chunk):
-                part = np.abs(states[i:i + chunk, finite_rows])
-                bad = ~np.isfinite(part.sum(axis=-1))
+                part = states[i:i + chunk, finite_rows]
+                total = np.zeros(part.shape[:-1])  # faster than .sum(axis=-1)
+                for j in range(part.shape[-1]):
+                    total += np.abs(part[..., j])
+                bad = ~np.isfinite(total)
                 if bad.any():  # the first bad sample, then its first bad row
                     k, *row = np.unravel_index(np.argmax(bad), bad.shape)
                     raise IntegrationBlowupError(times[i + k], *map(int, row))

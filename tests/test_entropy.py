@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -224,6 +225,48 @@ class TestBuildInstance:
             verdicts = (is_recurrent(batch, spec) if tau > 0 else
                         is_invariant(batch, UNIT_SQUARE, 1.0, 8.0))
             assert inst.feasibility[j].tolist() == [ok for ok, _ in verdicts], j
+
+    def test_benchmark_family_pinned(self):
+        # the 24 (T, eps, tau) instances of the benchmark's spanning
+        # workload (tau = 0 for invariance): the first 16 hex digits of the
+        # sha256 of each packed feasibility matrix, then (r, chosen)
+        pinned = {
+            (4.0, 0.05, 2.0): ("a40e25eb73416242", 4, [2, 3, 5, 6]),
+            (4.0, 0.05, 3.0): ("0e3439275c29ebea", 2, [0, 6]),
+            (4.0, 0.05, 4.0): ("6acf95f515743e1c", 1, [0]),
+            (4.0, 0.05, 0.0): ("1edeffb1c29b8df0", math.inf, []),
+            (4.0, 0.1, 2.0): ("3755ddcaaa16872f", 4, [2, 3, 5, 6]),
+            (4.0, 0.1, 3.0): ("0e3439275c29ebea", 2, [0, 6]),
+            (4.0, 0.1, 4.0): ("6acf95f515743e1c", 1, [0]),
+            (4.0, 0.1, 0.0): ("1edeffb1c29b8df0", math.inf, []),
+            (6.0, 0.05, 2.0): ("7e2e5ef2d9e1dbbd", math.inf, []),
+            (6.0, 0.05, 3.0): ("85ae2b479c7f8d5f", 4, [6, 9, 15, 18]),
+            (6.0, 0.05, 4.0): ("40579e973a618b96", 4, [6, 11, 15, 18]),
+            (6.0, 0.05, 0.0): ("279c935c9ddda259", math.inf, []),
+            (6.0, 0.1, 2.0): ("511ea6727434651e", math.inf, []),
+            (6.0, 0.1, 3.0): ("85ae2b479c7f8d5f", 4, [6, 9, 15, 18]),
+            (6.0, 0.1, 4.0): ("40579e973a618b96", 4, [6, 11, 15, 18]),
+            (6.0, 0.1, 0.0): ("279c935c9ddda259", math.inf, []),
+            (8.0, 0.05, 2.0): ("522df2a282c314a9", math.inf, []),
+            (8.0, 0.05, 3.0): ("8615ad0b05e18baf", math.inf, []),
+            (8.0, 0.05, 4.0): ("d6d957f6f11c13cb", math.inf, []),
+            (8.0, 0.05, 0.0): ("7b3bae54e7a2931a", math.inf, []),
+            (8.0, 0.1, 2.0): ("eff91b269678f2d2", math.inf, []),
+            (8.0, 0.1, 3.0): ("8615ad0b05e18baf", math.inf, []),
+            (8.0, 0.1, 4.0): ("d6d957f6f11c13cb", math.inf, []),
+            (8.0, 0.1, 0.0): ("7b3bae54e7a2931a", math.inf, []),
+        }
+        sys = double_integrator()
+        cc = CandidateClass(values_per_axis=3, segment_duration=2.0)
+        for (T, eps, tau), (digest, r, chosen) in pinned.items():
+            spec = RecurrenceSpec(UNIT_SQUARE, tau=tau, eps=eps, T=T)
+            inst = build_spanning_instance(sys, UNIT_SQUARE, spec, 0.25, cc,
+                                           dt=0.05, max_candidates=128)
+            feas = inst.feasibility
+            assert feas.shape == (3 ** int(T / 2), 16)
+            assert hashlib.sha256(np.packbits(feas).tobytes()).hexdigest()[
+                :16] == digest, (T, eps, tau)
+            assert min_spanning_cardinality(inst) == (r, chosen), (T, eps, tau)
 
     @pytest.mark.parametrize("init_delta", [0.0, -0.25, float("inf")])
     def test_rejects_init_delta(self, init_delta):

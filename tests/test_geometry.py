@@ -87,6 +87,24 @@ class TestCompactSet:
         assert got.tobytes() == want.tobytes()
         assert X.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_distance_many_in_other_dimensions(self, n):
+        # the component-by-component max against the same unfused form,
+        # with points on, just inside and just outside the box faces
+        rng = np.random.default_rng(n)
+        Q = CompactSet((Box(rng.uniform(-1, 1, n), rng.uniform(0, 1, n)),
+                        Box(rng.uniform(-1, 1, n), rng.uniform(0, 1, n))))
+        face = Q.boxes[0].center + Q.boxes[0].radius
+        X = np.concatenate((rng.uniform(-3, 3, size=(60, n)),
+                            face + rng.choice([-1e-12, 0.0, 1e-12],
+                                              size=(30, n))))
+        X[0, 0], X[1, -1], X[2, 0] = np.nan, np.inf, -np.inf
+        got = distance_many(X, Q)
+        want = np.min([np.max(np.maximum(np.abs(X - b.center) - b.radius,
+                                         0.0), axis=-1) for b in Q.boxes],
+                      axis=0)
+        assert got.tobytes() == want.tobytes()
+
     def test_bounding_box(self):
         Q = CompactSet((Box([0.0], [1.0]), Box([10.0], [2.0])))
         bb = Q.bounding_box()

@@ -11,6 +11,9 @@ from recurq import (Box, CompactSet, ControlSignal, ControlSystem,
                     containment_radius, double_integrator, estimate_F_Q,
                     estimate_L, first_return_time, integrate, is_invariant,
                     is_recurrent, lipschitz_region, scalar_linear)
+from recurq.geometry import distance_many
+from recurq.recurrence import _first_entry, _visit_gaps
+from recurq.systems import time_grid
 
 UNIT_SQUARE = CompactSet.box([0.0, 0.0], [1.0, 1.0])
 
@@ -120,6 +123,75 @@ class TestIsRecurrentOracle:
             assert inv[b][0] == bool(visited[b].all())
 
 
+def loop_is_recurrent(traj, spec):
+    """The per-row loop over _visit_gaps that is_recurrent's scan replaced."""
+    T = min(spec.T, traj.horizon)
+    tau, tol = spec.tau, 1e-12
+    visited = ((distance_many(traj.states, spec.Q).T <= spec.eps + tol)
+               & (traj.times <= T + tol))
+    verdicts = []
+    for row in np.atleast_2d(visited):
+        gaps, starts = _visit_gaps(traj.times[row], 0.0, T)
+        fail = gaps > tau + tol
+        fail[1:-1] &= starts[1:-1] < T - tau - tol
+        verdicts.append((False, float(starts[np.argmax(fail)]))
+                        if fail.any() else (True, None))
+    return verdicts if visited.ndim == 2 else verdicts[0]
+
+
+def loop_is_invariant(traj, Q, eps, T):
+    """The per-row loop that is_invariant's scan replaced."""
+    T = min(T, traj.horizon)
+    outside = ((distance_many(traj.states, Q).T > eps + 1e-12)
+               & (traj.times <= T + 1e-12))
+    verdicts = [(False, float(traj.times[np.argmax(row)])) if row.any()
+                else (True, None) for row in np.atleast_2d(outside)]
+    return verdicts if outside.ndim == 2 else verdicts[0]
+
+
+class TestGapScanOracle:
+    """The (K+1, B) scans give the per-row loops' verdicts and witnesses."""
+
+    @given(dt=st.sampled_from([1 / 3, 0.05, 0.25]), K=st.integers(12, 40),
+           partial=st.booleans(), data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_scan_matches_per_row_loop(self, dt, K, partial, data):
+        # a horizon off the dt grid ends on a partial step
+        times, _ = time_grid(K * dt + 0.4 * dt * partial, dt)
+        last = len(times) - 1
+        # tau within 1e-12 of the gap between two samples, or off the grid
+        i = data.draw(st.integers(0, last - 11))
+        j = data.draw(st.integers(i + 11, last))
+        tau = float(times[j] - times[i]) + data.draw(st.sampled_from(
+            [-1e-12, -5e-13, 0.0, 5e-13, 1e-12, 0.37 * dt]))
+        tau = min(tau, float(times[-1]))
+        # T at the horizon, at tau, or at or near a sample before the end,
+        # so that some samples lie past T
+        m = data.draw(st.integers(j, last))
+        T = max(tau, data.draw(st.sampled_from(
+            [float(times[-1]), tau, float(times[m]), times[m] + 1e-12,
+             times[m] - 1e-12, times[m] + 0.5 * dt])))
+        T = min(T, float(times[-1]))
+        rows = data.draw(st.lists(st.sets(st.integers(0, last), max_size=8),
+                                  min_size=1, max_size=5))
+        # no visit, a visit at t = 0 only, visits at 0 and at the end
+        rows += [set(), {0}, {0, last}, {int(np.searchsorted(times, T))}]
+        visited = np.zeros((len(times), len(rows)), dtype=bool)
+        for b, visits in enumerate(rows):
+            visited[list(visits), b] = True
+        states = np.where(visited, 0.0, 5.0)[..., None]  # (K+1, B, 1)
+        spec = RecurrenceSpec(CompactSet.box([0.0], [1.0]), tau=tau, T=T)
+        batch = Trajectory(times, states)
+        assert is_recurrent(batch, spec) == loop_is_recurrent(batch, spec)
+        assert (is_invariant(batch, spec.Q, 0.0, T)
+                == loop_is_invariant(batch, spec.Q, 0.0, T))
+        for b in range(len(rows)):  # the single-state (K+1, n) form
+            one = Trajectory(times, states[:, b])
+            assert is_recurrent(one, spec) == loop_is_recurrent(one, spec)
+            assert (is_invariant(one, spec.Q, 0.0, T)
+                    == loop_is_invariant(one, spec.Q, 0.0, T))
+
+
 class TestIsInvariant:
     def test_corner_trajectory_not_invariant(self):
         traj = corner_trajectory()
@@ -191,6 +263,28 @@ class TestFirstReturn:
         with pytest.raises(ValueError):
             first_return_time(double_integrator(), x0, [-1.0], UNIT_SQUARE,
                               horizon, dt)
+
+    @given(n=st.integers(1, 3), K=st.integers(1, 30), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_entry_scan_matches_box_contains(self, n, K, data):
+        # samples on, within 1e-12 of and off the faces of two boxes; with a
+        # field of 0 every probe of the bisection stays outside, so the
+        # entry reads as the end of the step before the first sample that
+        # Q.contains at the membership tolerance
+        Q = CompactSet((Box(np.zeros(n), np.ones(n)),
+                        Box(np.full(n, 3.0), np.full(n, 0.5))))
+        coord = st.sampled_from([-1.0, 1.0, 1.0 + 1e-12, 1.0 + 5e-12,
+                                 -1.0 - 2e-12, 0.0, 2.5, 2.5 - 1e-12, 3.5,
+                                 3.5 + 1e-12, 5.0])
+        states = np.array(data.draw(st.lists(
+            st.lists(coord, min_size=n, max_size=n), min_size=K + 1,
+            max_size=K + 1)))
+        states[0] = 9.0  # outside both boxes
+        inside = [k for k in range(1, K + 1)
+                  if Q.contains(states[k], tol=1e-12)]
+        got = _first_entry(lambda x, u: np.zeros_like(x), states,
+                           np.zeros(1), 0.25, Q, 0.25)
+        assert got == ((inside[0] - 1) * 0.25 + 0.25 if inside else None)
 
 
 class TestConstants:
