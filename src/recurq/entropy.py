@@ -17,7 +17,8 @@ LN2 = math.log(2.0)
 
 #: rows of one spanning-build march; a pass over the benchmark family took
 #: 0.27, 0.18, 0.19, 0.15 and 0.16 s at 256, 512, 1024, 1296 and 2048 rows
-#: (medians of 9): past 512 little is gained, and wider only adds memory
+#: (medians of 9); 512 is kept to bound a march's memory, though 1296 rows,
+#: one batch for the family's largest instance, was about 17% faster
 _BATCH_ROWS = 512
 
 

@@ -7,7 +7,6 @@ cell, control segment, and next grid without ever seeing the state.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -682,7 +681,7 @@ def verify_guarantees(log: EpisodeLog) -> GuaranteeReport:
     # (b) tracking envelope between fragment and plant trajectories
     t_hat, x_hat = log.hat_trajectory()
     t_pl, x_pl = log.plant_trajectory()
-    diffs = functools.reduce(np.maximum, np.abs(x_hat - x_pl).T)
+    diffs = np.max(np.abs(x_hat - x_pl), axis=1)
     envelope = eps * np.exp(-alpha * t_hat)
     worst_b = float(np.max(diffs - envelope))
     clause_b = ClauseResult(worst_b <= _TRACKING_TOL, worst_b)

@@ -155,11 +155,9 @@ def _first_entry(field, states, u, dt: float, Q: CompactSet, last_h: float):
     marches from its start.
     """
     inside = np.zeros(len(states) - 1, dtype=bool)
-    for b in Q.boxes:  # Box.contains over every sample, component-wise
-        within = np.ones_like(inside)
-        for x, c, r in zip(states[1:].T, b.center, b.radius + _MEMBERSHIP_TOL):
-            within &= np.abs(x - c) <= r
-        inside |= within
+    for b in Q.boxes:  # Box.contains, over every sample at once
+        inside |= np.all(np.abs(states[1:] - b.center)
+                         <= b.radius + _MEMBERSHIP_TOL, axis=-1)
     if not inside.any():
         return None
     k = int(np.argmax(inside))

@@ -67,17 +67,25 @@ class TestCompactSet:
         for x, d in zip(X, vec):
             assert d == pytest.approx(distance(x, Q), abs=0.0)
 
-    @pytest.mark.parametrize("shape", [(2,), (40, 2), (11, 7, 2)])
+    @pytest.mark.parametrize("shape", [(2,), (40, 2), (11, 7, 2), (1,),
+                                       (40, 1), (40, 3), (11, 7, 4)])
     def test_distance_many_matches_unfused_form(self, shape):
         # the form with one temporary per operation, bit for bit, over
-        # any leading shape and rows holding NaN or infinities
-        Q = CompactSet((Box([0.0, 0.0], [1.0, 0.5]), Box([3.0, 3.0], [0.5, 0.5])))
-        X = np.random.default_rng(2).uniform(-5, 5, size=shape)
-        rows = X.reshape(-1, 2)
+        # any leading shape and dimension, with rows holding NaN or
+        # infinities and rows on or within 1e-12 of a box's faces
+        n = shape[-1]
+        Q = CompactSet((Box(np.zeros(n), np.linspace(1.0, 0.5, n)),
+                        Box(np.full(n, 3.0), np.full(n, 0.5))))
+        rng = np.random.default_rng(2)
+        X = rng.uniform(-5, 5, size=shape)
+        rows = X.reshape(-1, n)
+        face = Q.boxes[0].center + Q.boxes[0].radius
+        rows[:len(rows) // 2] = face + rng.choice(
+            [-1e-12, 0.0, 1e-12], size=(len(rows) // 2, n))
         for k, bad in enumerate([[np.nan, 0.0], [np.inf, 3.0],
                                  [-np.inf, np.nan], [0.5, -np.inf]]):
             if k < len(rows):
-                rows[-1 - k] = bad
+                rows[-1 - k] = np.resize(bad, n)
         before = X.copy()
         got = distance_many(X, Q)
         want = np.min([np.max(np.maximum(np.abs(np.atleast_2d(X) - b.center)
@@ -86,24 +94,6 @@ class TestCompactSet:
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
         assert X.tobytes() == before.tobytes()
-
-    @pytest.mark.parametrize("n", [1, 3, 4])
-    def test_distance_many_in_other_dimensions(self, n):
-        # the component-by-component max against the same unfused form,
-        # with points on, just inside and just outside the box faces
-        rng = np.random.default_rng(n)
-        Q = CompactSet((Box(rng.uniform(-1, 1, n), rng.uniform(0, 1, n)),
-                        Box(rng.uniform(-1, 1, n), rng.uniform(0, 1, n))))
-        face = Q.boxes[0].center + Q.boxes[0].radius
-        X = np.concatenate((rng.uniform(-3, 3, size=(60, n)),
-                            face + rng.choice([-1e-12, 0.0, 1e-12],
-                                              size=(30, n))))
-        X[0, 0], X[1, -1], X[2, 0] = np.nan, np.inf, -np.inf
-        got = distance_many(X, Q)
-        want = np.min([np.max(np.maximum(np.abs(X - b.center) - b.radius,
-                                         0.0), axis=-1) for b in Q.boxes],
-                      axis=0)
-        assert got.tobytes() == want.tobytes()
 
     def test_bounding_box(self):
         Q = CompactSet((Box([0.0], [1.0]), Box([10.0], [2.0])))
