@@ -7,8 +7,8 @@ instances, and running a quantized sensor/controller loop whose bit rate
 and guarantees can be audited offline.
 """
 
-from .geometry import (Box, CompactSet, GridCover, distance, distance_many,
-                       grid, neighborhood)
+from .geometry import (Box, CompactSet, GridCover, distance_many, grid,
+                       neighborhood)
 from .systems import (BUILTIN_SYSTEMS, ControlSignal, ControlSystem,
                       DomainError, IntegrationBlowupError, Trajectory,
                       divergence, double_integrator, integrate, jacobian_fd,

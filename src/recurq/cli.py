@@ -20,8 +20,8 @@ from .entropy import (CandidateClass, InstanceTooLargeError,
                       build_spanning_instance, lower_bound,
                       min_spanning_cardinality, upper_bound)
 from .geometry import Box, CompactSet, _as_vector
-from .quantized import (GuaranteeViolationError, _typed, bit_rate,
-                        load_step_records,
+from .quantized import (ControllerInvalidError, GuaranteeViolationError,
+                        _typed, bit_rate, load_step_records,
                         reference_controller_double_integrator, replay,
                         run_episode, verify_guarantees)
 from .recurrence import RecurrenceSpec, first_return_time, lipschitz_region
@@ -258,7 +258,11 @@ def _controller(sys_: ControlSystem, Q: CompactSet, tau: float, eps: float):
         raise ConfigError(
             "a validated reference controller is only available for the "
             "double_integrator system")
-    controller = reference_controller_double_integrator(Q, tau, eps)
+    try:
+        controller = reference_controller_double_integrator(Q, tau, eps)
+    except ControllerInvalidError as exc:
+        raise ConfigError(f"the reference controller does not certify Q: "
+                          f"{exc}") from exc
     U, V = sys_.U, controller.sys.U
     if not (np.array_equal(U.lo, V.lo) and np.array_equal(U.hi, V.hi)):
         raise ConfigError(

@@ -52,12 +52,6 @@ class Box:
         x = _as_vector(x, dim=self.dim, name="point")
         return bool(np.all(np.abs(x - self.center) <= self.radius + tol))
 
-    def distance(self, y) -> float:
-        """Infinity-norm distance from a point to this box (0 inside)."""
-        y = _as_vector(y, dim=self.dim, name="point")
-        excess = np.abs(y - self.center) - self.radius
-        return float(max(0.0, np.max(excess)))
-
     def inflate(self, eps: float) -> "Box":
         if eps < 0:
             raise ValueError("inflation must be nonnegative")
@@ -117,13 +111,9 @@ class CompactSet:
         return CompactSet((Box(center, radius),))
 
 
-def distance(y, Q: CompactSet) -> float:
-    """min over the boxes of Q of the infinity-norm point-to-box distance."""
-    return min(b.distance(y) for b in Q.boxes)
-
-
 def distance_many(X: np.ndarray, Q: CompactSet) -> np.ndarray:
-    """Vectorized distance(., Q) over the points along X's last axis."""
+    """Infinity-norm distance to Q (the least over its boxes, 0 inside)
+    of each point along X's last axis; a single point (n,) gives (1,)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     # one scratch array of X's size, reused for every box
     excess = np.empty_like(X)

@@ -90,8 +90,8 @@ def closed_loop(sys: ControlSystem, feedback: Callable, x0, duration: float,
     a batch (B, n); a batch needs a field that indexes the last axis, and
     the field gets (B, m) inputs even from a feedback that returns one
     (m,) input.  Returns the states, shape (K+1,) + x0.shape, K steps.
-    Controller validation and GridMirror.advance march through here;
-    _march_tau_step applies the same clipped feedback to its fragment rows.
+    Controller validation marches through here; _march_tau_step applies
+    the same clipped feedback to its fragment rows.
     """
     x0 = np.array(x0, dtype=float)
     u = np.empty(x0.shape[:-1] + (sys.m,))
@@ -204,9 +204,7 @@ def reference_controller_double_integrator(Q: CompactSet, tau: float,
     sys = double_integrator()
 
     def feedback(x):
-        if x.ndim == 1:  # scalar arithmetic is cheaper for a single state
-            return np.array((min(1.0, max(-1.0, -1.5 * x[1] - x[0])),))
-        # fmin/fmax pass NaN over exactly as Python's min/max do above;
+        # fmax(-1, NaN) is -1, so a NaN state gets the input -1;
         # -1.5*x2 - x1 rounds as -x1 - 1.5*x2 does, with one ufunc fewer
         v = np.fmin(1.0, np.fmax(-1.0, -1.5 * x[..., 1] - x[..., 0]))
         return v[..., None]
@@ -225,30 +223,21 @@ class GridMirror:
     """
 
     def __init__(self, controller: RecurrenceController, S0: Box, eps: float,
-                 tau: float, alpha: float, dt: float):
-        self.controller = controller
+                 tau: float, alpha: float):
         self.tau = tau
         self.alpha = alpha
-        self.dt = dt
         self.granularity_factor = math.exp(-(controller.L_tau + alpha) * tau)
         self.r = eps
         self.S = S0
         self.C = grid(S0, eps * self.granularity_factor)
         self.i = 0
 
-    def advance(self, index: int) -> tuple:
-        """Consume a cell index; return (q, fragment_states)."""
-        q = self.C.center(index)
-        frag = closed_loop(self.controller.sys, self.controller.feedback, q,
-                           self.tau, self.dt)
-        self.step_to(frag[-1])
-        return q, frag
-
     def step_to(self, frag_end: np.ndarray):
         """Center the next ball on the fragment's end and shrink the grid.
 
-        advance() calls this with its own fragment; batched episodes march
-        the fragments of many mirrors together and then call it per mirror.
+        The fragment is the closed loop from this step's cell center over
+        tau; callers march the fragments of many mirrors together and then
+        call this per mirror.
         """
         r_next = self.r * math.exp(-self.alpha * self.tau)
         S_next = Box(frag_end, np.full(self.C.dim, r_next))
@@ -474,7 +463,7 @@ def replay(controller: RecurrenceController, header: dict,
         failures.append("header L_tau and c_star differ from the rebuilt "
                         "controller's")
     mirror = GridMirror(controller, Box(header["Q_center"], header["Q_radius"]),
-                        eps, tau, alpha, dt)
+                        eps, tau, alpha)
     for k, s in enumerate(steps):
         want = mirror.record(log.plant_states[k - 1][-1] if k
                              else header["x0"])
@@ -538,8 +527,8 @@ def run_episodes(sys: ControlSystem, Q: CompactSet,
 
     B = len(x0s)
     box = Q.boxes[0]
-    sensors = [GridMirror(controller, box, eps, tau, a, dt) for a in alphas]
-    receivers = [GridMirror(controller, box, eps, tau, a, dt) for a in alphas]
+    sensors = [GridMirror(controller, box, eps, tau, a) for a in alphas]
+    receivers = [GridMirror(controller, box, eps, tau, a) for a in alphas]
     logs = []
     for x0, alpha, seed in zip(x0s, alphas, seeds):
         config = {"system": sys.name, "Q_center": box.center.tolist(),

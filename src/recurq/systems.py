@@ -36,8 +36,8 @@ class ControlSystem:
     The field takes a state of shape (n,) and an input of shape (m,), or a
     batch of rows of shapes (B, n) and (B, m), indexing the last axis
     (``x[..., 1]``) so that row b of the result depends only on row b of
-    its arguments.  The built-in systems' fields accept both; batched
-    episodes (``run_episodes``) need the batch form.
+    its arguments.  The built-in systems' fields take both through that
+    one form; batched episodes (``run_episodes``) need the batch form.
     """
 
     n: int
@@ -77,10 +77,6 @@ class ControlSignal:
     def total_duration(self) -> float:
         return self.segment_duration * self.values.shape[0]
 
-    @staticmethod
-    def constant(u, duration: float) -> "ControlSignal":
-        return ControlSignal(duration, np.atleast_2d(np.asarray(u, dtype=float)))
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -99,10 +95,6 @@ class Trajectory:
     @property
     def horizon(self) -> float:
         return float(self.times[-1])
-
-    @property
-    def end(self) -> np.ndarray:
-        return self.states[-1]
 
 
 def _check_step_alignment(dt: float, segment_duration: float):
@@ -258,8 +250,6 @@ def double_integrator(u_max: float = 1.0) -> ControlSystem:
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
 
     def field(x, u):
-        if x.ndim == 1:  # scalar indexing is cheaper for a single state
-            return np.array((x[1], u[0]))
         return np.concatenate((x[..., 1:], u), axis=-1)
 
     def jac(x, u):
@@ -273,8 +263,6 @@ def scalar_linear(a: float = 1.0, u_max: float = 2.0) -> ControlSystem:
     """Scalar system x' = a*x + u with |u| <= u_max."""
 
     def field(x, u):
-        if x.ndim == 1:  # scalar indexing is cheaper for a single state
-            return np.array((a * x[0] + u[0],))
         return a * x[..., :1] + u[..., :1]
 
     def jac(x, u):

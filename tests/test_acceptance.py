@@ -14,7 +14,7 @@ import pytest
 
 from recurq import (CandidateClass, CompactSet, ControlSignal, GridMirror,
                     RecurrenceSpec, bit_rate, build_spanning_instance,
-                    containment_radius, double_integrator, encode,
+                    closed_loop, containment_radius, double_integrator, encode,
                     first_return_time, integrate, lipschitz_region,
                     lower_bound, min_spanning_cardinality, scalar_linear,
                     steady_state_cover_size, upper_bound, verify_guarantees)
@@ -280,11 +280,11 @@ class TestCriterion8Properties:
 
     def test_rk4_order_on_exponential(self):
         sys = scalar_linear(a=1.0)
-        u0 = ControlSignal.constant([0.0], 1.0)
+        u0 = ControlSignal(1.0, [[0.0]])
         errs = []
         for dt in (0.1, 0.05, 0.025):
             traj = integrate(sys, [1.0], u0, 1.0, dt)
-            errs.append(abs(traj.end[0] - math.e))
+            errs.append(abs(traj.states[-1][0] - math.e))
         orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert min(orders) >= 3.0
         print(f"\n[criterion 8c] PASS: observed RK4 orders {orders} >= 3")
@@ -319,18 +319,29 @@ class TestCriterion8Properties:
               f"within radius {delta:.3f}")
 
     def test_mirror_state_equality(self, episode_bundle, di_controller):
-        # replay each logged index stream through a fresh mirror and demand
-        # float-identical grid state at every step
-        for alpha, seed, log in episode_bundle["episodes"][:3]:
-            cfg = log.config
-            mirror = GridMirror(di_controller, Q.boxes[0], cfg["eps"],
-                                cfg["tau"], cfg["alpha"], cfg["dt"])
-            for s in log.steps:
+        # replay every logged index stream through fresh mirrors in
+        # lockstep, one closed_loop over the episodes' cell centres per
+        # step, and demand float-identical grid state at every step
+        logs = [log for _, _, log in episode_bundle["episodes"]]
+        tau, dt, steps = (logs[0].config[k] for k in ("tau", "dt", "steps"))
+        assert all(log.config["tau"] == tau and log.config["dt"] == dt
+                   and log.n_steps == steps for log in logs)
+        mirrors = [GridMirror(di_controller, Q.boxes[0], log.config["eps"],
+                              tau, log.config["alpha"]) for log in logs]
+        qs = np.empty((len(logs), Q.dim))
+        for i in range(steps):
+            for b, (mirror, log) in enumerate(zip(mirrors, logs)):
+                s = log.steps[i]
                 assert mirror.C.size == s.cover_size
                 assert mirror.r == s.r
                 assert np.array_equal(mirror.S.center, s.S_center)
                 assert np.array_equal(mirror.S.radius, s.S_radius)
-                q, _ = mirror.advance(s.index)
-                assert np.array_equal(q, s.q)
-        print("\n[criterion 8e] PASS: replayed mirrors float-identical to "
-              "logged sensor state")
+                qs[b] = mirror.C.center(s.index)
+                assert np.array_equal(qs[b], s.q)
+            frags = closed_loop(di_controller.sys, di_controller.feedback, qs,
+                                tau, dt)
+            for b, mirror in enumerate(mirrors):
+                mirror.step_to(frags[-1, b])
+        print(f"\n[criterion 8e] PASS: {len(logs)} episodes replayed in "
+              f"lockstep, mirrors float-identical to logged sensor state at "
+              f"all {steps} steps")

@@ -452,6 +452,34 @@ class TestSimulateVerify:
         assert line.startswith("config error:") and "log_path" in line
         assert done.stdout == "" and not (tmp_path / "ep.csv").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_uncertified_Q_is_config_error(self, sim, tmp_path, command):
+        # from (5, 5) the reference feedback takes about 12 s to return to
+        # this Q, so its validation sweep rejects tau = 2: a config error,
+        # not a traceback, whether Q comes from a config or a log header
+        _, _, log_path, _, text = sim
+        far = {"center": [5.0, 5.0], "radius": [0.1, 0.1]}
+        if command == "simulate":
+            cfg = yaml.safe_load(text)
+            cfg.update(Q=[far], x0=[5.0, 5.0])
+            path = tmp_path / "far.yaml"
+            path.write_text(yaml.safe_dump(cfg))
+            args = ["--config", str(path), "simulate"]
+        else:
+            header, *steps = log_path.read_text().splitlines()
+            header = dict(json.loads(header), Q_center=far["center"],
+                          Q_radius=far["radius"])
+            log_path.write_text("\n".join([json.dumps(header)] + steps) + "\n")
+            args = ["verify", str(log_path)]
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-m", "recurq.cli", *args],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_CONFIG
+        assert "Traceback" not in done.stderr
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("config error:") and "certify Q" in line
+
     def test_verify_clean_log(self, sim, tmp_path):
         code, recs, log_path, _, text = sim
         code, recs = run(tmp_path, text, "verify", str(log_path))

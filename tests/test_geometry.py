@@ -5,10 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recurq import (Box, CompactSet, distance, distance_many, grid,
-                    neighborhood)
+from recurq import Box, CompactSet, distance_many, grid, neighborhood
 
 UNIT_SQUARE = CompactSet.box([0.0, 0.0], [1.0, 1.0])
+
+
+def point_distance(y, Q):
+    """Oracle of distance_many for one point, in Python floats: the least
+    over Q's boxes of the largest excess of |y - center| over the radius,
+    and 0 inside."""
+    return min(max(0.0, *(abs(v - c) - r for v, c, r in zip(
+        y, b.center.tolist(), b.radius.tolist()))) for b in Q.boxes)
 
 
 class TestBox:
@@ -26,10 +33,11 @@ class TestBox:
         assert b.contains([1.0 + 1e-9], tol=1e-8)
 
     def test_distance_values(self):
-        b = Box([0.0, 0.0], [1.0, 1.0])
-        assert b.distance([0.3, -0.7]) == 0.0
-        assert b.distance([2.0, 0.0]) == 1.0
-        assert b.distance([2.0, 3.0]) == 2.0  # max norm, not euclidean
+        Q = CompactSet.box([0.0, 0.0], [1.0, 1.0])
+        # max norm, not euclidean
+        X = [[0.3, -0.7], [2.0, 0.0], [2.0, 3.0]]
+        assert distance_many(X, Q).tolist() == [0.0, 1.0, 2.0]
+        assert [point_distance(x, Q) for x in X] == [0.0, 1.0, 2.0]
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
@@ -55,9 +63,9 @@ class TestBox:
 class TestCompactSet:
     def test_distance_is_min_over_boxes(self):
         Q = CompactSet((Box([0.0], [1.0]), Box([10.0], [1.0])))
-        assert distance([5.0], Q) == 4.0
-        assert distance([8.5], Q) == 0.5
-        assert distance([0.5], Q) == 0.0
+        assert distance_many([[5.0], [8.5], [0.5]], Q).tolist() == [
+            4.0, 0.5, 0.0]
+        assert distance_many([5.0], Q).tolist() == [4.0]
 
     def test_distance_many_matches_scalar(self):
         Q = CompactSet((Box([0.0, 0.0], [1.0, 0.5]), Box([3.0, 3.0], [0.5, 0.5])))
@@ -65,7 +73,7 @@ class TestCompactSet:
         X = rng.uniform(-5, 5, size=(200, 2))
         vec = distance_many(X, Q)
         for x, d in zip(X, vec):
-            assert d == pytest.approx(distance(x, Q), abs=0.0)
+            assert d == point_distance(x.tolist(), Q)
 
     @pytest.mark.parametrize("shape", [(2,), (40, 2), (11, 7, 2), (1,),
                                        (40, 1), (40, 3), (11, 7, 4)])
@@ -112,7 +120,8 @@ class TestCompactSet:
 def test_neighborhood_distance_duality(y, eps):
     # d(y, Q) <= eps  iff  y in the eps-neighborhood (exact in the max norm)
     inside = neighborhood(UNIT_SQUARE, eps).contains(y)
-    assert inside == (distance(y, UNIT_SQUARE) <= eps)
+    assert inside == (point_distance(y, UNIT_SQUARE) <= eps)
+    assert inside == (distance_many(y, UNIT_SQUARE)[0] <= eps)
 
 
 class TestGridCover:

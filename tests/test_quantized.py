@@ -109,15 +109,18 @@ class TestReferenceFeedback:
         def scalar(x):
             return np.array((min(1.0, max(-1.0, -x[0] - 1.5 * x[1])),))
 
+        # bit for bit: (0, 0) gives -0.0 and (-0, 0) gives 0.0
         X = np.array([[0.3, -0.8], [2.0, 1.0], [-2.0, -1.0], [0.5, 0.0],
-                      [-1.0, 0.0], [np.nan, 0.0], [np.inf, 0.0]])
+                      [-1.0, 0.0], [0.0, 0.0], [-0.0, 0.0], [np.nan, 0.0],
+                      [np.inf, 0.0]])
         batch = di_controller.feedback(X)
         assert batch.shape == (len(X), 1)
         for x, u in zip(X, batch):
             single = di_controller.feedback(x)
             assert single.shape == (1,)
-            assert np.array_equal(single, scalar(x), equal_nan=True)
-            assert np.array_equal(u, single, equal_nan=True)
+            for got in (u, single):
+                assert np.array_equal(got, scalar(x), equal_nan=True)
+                assert np.signbit(got) == np.signbit(scalar(x))
 
 
 class TestController:
@@ -226,38 +229,45 @@ class TestExcursionTails:
         assert float(done.stdout) < 5.0
 
 
+def fragments(controller, Q0):
+    """The closed-loop fragments over tau = 2 from the centres Q0 (B, n)."""
+    return closed_loop(controller.sys, controller.feedback, Q0, 2.0, 0.01)
+
+
 class TestGridMirror:
     def test_initial_cover_is_benchmark_size(self, di_controller):
         m = GridMirror(di_controller, UNIT_SQUARE.boxes[0], eps=0.1, tau=2.0,
-                       alpha=0.0, dt=0.01)
+                       alpha=0.0)
         assert m.C.size == 5476
         assert len(encode(0, m.C.size)) == 13
 
     def test_steady_cover_sizes(self, di_controller):
         for alpha, expect in ((0.0, 64), (0.5, 441)):
             m = GridMirror(di_controller, UNIT_SQUARE.boxes[0], eps=0.1,
-                           tau=2.0, alpha=alpha, dt=0.01)
-            m.advance(0)
+                           tau=2.0, alpha=alpha)
+            m.step_to(fragments(di_controller, [m.C.center(0)])[-1, 0])
             assert m.C.size == expect
             assert expect == steady_state_cover_size(2, 1.0, alpha, 2.0)
 
     def test_radius_contraction(self, di_controller):
         m = GridMirror(di_controller, UNIT_SQUARE.boxes[0], eps=0.1, tau=2.0,
-                       alpha=0.5, dt=0.01)
-        m.advance(0)
+                       alpha=0.5)
+        m.step_to(fragments(di_controller, [m.C.center(0)])[-1, 0])
         assert m.r == pytest.approx(0.1 * math.exp(-1.0), rel=1e-15)
 
     def test_mirrors_stay_identical(self, di_controller):
-        a = GridMirror(di_controller, UNIT_SQUARE.boxes[0], 0.1, 2.0, 0.1, 0.01)
-        b = GridMirror(di_controller, UNIT_SQUARE.boxes[0], 0.1, 2.0, 0.1, 0.01)
+        a = GridMirror(di_controller, UNIT_SQUARE.boxes[0], 0.1, 2.0, 0.1)
+        b = GridMirror(di_controller, UNIT_SQUARE.boxes[0], 0.1, 2.0, 0.1)
         rng = np.random.default_rng(3)
         for _ in range(5):
             idx = int(rng.integers(0, a.C.size))
-            qa, fa = a.advance(idx)
-            qb, fb = b.advance(idx)
+            qa, qb = a.C.center(idx), b.C.center(idx)
+            frags = fragments(di_controller, [qa, qb])
+            a.step_to(frags[-1, 0])
+            b.step_to(frags[-1, 1])
             assert a.state_signature() == b.state_signature()
             assert np.array_equal(qa, qb)
-            assert np.array_equal(fa, fb)
+            assert np.array_equal(frags[:, 0], frags[:, 1])
 
 
 @pytest.fixture(scope="module")
@@ -424,7 +434,7 @@ class TestEpisodeBatch:
 
         sys = ControlSystem(n=2, m=1, U=base.U, field=cliff, name="cliff")
         with pytest.raises(IntegrationBlowupError) as alone:
-            integrate(sys, x0s[-1], ControlSignal.constant([0.0], 2.0), 2.0,
+            integrate(sys, x0s[-1], ControlSignal(2.0, [[0.0]]), 2.0,
                       0.01)
         with pytest.raises(IntegrationBlowupError) as batch:
             run_episodes(sys, UNIT_SQUARE, di_controller, x0s, 0.1, 2.0,

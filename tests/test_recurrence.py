@@ -21,7 +21,7 @@ UNIT_SQUARE = CompactSet.box([0.0, 0.0], [1.0, 1.0])
 def corner_trajectory(horizon=4.0, dt=0.01):
     """Double integrator from (1,1) under u = -1: leaves Q, returns at t=2."""
     sys = double_integrator()
-    return integrate(sys, [1.0, 1.0], ControlSignal.constant([-1.0], horizon),
+    return integrate(sys, [1.0, 1.0], ControlSignal(horizon, [[-1.0]]),
                      horizon, dt)
 
 
@@ -51,7 +51,7 @@ class TestIsRecurrent:
 
     def test_never_visiting(self):
         sys = double_integrator()
-        traj = integrate(sys, [5.0, 0.0], ControlSignal.constant([1.0], 4.0),
+        traj = integrate(sys, [5.0, 0.0], ControlSignal(4.0, [[1.0]]),
                          4.0, 0.01)
         for tau in (1.0, 4.0):
             # at tau = T the no-visit stretch is infinite, so it still fails
@@ -63,7 +63,7 @@ class TestIsRecurrent:
         # leaves Q when x2 crosses 1 at t=1, never returns: witness is the
         # last visit
         sys = double_integrator()
-        traj = integrate(sys, [0.0, 0.0], ControlSignal.constant([1.0], 6.0),
+        traj = integrate(sys, [0.0, 0.0], ControlSignal(6.0, [[1.0]]),
                          6.0, 0.01)
         ok, witness = is_recurrent(traj, RecurrenceSpec(UNIT_SQUARE, tau=2.0, T=6.0))
         assert not ok
@@ -201,7 +201,7 @@ class TestIsInvariant:
 
     def test_interior_stays(self):
         sys = double_integrator()
-        traj = integrate(sys, [0.0, 0.0], ControlSignal.constant([0.0], 4.0),
+        traj = integrate(sys, [0.0, 0.0], ControlSignal(4.0, [[0.0]]),
                          4.0, 0.01)
         ok, t = is_invariant(traj, UNIT_SQUARE, 0.0, 4.0)
         assert ok and t is None

@@ -20,18 +20,13 @@ class TestControlSignal:
         # integrate's steps do; 3.0 is clamped to the last segment
         assert _segment_of(sig, times).tolist() == [0, 0, 1, 1, 2, 2]
 
-    def test_constant_helper(self):
-        sig = ControlSignal.constant([-1.0], 4.0)
-        assert sig.total_duration == 4.0
-        np.testing.assert_array_equal(sig.values, [[-1.0]])
-
 
 class TestRK4:
     def test_exact_on_quadratic_solutions(self):
         # double integrator with constant input has polynomial solutions of
         # degree 2, which RK4 reproduces to rounding error
         sys = double_integrator()
-        traj = integrate(sys, [1.0, 1.0], ControlSignal.constant([-1.0], 5.0),
+        traj = integrate(sys, [1.0, 1.0], ControlSignal(5.0, [[-1.0]]),
                          4.0, 0.05)
         t = traj.times
         exact = np.stack([1.0 + t - 0.5 * t**2, 1.0 - t], axis=-1)
@@ -40,11 +35,11 @@ class TestRK4:
     def test_convergence_order_on_exponential(self):
         # x' = x, x(1) = e; the error must shrink by ~2^4 per halving
         sys = scalar_linear(a=1.0)
-        u0 = ControlSignal.constant([0.0], 1.0)
+        u0 = ControlSignal(1.0, [[0.0]])
 
         def err(dt):
             traj = integrate(sys, [1.0], u0, 1.0, dt)
-            return abs(traj.end[0] - math.e)
+            return abs(traj.states[-1][0] - math.e)
 
         e1, e2 = err(0.05), err(0.025)
         order = math.log2(e1 / e2)
@@ -55,8 +50,8 @@ class TestRK4:
         sys = scalar_linear(a=1.0)
         x1 = march(sys.field, np.array([1.0]), 0.1, horizon=0.1,
                    input_at=lambda k, x: np.array([0.5]))[-1]
-        traj = integrate(sys, [1.0], ControlSignal.constant([0.5], 0.1), 0.1, 0.1)
-        np.testing.assert_allclose(traj.end, x1, rtol=0, atol=0)
+        traj = integrate(sys, [1.0], ControlSignal(0.1, [[0.5]]), 0.1, 0.1)
+        np.testing.assert_allclose(traj.states[-1], x1, rtol=0, atol=0)
 
 
 def check_finite_oracle(x, t):
@@ -219,16 +214,16 @@ class TestTimeGrid:
 class TestIntegrate:
     def test_zero_horizon(self):
         sys = double_integrator()
-        traj = integrate(sys, [0.2, -0.3], ControlSignal.constant([0.0], 1.0),
+        traj = integrate(sys, [0.2, -0.3], ControlSignal(1.0, [[0.0]]),
                          0.0, 0.1)
         assert traj.horizon == 0.0
         np.testing.assert_allclose(traj.states, [[0.2, -0.3]])
 
     def test_partial_final_step(self):
         sys = scalar_linear(a=1.0)
-        traj = integrate(sys, [1.0], ControlSignal.constant([0.0], 1.0), 0.55, 0.1)
+        traj = integrate(sys, [1.0], ControlSignal(1.0, [[0.0]]), 0.55, 0.1)
         assert traj.times[-1] == pytest.approx(0.55)
-        assert traj.end[0] == pytest.approx(math.exp(0.55), rel=1e-6)
+        assert traj.states[-1][0] == pytest.approx(math.exp(0.55), rel=1e-6)
 
     def test_dt_must_divide_segment(self):
         # the boundary at t = 1 lies inside the horizon
@@ -247,13 +242,14 @@ class TestIntegrate:
         np.testing.assert_allclose(traj.times, times, rtol=0, atol=1e-15)
         # RK4 is exact on the quadratic flow of one held input
         np.testing.assert_allclose(
-            traj.end, [0.2 + 0.5 * horizon - horizon**2 / 2, 0.5 - horizon],
+            traj.states[-1],
+            [0.2 + 0.5 * horizon - horizon**2 / 2, 0.5 - horizon],
             rtol=0, atol=1e-12)
 
     def test_horizon_beyond_signal_rejected(self):
         sys = double_integrator()
         with pytest.raises(ValueError):
-            integrate(sys, [0.0, 0.0], ControlSignal.constant([0.0], 1.0),
+            integrate(sys, [0.0, 0.0], ControlSignal(1.0, [[0.0]]),
                       2.0, 0.1)
 
     def test_blowup_detected(self):
@@ -261,7 +257,7 @@ class TestIntegrate:
             n=1, m=1, U=Box([0.0], [1.0]),
             field=lambda x, u: np.array((x[0] ** 3,)), name="cubic")
         with pytest.raises(IntegrationBlowupError) as exc:
-            integrate(cubic, [5.0], ControlSignal.constant([0.0], 10.0),
+            integrate(cubic, [5.0], ControlSignal(10.0, [[0.0]]),
                       10.0, 0.01)
         assert 0.0 < exc.value.t <= 10.0
 
@@ -288,7 +284,7 @@ class TestIntegrate:
     def test_batch_blowup_names_row(self):
         cubic = ControlSystem(n=1, m=1, U=Box([0.0], [1.0]),
                               field=lambda x, u: x ** 3, name="cubic")
-        sig = ControlSignal.constant([0.0], 10.0)
+        sig = ControlSignal(10.0, [[0.0]])
         with pytest.raises(IntegrationBlowupError) as alone:
             integrate(cubic, [5.0], sig, 10.0, 0.01)
         batch_sig = ControlSignal(10.0, np.zeros((1, 2, 1)))
@@ -298,20 +294,34 @@ class TestIntegrate:
         assert batch.value.t == alone.value.t
 
 
+#: each built-in field of one state, in Python floats: the oracle of the
+#: array form that serves a state (n,) and a batch (B, n) alike
+SCALAR_FIELDS = {"double_integrator": lambda x, u: (x[1], u[0]),
+                 "scalar_linear(a=1.5)": lambda x, u: (1.5 * x[0] + u[0],)}
+
+
 class TestBuiltinFields:
     @pytest.mark.parametrize("sys, X, U", [
-        (double_integrator(), [[0.3, -0.8], [1.0, 2.5], [-0.1, 0.0]],
-         [[1.0], [-0.4], [0.0]]),
-        (scalar_linear(a=1.5), [[0.3], [-2.0], [7.0]], [[2.0], [0.1], [-1.0]]),
+        (double_integrator(),
+         [[0.3, -0.8], [1.0, 2.5], [-0.1, 0.0], [-0.0, -0.0],
+          [np.nan, np.inf], [-np.inf, np.nan]],
+         [[1.0], [-0.4], [0.0], [-0.0], [np.nan], [np.inf]]),
+        (scalar_linear(a=1.5),
+         [[0.3], [-2.0], [7.0], [-0.0], [np.nan], [np.inf], [-np.inf]],
+         [[2.0], [0.1], [-1.0], [-0.0], [1.0], [1.0], [0.0]]),
     ])
     def test_batch_rows_match_single_calls(self, sys, X, U):
+        # bit for bit, so -0.0 (by its sign bit), NaN and inf rows count
         X, U = np.array(X), np.array(U)
         batch = sys.field(X, U)
         assert batch.shape == X.shape
         for x, u, row in zip(X, U, batch):
+            want = np.array(SCALAR_FIELDS[sys.name](x.tolist(), u.tolist()))
             single = sys.field(x, u)
             assert single.shape == (sys.n,)
-            assert np.array_equal(single, row)
+            for got in (row, single):
+                assert np.array_equal(got, want, equal_nan=True)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_double_integrator_batch_is_c_contiguous(self):
         X = np.array([[0.3, -0.8], [1.0, 2.5], [-0.1, -0.0]])
