@@ -9,17 +9,12 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import Box, CompactSet, grid, neighborhood
-from .recurrence import RecurrenceSpec, is_invariant, is_recurrent
-from .systems import ControlSignal, ControlSystem, divergence, integrate
+from . import systems
+from .geometry import Box, CompactSet, distance_many, grid, neighborhood
+from .recurrence import _MEMBERSHIP_TOL, RecurrenceSpec, _gap_witness
+from .systems import ControlSignal, ControlSystem, divergence, time_grid
 
 LN2 = math.log(2.0)
-
-#: rows of one spanning-build march; a pass over the benchmark family took
-#: 0.27, 0.18, 0.19, 0.15 and 0.16 s at 256, 512, 1024, 1296 and 2048 rows
-#: (medians of 9); 512 is kept to bound a march's memory, though 1296 rows,
-#: one batch for the family's largest instance, was about 17% faster
-_BATCH_ROWS = 512
 
 
 class InstanceTooLargeError(ValueError):
@@ -99,9 +94,9 @@ class CandidateClass:
 class SpanningInstance:
     """Feasibility matrix of candidate controls against initial points.
 
-    feasibility[j, i] is True when candidate j makes the trajectory from
-    initial point i (T, eps, tau, Q)-recurrent, reproduced exactly by
-    simulation.
+    feasibility[j, i] is True when candidate j, in itertools.product order
+    of the input values, makes the trajectory from initial point i
+    (T, eps, tau, Q)-recurrent, exactly as that row marched alone.
     """
 
     initial_points: np.ndarray
@@ -132,7 +127,15 @@ def build_spanning_instance(sys: ControlSystem, Q: CompactSet,
                             dt: Optional[float] = None,
                             max_candidates: int = 24,
                             max_points: int = 64) -> SpanningInstance:
-    """Enumerate candidates and fill the feasibility matrix by simulation."""
+    """Enumerate candidates and fill the feasibility matrix by simulation.
+
+    Marches the candidate tree a segment per level, row (prefix*V + v)*P + p
+    holding value v from point p, and stops marching a row once its mask of
+    samples near Q, unmarched ones counted as visits, already fails.  So a
+    dead row's later blow-up raises nothing; IntegrationBlowupError names a
+    time on time_grid(T, dt) and that row index.  With more than one
+    segment, dt must divide the segment duration.
+    """
     T = spec.T
     if not math.isfinite(T):
         raise ValueError("spanning instances need a finite horizon T")
@@ -142,35 +145,45 @@ def build_spanning_instance(sys: ControlSystem, Q: CompactSet,
     n_seg = candidate_class._segments(T)
     points = initial_point_grid(Q, init_delta)
     # counted before any candidate is built
-    n_cand = len(candidate_class.input_values(sys.U)) ** n_seg
+    values = candidate_class.input_values(sys.U)
+    n_cand = len(values) ** n_seg
     if n_cand > max_candidates or len(points) > max_points:
         raise InstanceTooLargeError(
             f"{n_cand} candidates x {len(points)} points exceeds "
             f"caps {max_candidates} x {max_points}")
     candidates = candidate_class.signals(sys.U, T)
-    if dt is None:
-        base = spec.tau / 20 if spec.tau > 0 else candidate_class.segment_duration / 20
-        # snap to an exact divisor of the segment duration
-        k = max(1, int(round(candidate_class.segment_duration / base)))
-        dt = candidate_class.segment_duration / k
-    n_pts = len(points)
-    # c whole candidates from every initial point per march, rows
-    # candidate-major; rows never mix, so each verdict is the one of its
-    # row marched alone
-    per_batch = max(1, _BATCH_ROWS // n_pts)
-    values = np.stack([sig.values for sig in candidates], axis=1)
-    feas = np.empty((len(candidates), n_pts), dtype=bool)
-    for start in range(0, len(candidates), per_batch):
-        chunk = values[:, start:start + per_batch]
-        c = chunk.shape[1]
-        batch = integrate(sys, np.tile(points, (c, 1)),
-                          ControlSignal(candidate_class.segment_duration,
-                                        np.repeat(chunk, n_pts, axis=1)),
-                          T, dt)
-        verdicts = (is_recurrent(batch, spec) if spec.tau > 0
-                    else is_invariant(batch, spec.Q, spec.eps, T))
-        feas[start:start + c] = np.reshape([ok for ok, _ in verdicts],
-                                           (c, n_pts))
+    S, P, V = candidate_class.segment_duration, len(points), len(values)
+    if dt is None:  # the divisor of S nearest tau/20, or S/20 for invariance
+        dt = S / max(1, round(S / ((spec.tau or S) / 20)))
+    h = S if n_seg > 1 else T  # one segment may end on a partial step
+    times, (seg_times, n_full) = time_grid(T, dt)[0], time_grid(h, dt)
+    steps = len(seg_times) - 1
+    if n_seg > 1 and not steps == n_full == (len(times) - 1) / n_seg:
+        # integrate's rule: whole steps in every segment, tiling times
+        raise ValueError(f"dt={dt} must divide the segment duration {S} evenly")
+    T = min(T, float(times[-1]))
+    near = np.ones((len(times), P), dtype=bool)
+    near[0] = distance_many(points, spec.Q) <= spec.eps + _MEMBERSHIP_TOL
+    live, x = np.arange(P), points
+    for d in range(n_seg):
+        parent, v = np.divmod(np.arange(len(live) * V), V)
+        live = (live[parent] // P * V + v) * P + live[parent] % P
+        lo, u = d * steps, values[v]
+        try:
+            states = systems.march(sys.field, x[parent], dt, h,
+                                   lambda *_: u, finite_rows=slice(None))
+        except systems.IntegrationBlowupError as err:  # time on the full grid
+            raise systems.IntegrationBlowupError(times[lo + np.searchsorted(
+                seg_times, err.t)], int(live[err.row])) from None
+        near = near[:, parent]
+        near[lo + 1:lo + steps + 1] = (distance_many(states[1:], spec.Q)
+                                       <= spec.eps + _MEMBERSHIP_TOL)
+        ok = (_gap_witness(near, times, T, spec.tau) == math.inf if spec.tau > 0
+              else np.all(near, axis=0,
+                          where=(times <= T + _MEMBERSHIP_TOL)[:, None]))
+        live, x, near = live[ok], states[-1, ok], near[:, ok]
+    feas = np.zeros((len(candidates), P), dtype=bool)
+    feas.flat[live] = True
     return SpanningInstance(initial_points=points, candidates=tuple(candidates),
                             feasibility=feas, spec=spec)
 

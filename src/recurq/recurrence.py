@@ -64,11 +64,36 @@ def _visit_gaps(visits: np.ndarray, t0: float, T: float) -> tuple:
     return np.append(visits, T) - starts, starts
 
 
-def _check_resolution(traj: Trajectory, tau: float):
-    if tau > 0 and len(traj.times) > 1 and traj.dt > tau / 10 + 1e-12:
-        raise ResolutionError(
-            f"sample step {traj.dt} too coarse for tau={tau}; need dt <= tau/10"
-        )
+def _gap_witness(near: np.ndarray, times: np.ndarray, T: float, tau: float):
+    """Start of the first violating gap of _visit_gaps in each column of the
+    (K+1, B) mask of samples near Q (none past T), inf where none; adding
+    visits to a column never turns its inf into a start."""
+    if tau > 0 and len(times) > 1 and times[1] - times[0] > tau / 10 + 1e-12:
+        raise ResolutionError(f"sample step {times[1] - times[0]} too coarse "
+                              f"for tau={tau}; need dt <= tau/10")
+    limit = tau + _MEMBERSHIP_TOL
+    visited = near & (times <= T + _MEMBERSHIP_TOL)[:, None]
+    # last[k, b]: row b's last visit at or before sample k, or -1
+    last = np.where(visited, np.arange(len(times), dtype=np.int32)[:, None], -1)
+    np.maximum.accumulate(last, axis=0, out=last)
+    # the gap ending at visit k starts at times[prev[k - 1]] (a first visit
+    # reads times[-1]: gap <= 0); it fails only if it starts before T - tau
+    prev = last[:-1]
+    gaps = times[prev]
+    inner = gaps < T - tau - _MEMBERSHIP_TOL
+    inner &= np.subtract(times[1:, None], gaps, out=gaps) > limit
+    inner &= visited[1:]
+    # the earliest failing start: an interior gap, or the tail and the head
+    # (0), which fail on length alone; no visit is an infinite head.  take's
+    # default mode would buffer out=; "wrap" reads -1 as indexing does
+    witness = np.min(np.take(times, prev, out=gaps, mode="wrap"), axis=0,
+                     where=inner, initial=math.inf)
+    seen = last[-1] >= 0
+    np.minimum(witness, times[last[-1]], out=witness,
+               where=seen & (T - times[last[-1]] > limit))
+    witness[np.where(seen, times[np.argmax(visited, axis=0)], math.inf)
+            > limit] = 0.0
+    return witness
 
 
 def is_recurrent(traj: Trajectory, spec: RecurrenceSpec):
@@ -83,33 +108,10 @@ def is_recurrent(traj: Trajectory, spec: RecurrenceSpec):
     T = min(spec.T, traj.horizon)
     if traj.horizon + 1e-9 < spec.T and math.isfinite(spec.T):
         raise ValueError("trajectory shorter than the requested horizon T")
-    _check_resolution(traj, spec.tau)
-    times, limit = traj.times, spec.tau + _MEMBERSHIP_TOL
-    visited = (distance_many(traj.states, spec.Q).reshape(len(times), -1)
-               <= spec.eps + _MEMBERSHIP_TOL)
-    visited &= (times <= T + _MEMBERSHIP_TOL)[:, None]
-    # last[k, b]: row b's last visit at or before sample k, or -1
-    last = np.where(visited, np.arange(len(times), dtype=np.int32)[:, None], -1)
-    np.maximum.accumulate(last, axis=0, out=last)
-    # the gap ending at visit k starts at times[prev[k - 1]] (a first visit
-    # reads times[-1]: gap <= 0); it fails only if it starts before T - tau
-    prev = last[:-1]
-    gaps = times[prev]
-    inner = gaps < T - spec.tau - _MEMBERSHIP_TOL
-    inner &= np.subtract(times[1:, None], gaps, out=gaps) > limit
-    inner &= visited[1:]
-    # the earliest failing start: an interior gap, or the tail and the head
-    # (0), which fail on length alone; no visit is an infinite head.  take's
-    # default mode would buffer out=; "wrap" reads -1 as indexing does
-    witness = np.min(np.take(times, prev, out=gaps, mode="wrap"), axis=0,
-                     where=inner, initial=math.inf)
-    seen = last[-1] >= 0
-    np.minimum(witness, times[last[-1]], out=witness,
-               where=seen & (T - times[last[-1]] > limit))
-    witness[np.where(seen, times[np.argmax(visited, axis=0)], math.inf)
-            > limit] = 0.0
+    near = (distance_many(traj.states, spec.Q).reshape(len(traj.times), -1)
+            <= spec.eps + _MEMBERSHIP_TOL)
     verdicts = [(True, None) if w == math.inf else (False, w)
-                for w in witness.tolist()]
+                for w in _gap_witness(near, traj.times, T, spec.tau).tolist()]
     return verdicts[0] if traj.states.ndim == 2 else verdicts
 
 

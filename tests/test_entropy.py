@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from recurq import entropy, systems
 from recurq import (Box, CandidateClass, CompactSet, ControlSignal,
-                    InstanceTooLargeError, RecurrenceSpec, SpanningInstance,
+                    ControlSystem, InstanceTooLargeError,
+                    IntegrationBlowupError, ResolutionError, RecurrenceSpec, SpanningInstance,
                     build_spanning_instance, dim_box_counting, double_integrator,
                     greedy_cover, initial_point_grid,
                     integrate, is_invariant, is_recurrent, lower_bound,
@@ -159,6 +160,42 @@ def test_exact_cover_matches_brute_force(seed, n_cand, n_pts):
         assert len(g) >= r
 
 
+def counted_rows(monkeypatch):
+    """(rows, horizon) of every systems.march call from here on."""
+    calls, march = [], systems.march
+
+    def counted(field, x0, dt, horizon, *args, **kwargs):
+        calls.append((len(x0), horizon))
+        return march(field, x0, dt, horizon, *args, **kwargs)
+
+    monkeypatch.setattr(systems, "march", counted)
+    return calls
+
+
+def assert_matches_per_candidate_loop(sys, inst, spec, dt):
+    """The build the tree replaced: one integrate per candidate from every
+    initial point, then is_recurrent, or is_invariant for tau = 0."""
+    points = inst.initial_points
+    for j, sig in enumerate(inst.candidates):
+        held = np.repeat(sig.values[:, None], len(points), axis=1)
+        batch = integrate(sys, points, ControlSignal(sig.segment_duration,
+                                                     held), spec.T, dt)
+        verdicts = (is_recurrent(batch, spec) if spec.tau > 0 else
+                    is_invariant(batch, spec.Q, spec.eps, spec.T))
+        assert inst.feasibility[j].tolist() == [ok for ok, _ in verdicts], j
+
+
+def square_field(x, u):
+    return x[..., :1] ** 2 + u[..., :1]
+
+
+#: x' = x^2 + u with u = 0: from x0 = 0.5, x = 1/(2 - t) leaves [0, 1] at
+#: t = 1 and blows up at t = 2
+SQUARE = ControlSystem(n=1, m=1, U=Box([0.0], [0.0]), field=square_field,
+                       name="square")
+SEGMENT_Q = CompactSet.box([0.5], [0.5])  # [0, 1]
+
+
 class TestBuildInstance:
     def test_feasibility_matches_direct_check(self):
         sys = double_integrator()
@@ -193,38 +230,26 @@ class TestBuildInstance:
                     ok, _ = is_invariant(traj, UNIT_SQUARE, 0.1, 4.0)
                 assert inst.feasibility[j, i] == ok, (j, i)
 
-    @pytest.mark.parametrize("tau", [2.0, 0.0])
-    def test_batches_match_per_candidate_loop(self, tau, monkeypatch):
-        # T = 8: 81 candidates x 16 points span several batches, the last
-        # one partial
+    @pytest.mark.parametrize("tau, level_rows", [
+        (2.0, [48, 144, 252, 282]), (0.0, [48, 84, 78, 102])],
+        ids=["2.0", "0.0"])
+    def test_tree_matches_per_candidate_loop(self, tau, level_rows,
+                                             monkeypatch):
+        # T = 8: 81 candidates x 16 points over four 2 s segments
         sys = double_integrator()
         # eps = 1 leaves both kinds of cell in the invariance instance too
         spec = RecurrenceSpec(UNIT_SQUARE, tau=tau, eps=1.0, T=8.0)
         cc = CandidateClass(values_per_axis=3, segment_duration=2.0)
-        rows = []
-
-        def counted(field, x0, *args, **kwargs):
-            rows.append(len(x0))
-            return march(field, x0, *args, **kwargs)
-
-        march = systems.march
-        monkeypatch.setattr(systems, "march", counted)
+        rows = counted_rows(monkeypatch)
         inst = build_spanning_instance(sys, UNIT_SQUARE, spec, 0.25, cc,
                                        dt=0.05, max_candidates=128)
         monkeypatch.undo()
-        per_batch = entropy._BATCH_ROWS // 16
-        assert 1 < math.ceil(81 / per_batch) and 81 % per_batch
-        assert rows == [16 * per_batch] * (81 // per_batch) + [16 * (81 % per_batch)]
+        # one march per level, each over one segment, from the live rows:
+        # 3 children of each row that level d - 1 left alive
+        assert rows == [(n, 2.0) for n in level_rows]
         assert inst.feasibility.shape == (81, 16)
         assert inst.feasibility.any() and not inst.feasibility.all()
-        # the build it replaces: one integrate per candidate
-        points = inst.initial_points
-        for j, sig in enumerate(inst.candidates):
-            held = np.repeat(sig.values[:, None], len(points), axis=1)
-            batch = integrate(sys, points, ControlSignal(2.0, held), 8.0, 0.05)
-            verdicts = (is_recurrent(batch, spec) if tau > 0 else
-                        is_invariant(batch, UNIT_SQUARE, 1.0, 8.0))
-            assert inst.feasibility[j].tolist() == [ok for ok, _ in verdicts], j
+        assert_matches_per_candidate_loop(sys, inst, spec, 0.05)
 
     def test_benchmark_family_pinned(self):
         # the 24 (T, eps, tau) instances of the benchmark's spanning
@@ -303,3 +328,109 @@ class TestBuildInstance:
         with pytest.raises(ValueError):
             build_spanning_instance(sys, UNIT_SQUARE, spec, 0.5, cc)
 
+
+
+class TestCandidateTree:
+    @given(scalar=st.booleans(), dt=st.sampled_from([0.025, 1 / 30, 0.1 / 3]),
+           n_seg=st.integers(1, 4), segment=st.sampled_from([0.5, 1.0, 0.7]),
+           values=st.integers(2, 3), eps=st.sampled_from([0.0, 0.05, 0.2]),
+           a=st.sampled_from([-1.0, 0.5, 1.0]), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_candidate_loop(self, scalar, dt, n_seg, segment,
+                                        values, eps, a, data):
+        # 0.7 is no multiple of any dt: kept for one segment, which then
+        # ends on a partial step
+        if n_seg > 1 and segment == 0.7:
+            segment = 0.5
+        T = n_seg * segment
+        # tau = 0 builds an invariance instance; every tau > 0 is >= 10 dt
+        tau = data.draw(st.sampled_from(
+            [t for t in (0.0, 0.35, 0.5, 0.8, 1.2) if t <= T]))
+        if scalar:
+            sys, Q, delta = scalar_linear(a=a), CompactSet.box([0.0], [1.0]), 0.25
+        else:
+            sys, Q, delta = double_integrator(), UNIT_SQUARE, 0.5
+        spec = RecurrenceSpec(Q, tau=tau, eps=eps, T=T)
+        cc = CandidateClass(values_per_axis=values, segment_duration=segment)
+        inst = build_spanning_instance(sys, Q, spec, delta, cc, dt=dt,
+                                       max_candidates=81)
+        assert inst.feasibility.shape == (values ** n_seg,
+                                          len(inst.initial_points))
+        assert_matches_per_candidate_loop(sys, inst, spec, dt)
+
+    def test_blowup_names_time_on_full_grid(self):
+        # tau = T keeps the row alive after it leaves Q at t = 1, so the
+        # second segment's march blows up; integrate names the same time
+        spec = RecurrenceSpec(SEGMENT_Q, tau=4.0, eps=0.0, T=4.0)
+        cc = CandidateClass(values_per_axis=1, segment_duration=2.0)
+        with pytest.raises(IntegrationBlowupError) as whole:
+            integrate(SQUARE, [0.5], ControlSignal(2.0, [[0.0], [0.0]]),
+                      4.0, 0.05)
+        with pytest.raises(IntegrationBlowupError) as tree:
+            build_spanning_instance(SQUARE, SEGMENT_Q, spec, 1.0, cc, dt=0.05)
+        times, _ = systems.time_grid(4.0, 0.05)
+        assert 2.0 < tree.value.t == whole.value.t
+        assert tree.value.t in times.tolist() and tree.value.row == 0
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5])
+    def test_dead_row_is_not_marched_into_blowup(self, tau, monkeypatch):
+        # the row leaves Q at t = 1, which settles it in the first segment
+        # (for tau = 0.5 the next visit could come at 1.55 at the earliest);
+        # the whole-horizon march it is no longer given blows up at t = 2
+        spec = RecurrenceSpec(SEGMENT_Q, tau=tau, eps=0.0, T=3.0)
+        cc = CandidateClass(values_per_axis=1, segment_duration=1.5)
+        with pytest.raises(IntegrationBlowupError):
+            integrate(SQUARE, [0.5], ControlSignal(1.5, [[0.0], [0.0]]),
+                      3.0, 0.05)
+        rows = counted_rows(monkeypatch)
+        inst = build_spanning_instance(SQUARE, SEGMENT_Q, spec, 1.0, cc,
+                                       dt=0.05)
+        assert inst.feasibility.tolist() == [[False]]
+        assert rows == [(1, 1.5), (0, 1.5)]
+
+    def test_misaligned_dt_raises_integrates_error(self):
+        spec = RecurrenceSpec(SEGMENT_Q, tau=0.0, eps=0.0, T=2.0)
+        cc = CandidateClass(values_per_axis=2, segment_duration=1.0)
+        sys = scalar_linear(a=-1.0)
+        with pytest.raises(ValueError) as whole:
+            integrate(sys, [0.5], ControlSignal(1.0, [[0.0], [0.0]]), 2.0,
+                      0.03)
+        with pytest.raises(ValueError) as tree:
+            build_spanning_instance(sys, SEGMENT_Q, spec, 1.0, cc, dt=0.03)
+        assert str(tree.value) == str(whole.value)
+        assert "must divide the segment duration" in str(tree.value)
+
+    def test_one_segment_keeps_partial_step(self, monkeypatch):
+        # 1/0.03 is no whole number: 33 full steps, then one to t = 1
+        sys = scalar_linear(a=1.0)
+        spec = RecurrenceSpec(SEGMENT_Q, tau=0.5, eps=0.0, T=1.0)
+        cc = CandidateClass(values_per_axis=3, segment_duration=1.0)
+        rows = counted_rows(monkeypatch)
+        inst = build_spanning_instance(sys, SEGMENT_Q, spec, 0.25, cc,
+                                       dt=0.03)
+        monkeypatch.undo()
+        assert rows == [(6, 1.0)]
+        assert len(systems.time_grid(1.0, 0.03)[0]) == 35
+        assert inst.feasibility.any() and not inst.feasibility.all()
+        assert_matches_per_candidate_loop(sys, inst, spec, 0.03)
+
+    def test_coarse_dt_raises_resolution_error(self):
+        spec = RecurrenceSpec(SEGMENT_Q, tau=0.5, eps=0.0, T=1.0)
+        cc = CandidateClass(values_per_axis=2, segment_duration=0.5)
+        with pytest.raises(ResolutionError):
+            build_spanning_instance(scalar_linear(), SEGMENT_Q, spec, 0.25,
+                                    cc, dt=0.1)
+
+    def test_work_on_large_invariance_instance(self, monkeypatch):
+        # 5 values, 5 segments: 3125 candidates x 64 points.  Marched whole,
+        # that is 200 000 rows over the full horizon, 1 000 000
+        # row-segments; the tree marches 29 890
+        sys, Q = scalar_linear(), CompactSet.box([0.0], [1.0])
+        spec = RecurrenceSpec(Q, tau=0.0, eps=0.1, T=2.5)
+        cc = CandidateClass(values_per_axis=5, segment_duration=0.5)
+        rows = counted_rows(monkeypatch)
+        inst = build_spanning_instance(sys, Q, spec, 1 / 64, cc,
+                                       max_candidates=3125)
+        assert rows == [(n, 0.5) for n in (320, 900, 2510, 6930, 19230)]
+        assert inst.feasibility.shape == (3125, 64)
+        assert inst.feasibility.sum() == 10640

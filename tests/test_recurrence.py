@@ -12,7 +12,7 @@ from recurq import (Box, CompactSet, ControlSignal, ControlSystem,
                     estimate_L, first_return_time, integrate, is_invariant,
                     is_recurrent, lipschitz_region, scalar_linear)
 from recurq.geometry import distance_many
-from recurq.recurrence import _first_entry, _visit_gaps
+from recurq.recurrence import _first_entry, _gap_witness, _visit_gaps
 from recurq.systems import time_grid
 
 UNIT_SQUARE = CompactSet.box([0.0, 0.0], [1.0, 1.0])
@@ -190,6 +190,65 @@ class TestGapScanOracle:
             assert is_recurrent(one, spec) == loop_is_recurrent(one, spec)
             assert (is_invariant(one, spec.Q, 0.0, T)
                     == loop_is_invariant(one, spec.Q, 0.0, T))
+
+
+def draw_grid(data):
+    """(times, T, tau): a sample grid, perhaps ending on a partial step, a
+    horizon T at or before its end, and tau >= 10 steps, some within 1e-12
+    of the gap between two samples."""
+    dt = data.draw(st.sampled_from([1 / 3, 0.05, 0.25]))
+    partial = data.draw(st.booleans())
+    times, _ = time_grid(data.draw(st.integers(12, 40)) * dt
+                         + 0.4 * dt * partial, dt)
+    last = len(times) - 1
+    i = data.draw(st.integers(0, last - 11))
+    j = data.draw(st.integers(i + 11, last))
+    tau = float(times[j] - times[i]) + data.draw(st.sampled_from(
+        [-1e-12, 0.0, 1e-12, 0.37 * dt]))
+    tau = min(tau, float(times[-1]))
+    T = float(times[data.draw(st.integers(j, last))])
+    return times, max(T, tau), tau
+
+
+def draw_visits(data, n, count):
+    """A (n, count) mask of sparse random visits, so that both verdicts
+    come up."""
+    mask = np.zeros((n, count), dtype=bool)
+    for b in range(count):
+        mask[list(data.draw(st.sets(st.integers(0, n - 1), max_size=8))), b] \
+            = True
+    return mask
+
+
+class TestGapWitnessSettles:
+    """The spanning build's pruning rule: a mask whose unmarched samples
+    all count as visits, and which still fails, fails for every marching
+    of them."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_more_visits_never_fail_a_pass(self, data):
+        times, T, tau = draw_grid(data)
+        near = draw_visits(data, len(times), 6)
+        near[:, 0] = False  # a mask with no visit
+        more = near | draw_visits(data, len(times), 6)
+        passes = _gap_witness(near, times, T, tau) == math.inf
+        assert np.all(_gap_witness(more, times, T, tau)[passes] == math.inf)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_dead_prefix_fails_every_completion(self, data):
+        times, T, tau = draw_grid(data)
+        j = data.draw(st.integers(0, len(times) - 1))  # samples marched
+        # completions of the first j samples of column 0: none visits, every
+        # one visits (the rule's probe), and random ones
+        full = draw_visits(data, len(times), 6)
+        full[j:, 0], full[j:, 1] = False, True
+        full[:j] = full[:j, :1]
+        witness = _gap_witness(full, times, T, tau)
+        dead = witness[1] < math.inf
+        if dead:
+            assert np.all(witness < math.inf)
 
 
 class TestIsInvariant:
