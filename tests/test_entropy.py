@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recurq import entropy, systems
+from recurq import systems
 from recurq import (Box, CandidateClass, CompactSet, ControlSignal,
                     ControlSystem, InstanceTooLargeError,
-                    IntegrationBlowupError, ResolutionError, RecurrenceSpec, SpanningInstance,
+                    IntegrationBlowupError, RecurrenceSpec, ResolutionError,
+                    SpanningInstance,
                     build_spanning_instance, dim_box_counting, double_integrator,
                     greedy_cover, initial_point_grid,
                     integrate, is_invariant, is_recurrent, lower_bound,
@@ -329,7 +330,6 @@ class TestBuildInstance:
             build_spanning_instance(sys, UNIT_SQUARE, spec, 0.5, cc)
 
 
-
 class TestCandidateTree:
     @given(scalar=st.booleans(), dt=st.sampled_from([0.025, 1 / 30, 0.1 / 3]),
            n_seg=st.integers(1, 4), segment=st.sampled_from([0.5, 1.0, 0.7]),
@@ -347,7 +347,8 @@ class TestCandidateTree:
         tau = data.draw(st.sampled_from(
             [t for t in (0.0, 0.35, 0.5, 0.8, 1.2) if t <= T]))
         if scalar:
-            sys, Q, delta = scalar_linear(a=a), CompactSet.box([0.0], [1.0]), 0.25
+            sys, Q = scalar_linear(a=a), CompactSet.box([0.0], [1.0])
+            delta = 0.25
         else:
             sys, Q, delta = double_integrator(), UNIT_SQUARE, 0.5
         spec = RecurrenceSpec(Q, tau=tau, eps=eps, T=T)
@@ -401,7 +402,8 @@ class TestCandidateTree:
         assert "must divide the segment duration" in str(tree.value)
 
     def test_one_segment_keeps_partial_step(self, monkeypatch):
-        # 1/0.03 is no whole number: 33 full steps, then one to t = 1
+        # 1/0.03 is no whole number: the one march runs to horizon 1.0,
+        # 33 full steps, then a partial one to t = 1
         sys = scalar_linear(a=1.0)
         spec = RecurrenceSpec(SEGMENT_Q, tau=0.5, eps=0.0, T=1.0)
         cc = CandidateClass(values_per_axis=3, segment_duration=1.0)
