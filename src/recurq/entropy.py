@@ -161,7 +161,7 @@ def build_spanning_instance(sys: ControlSystem, Q: CompactSet,
     if n_seg > 1 and not steps == n_full == (len(times) - 1) / n_seg:
         # integrate's rule: whole steps in every segment, tiling times
         raise ValueError(f"dt={dt} must divide the segment duration {S} evenly")
-    T = min(T, float(times[-1]))
+    T = min(T, float(times[-1]))  # the horizon the predicates read
     near = np.ones((len(times), P), dtype=bool)
     near[0] = distance_many(points, spec.Q) <= spec.eps + _MEMBERSHIP_TOL
     live, x = np.arange(P), points
