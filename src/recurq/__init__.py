@@ -15,8 +15,7 @@ from .systems import (BUILTIN_SYSTEMS, ControlSignal, ControlSystem,
                       make_system, scalar_linear)
 from .recurrence import (ContainmentConstants, RecurrenceSpec, ResolutionError,
                          containment_radius, estimate_F_Q, estimate_L,
-                         first_return_time, is_invariant, is_recurrent,
-                         lipschitz_region)
+                         first_return_time, is_recurrent, lipschitz_region)
 from .entropy import (CandidateClass, InstanceTooLargeError, SpanningInstance,
                       build_spanning_instance, dim_box_counting, greedy_cover,
                       initial_point_grid, lower_bound,

@@ -198,9 +198,8 @@ def cmd_spanning(cfg: dict, out) -> int:
     init_delta = _read(cfg, "init_delta", float, 0.25)
     max_candidates = _read(cfg, "max_candidates", int, 24)
     max_points = _read(cfg, "max_points", int, 64)
-    mode = _read(cfg, "mode", str, "recurrence")
-    if mode not in ("recurrence", "invariance"):
-        raise ConfigError("mode must be 'recurrence' or 'invariance'")
+    if "mode" in cfg:  # refused, not ignored: a run would check recurrence
+        raise ConfigError("mode is not a key: list 0 in tau_list for invariance")
     try:
         cclass = CandidateClass(values_per_axis, segment_duration)
     except ValueError as exc:  # rejected by its name
@@ -213,14 +212,12 @@ def cmd_spanning(cfg: dict, out) -> int:
     for eps in eps_list:
         for tau in tau_list:
             for T in horizons:
-                # the record names what is built: a spec with tau 0 is
-                # checked for invariance
-                spec_tau = 0.0 if mode == "invariance" else tau
+                # tau 0 checks invariance
                 rec = {"kind": "spanning", "T": T, "eps": eps, "tau": tau,
-                       "mode": "invariance" if spec_tau == 0 else "recurrence"}
+                       "mode": "invariance" if tau == 0 else "recurrence"}
                 records.append(rec)
                 try:
-                    spec = RecurrenceSpec(Q, tau=spec_tau, eps=eps, T=T)
+                    spec = RecurrenceSpec(Q, tau=tau, eps=eps, T=T)
                     inst = build_spanning_instance(
                         sys_, Q, spec, init_delta, cclass,
                         max_candidates=max_candidates, max_points=max_points)

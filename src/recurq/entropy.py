@@ -96,7 +96,8 @@ class SpanningInstance:
 
     feasibility[j, i] is True when candidate j, in itertools.product order
     of the input values, makes the trajectory from initial point i
-    (T, eps, tau, Q)-recurrent, exactly as that row marched alone.
+    (T, eps, tau, Q)-recurrent, exactly as that row marched alone; tau = 0
+    asks for invariance.
     """
 
     initial_points: np.ndarray
@@ -131,10 +132,11 @@ def build_spanning_instance(sys: ControlSystem, Q: CompactSet,
 
     Marches the candidate tree a segment per level, row (prefix*V + v)*P + p
     holding value v from point p, and stops marching a row once its mask of
-    samples near Q, unmarched ones counted as visits, already fails.  So a
-    dead row's later blow-up raises nothing; IntegrationBlowupError names a
-    time on time_grid(T, dt) and that row index.  With more than one
-    segment, dt must divide the segment duration.
+    samples near Q, unmarched ones counted as visits, already fails
+    recurrence._gap_witness, which at tau = 0 fails on a sample outside.  So
+    a dead row's later blow-up raises nothing; IntegrationBlowupError names
+    a time on time_grid(T, dt) and that row index.  With more than one
+    segment, dt must divide the segment duration and the horizon.
     """
     T = spec.T
     if not math.isfinite(T):
@@ -155,12 +157,13 @@ def build_spanning_instance(sys: ControlSystem, Q: CompactSet,
     S, P, V = candidate_class.segment_duration, len(points), len(values)
     if dt is None:  # the divisor of S nearest tau/20, or S/20 for invariance
         dt = S / max(1, round(S / ((spec.tau or S) / 20)))
+    if n_seg > 1:  # integrate's rule: whole steps in every segment
+        systems._check_step_alignment(dt, S)
     h = S if n_seg > 1 else T  # one segment may end on a partial step
-    times, (seg_times, n_full) = time_grid(T, dt)[0], time_grid(h, dt)
+    times, seg_times = time_grid(T, dt)[0], time_grid(h, dt)[0]
     steps = len(seg_times) - 1
-    if n_seg > 1 and not steps == n_full == (len(times) - 1) / n_seg:
-        # integrate's rule: whole steps in every segment, tiling times
-        raise ValueError(f"dt={dt} must divide the segment duration {S} evenly")
+    if len(times) - 1 != n_seg * steps:  # a grid that the segments tile
+        raise ValueError(f"dt={dt} must divide the horizon T={T} evenly")
     T = min(T, float(times[-1]))  # the horizon the predicates read
     near = np.ones((len(times), P), dtype=bool)
     near[0] = distance_many(points, spec.Q) <= spec.eps + _MEMBERSHIP_TOL
@@ -178,9 +181,7 @@ def build_spanning_instance(sys: ControlSystem, Q: CompactSet,
         near = near[:, parent]
         near[lo + 1:lo + steps + 1] = (distance_many(states[1:], spec.Q)
                                        <= spec.eps + _MEMBERSHIP_TOL)
-        ok = (_gap_witness(near, times, T, spec.tau) == math.inf if spec.tau > 0
-              else np.all(near, axis=0,
-                          where=(times <= T + _MEMBERSHIP_TOL)[:, None]))
+        ok = _gap_witness(near, times, T, spec.tau) == math.inf
         live, x, near = live[ok], states[-1, ok], near[:, ok]
     feas = np.zeros((len(candidates), P), dtype=bool)
     feas.flat[live] = True

@@ -1,4 +1,4 @@
-"""Recurrence and invariance predicates plus the containment machinery.
+"""The recurrence predicate (invariance at tau = 0) and containment tools.
 
 The containment radius F * tau * exp(L * tau) bounds how far a trajectory
 that must revisit Q every tau seconds can stray from Q.
@@ -31,7 +31,7 @@ class ResolutionError(ValueError):
 
 @dataclass(frozen=True)
 class RecurrenceSpec:
-    """Window tau, slack eps, and horizon T for recurrence checks on Q."""
+    """Window tau (0 asks for invariance), slack eps and horizon T on Q."""
 
     Q: CompactSet
     tau: float
@@ -65,10 +65,15 @@ def _visit_gaps(visits: np.ndarray, t0: float, T: float) -> tuple:
 
 
 def _gap_witness(near: np.ndarray, times: np.ndarray, T: float, tau: float):
-    """Start of the first violating gap of _visit_gaps in each column of the
-    (K+1, B) mask of samples near Q (none past T), inf where none; adding
-    visits to a column never turns its inf into a start."""
-    if tau > 0 and len(times) > 1 and times[1] - times[0] > tau / 10 + 1e-12:
+    """Per column of the (K+1, B) mask of samples near Q (none past T), the
+    start of the first violating gap of _visit_gaps (tau = 0: the first
+    sample not near Q), inf where none; more visits never undo an inf."""
+    if tau == 0:  # invariance: argmin finds the first miss, if any
+        n = np.searchsorted(times, T + _MEMBERSHIP_TOL, side="right")
+        first = np.argmin(near[:n], axis=0)
+        return np.where(near[first, np.arange(near.shape[1])], math.inf,
+                        times[first])
+    if len(times) > 1 and times[1] - times[0] > tau / 10 + 1e-12:
         raise ResolutionError(f"sample step {times[1] - times[0]} too coarse "
                               f"for tau={tau}; need dt <= tau/10")
     limit = tau + _MEMBERSHIP_TOL
@@ -102,8 +107,9 @@ def is_recurrent(traj: Trajectory, spec: RecurrenceSpec):
     True iff every window [t, t+tau] with t in [0, T-tau] contains a
     sample inside the eps-neighborhood of Q, at sample resolution.  On
     failure the witness is the start of the first gap of _visit_gaps that
-    holds a violating window.  One scan of the (K+1, B) visit mask checks
-    a batch (K+1, B, n), giving a list of B pairs, or one state (B = 1).
+    holds a violating window, or at tau = 0 (invariance) the first sample
+    outside.  One scan of the (K+1, B) visit mask checks a batch (K+1, B,
+    n), giving a list of B pairs, or one state (B = 1).
     """
     T = min(spec.T, traj.horizon)
     if traj.horizon + 1e-9 < spec.T and math.isfinite(spec.T):
@@ -112,18 +118,6 @@ def is_recurrent(traj: Trajectory, spec: RecurrenceSpec):
             <= spec.eps + _MEMBERSHIP_TOL)
     verdicts = [(True, None) if w == math.inf else (False, w)
                 for w in _gap_witness(near, traj.times, T, spec.tau).tolist()]
-    return verdicts[0] if traj.states.ndim == 2 else verdicts
-
-
-def is_invariant(traj: Trajectory, Q: CompactSet, eps: float, T: float):
-    """Every sample of [0, T] lies in the eps-neighborhood of Q; returns
-    (ok, first time outside), a list of such pairs for a batch."""
-    outside = (distance_many(traj.states, Q).reshape(len(traj.times), -1)
-               > eps + _MEMBERSHIP_TOL)
-    outside &= (traj.times <= min(T, traj.horizon) + _MEMBERSHIP_TOL)[:, None]
-    first = traj.times[np.argmax(outside, axis=0)].tolist()
-    verdicts = [(False, t) if out else (True, None)
-                for out, t in zip(outside.any(axis=0).tolist(), first)]
     return verdicts[0] if traj.states.ndim == 2 else verdicts
 
 

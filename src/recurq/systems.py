@@ -89,17 +89,14 @@ class Trajectory:
     states: np.ndarray
 
     @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
-
-    @property
     def horizon(self) -> float:
         return float(self.times[-1])
 
 
 def _check_step_alignment(dt: float, segment_duration: float):
-    ratio = segment_duration / dt
-    if abs(ratio - round(ratio)) > 1e-6 * max(1.0, ratio):
+    """dt divides the segment: its time_grid ends on a whole step."""
+    times, n_full = time_grid(segment_duration, dt)
+    if len(times) > n_full + 1:
         raise ValueError(
             f"dt={dt} must divide the segment duration {segment_duration} evenly"
         )

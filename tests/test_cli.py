@@ -220,19 +220,26 @@ class TestSpanning:
         assert r["greedy_only"] and not r["exact"]
 
     def test_tau_zero_is_labelled_invariance(self, tmp_path):
-        # tau 0 builds the invariance instance that mode: invariance builds;
-        # with eps 1 it has a cover
+        # tau 0 builds the invariance instance; with eps 1 it has a cover
         cfg = dict(yaml.safe_load(SPAN_YAML.format(horizons="[4]")),
-                   eps_list=[1.0])
-        recs = []
-        for edit in ({"tau_list": [0.0]}, {"mode": "invariance"}):
-            code, (r,) = run(tmp_path, yaml.safe_dump({**cfg, **edit}),
-                             "spanning")
-            assert code == EXIT_OK
-            recs.append(r)
-        zero, inv = recs
-        assert zero["mode"] == inv["mode"] == "invariance"
-        assert (zero["r"], zero["chosen"]) == (inv["r"], inv["chosen"])
+                   eps_list=[1.0], tau_list=[0.0])
+        code, (zero,) = run(tmp_path, yaml.safe_dump(cfg), "spanning")
+        assert code == EXIT_OK
+        assert zero["mode"] == "invariance"
+        assert (zero["r"], zero["chosen"]) == (4, [2, 3, 5, 6])
+
+    def test_mode_key_is_refused(self, tmp_path, capsys):
+        # tau 0 in tau_list asks for invariance; a mode key is an error,
+        # not ignored
+        for mode in ("invariance", "recurrence"):
+            cfg = dict(yaml.safe_load(SPAN_YAML.format(horizons="[4]")),
+                       mode=mode)
+            path = tmp_path / "cfg.yaml"
+            path.write_text(yaml.safe_dump(cfg))
+            assert main(["--config", str(path), "spanning"]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("config error:")
+            assert re.search(r"\bmode\b", err) and "tau_list" in err, err
 
 
 class TestSimulateVerify:

@@ -14,7 +14,7 @@ from recurq import (Box, CandidateClass, CompactSet, ControlSignal,
                     SpanningInstance,
                     build_spanning_instance, dim_box_counting, double_integrator,
                     greedy_cover, initial_point_grid,
-                    integrate, is_invariant, is_recurrent, lower_bound,
+                    integrate, is_recurrent, lower_bound,
                     min_spanning_cardinality, scalar_linear,
                     uncoverable_points, upper_bound)
 
@@ -175,14 +175,13 @@ def counted_rows(monkeypatch):
 
 def assert_matches_per_candidate_loop(sys, inst, spec, dt):
     """The build the tree replaced: one integrate per candidate from every
-    initial point, then is_recurrent, or is_invariant for tau = 0."""
+    initial point, then is_recurrent (invariance for tau = 0)."""
     points = inst.initial_points
     for j, sig in enumerate(inst.candidates):
         held = np.repeat(sig.values[:, None], len(points), axis=1)
         batch = integrate(sys, points, ControlSignal(sig.segment_duration,
                                                      held), spec.T, dt)
-        verdicts = (is_recurrent(batch, spec) if spec.tau > 0 else
-                    is_invariant(batch, spec.Q, spec.eps, spec.T))
+        verdicts = is_recurrent(batch, spec)
         assert inst.feasibility[j].tolist() == [ok for ok, _ in verdicts], j
 
 
@@ -225,10 +224,7 @@ class TestBuildInstance:
         for j, sig in enumerate(inst.candidates):
             for i, x0 in enumerate(inst.initial_points):
                 traj = integrate(sys, x0, sig, 4.0, 0.05)
-                if tau > 0:
-                    ok, _ = is_recurrent(traj, spec)
-                else:
-                    ok, _ = is_invariant(traj, UNIT_SQUARE, 0.1, 4.0)
+                ok, _ = is_recurrent(traj, spec)
                 assert inst.feasibility[j, i] == ok, (j, i)
 
     @pytest.mark.parametrize("tau, level_rows", [
@@ -393,13 +389,40 @@ class TestCandidateTree:
         spec = RecurrenceSpec(SEGMENT_Q, tau=0.0, eps=0.0, T=2.0)
         cc = CandidateClass(values_per_axis=2, segment_duration=1.0)
         sys = scalar_linear(a=-1.0)
-        with pytest.raises(ValueError) as whole:
-            integrate(sys, [0.5], ControlSignal(1.0, [[0.0], [0.0]]), 2.0,
-                      0.03)
-        with pytest.raises(ValueError) as tree:
-            build_spanning_instance(sys, SEGMENT_Q, spec, 1.0, cc, dt=0.03)
-        assert str(tree.value) == str(whole.value)
-        assert "must divide the segment duration" in str(tree.value)
+        # a 1 s segment's grid at dt = 1/3 + 1e-8 ends on a partial step
+        # too: a step from 0.667 s would hold segment 0's input past t = 1
+        for dt in (0.03, 1 / 3 + 1e-8):
+            with pytest.raises(ValueError) as whole:
+                integrate(sys, [0.5], ControlSignal(1.0, [[0.0], [0.0]]), 2.0,
+                          dt)
+            with pytest.raises(ValueError) as tree:
+                build_spanning_instance(sys, SEGMENT_Q, spec, 1.0, cc, dt=dt)
+            assert str(tree.value) == str(whole.value) == (
+                f"dt={dt} must divide the segment duration 1.0 evenly")
+
+    @pytest.mark.parametrize("dt, T", [((1 - 9e-13) / 3, 2.0),
+                                       (0.5, 2.0 + 5e-10)])
+    def test_horizon_grid_must_tile(self, dt, T):
+        # each 1 s segment ends on a whole step, but time_grid(T, dt) ends
+        # on a partial one that no level marches; integrate marches it
+        spec = RecurrenceSpec(SEGMENT_Q, tau=0.0, eps=0.0, T=T)
+        cc = CandidateClass(values_per_axis=2, segment_duration=1.0)
+        sys = scalar_linear(a=-1.0)
+        times, n_full = systems.time_grid(T, dt)
+        assert len(times) == n_full + 2 == 2 * round(1 / dt) + 2
+        integrate(sys, [0.5], ControlSignal(1.0, [[0.0], [0.0]]), T, dt)
+        with pytest.raises(ValueError, match="must divide the horizon T="):
+            build_spanning_instance(sys, SEGMENT_Q, spec, 1.0, cc, dt=dt)
+
+    def test_resting_state_is_invariant(self):
+        # x' = 0 x + u: under u = 0 both initial points rest in [-1, 1]
+        sys, Q = scalar_linear(a=0.0), CompactSet.box([0.0], [1.0])
+        spec = RecurrenceSpec(Q, tau=0.0, eps=0.0, T=1.0)
+        cc = CandidateClass(values_per_axis=3, segment_duration=1.0)
+        inst = build_spanning_instance(sys, Q, spec, 0.5, cc, dt=0.05)
+        assert inst.initial_points.tolist() == [[-0.5], [0.5]]
+        assert inst.feasibility[1].tolist() == [True, True]  # u = 0
+        assert_matches_per_candidate_loop(sys, inst, spec, 0.05)
 
     def test_one_segment_keeps_partial_step(self, monkeypatch):
         # 1/0.03 is no whole number: the one march runs to horizon 1.0,
@@ -436,3 +459,53 @@ class TestCandidateTree:
         assert rows == [(n, 0.5) for n in (320, 900, 2510, 6930, 19230)]
         assert inst.feasibility.shape == (3125, 64)
         assert inst.feasibility.sum() == 10640
+
+
+def spanning_over_tau(sys, Q, T, eps, cc, init_delta, taus):
+    """(feasibility, r) of each tau, every instance built at dt = 0.05."""
+    out = []
+    for tau in taus:
+        inst = build_spanning_instance(
+            sys, Q, RecurrenceSpec(Q, tau=tau, eps=eps, T=T), init_delta, cc,
+            dt=0.05, max_candidates=128)
+        out.append((inst.feasibility, min_spanning_cardinality(inst)[0]))
+    return out
+
+
+def assert_ordered_in_tau(cells):
+    """Each tau's feasible cells lie inside the next larger tau's, so r does
+    not increase; the first tau is 0, invariance."""
+    for (small, r_small), (large, r_large) in zip(cells, cells[1:]):
+        assert not np.any(small & ~large)
+        assert r_small >= r_large
+
+
+class TestOrderingInTau:
+    """The paper's ordering, cell by cell: invariance (tau = 0) feasibility
+    lies inside every tau > 0, and tau1's inside tau2's for tau1 < tau2.
+    Both follow from the one predicate, so a failure is a bug."""
+
+    TAUS = (0.0, 0.5, 1.0, 2.0, 3.0, 4.0)
+
+    @pytest.mark.parametrize("T", [4.0, 6.0, 8.0])
+    def test_double_integrator_family(self, T):
+        cc = CandidateClass(values_per_axis=3, segment_duration=2.0)
+        r_at_eps_1 = None
+        for eps in (0.05, 0.1, 0.5, 1.0):
+            cells = spanning_over_tau(double_integrator(), UNIT_SQUARE, T,
+                                      eps, cc, 0.25, self.TAUS)
+            assert_ordered_in_tau(cells)
+            r_at_eps_1 = [r for _, r in cells]
+        # with eps 1, invariance needs more candidates than tau 2
+        assert r_at_eps_1[0] == {4.0: 4, 6.0: 5, 8.0: 6}[T]
+        assert r_at_eps_1[3] == 3
+
+    @pytest.mark.parametrize("a", [1.0, -1.0])
+    def test_scalar_instances(self, a):
+        cc = CandidateClass(values_per_axis=3, segment_duration=0.5)
+        Q = CompactSet.box([0.0], [1.0])
+        for T in (1.0, 1.5, 2.0):
+            for eps in (0.0, 0.1):
+                taus = [tau for tau in self.TAUS if tau <= T]
+                assert_ordered_in_tau(spanning_over_tau(
+                    scalar_linear(a=a), Q, T, eps, cc, 0.25, taus))

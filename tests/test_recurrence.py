@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from recurq import (Box, CompactSet, ControlSignal, ControlSystem,
                     RecurrenceSpec, ResolutionError, Trajectory,
                     containment_radius, double_integrator, estimate_F_Q,
-                    estimate_L, first_return_time, integrate, is_invariant,
-                    is_recurrent, lipschitz_region, scalar_linear)
+                    estimate_L, first_return_time, integrate, is_recurrent,
+                    lipschitz_region, scalar_linear)
 from recurq.geometry import distance_many
 from recurq.recurrence import _first_entry, _gap_witness, _visit_gaps
 from recurq.systems import time_grid
@@ -76,8 +76,9 @@ class TestIsRecurrent:
 
     def test_short_trajectory_rejected(self):
         traj = corner_trajectory(horizon=3.0)
-        with pytest.raises(ValueError):
-            is_recurrent(traj, RecurrenceSpec(UNIT_SQUARE, tau=2.0, T=4.0))
+        for tau in (2.0, 0.0):  # invariance does not clamp T either
+            with pytest.raises(ValueError):
+                is_recurrent(traj, RecurrenceSpec(UNIT_SQUARE, tau=tau, T=4.0))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -111,13 +112,16 @@ class TestIsRecurrentOracle:
         T = K * dt
         states = np.where(visited.T, 0.0, 5.0)[..., None]  # (K+1, B, 1)
         spec = RecurrenceSpec(CompactSet.box([0.0], [1.0]), tau=tau, T=T)
+        invariance = dataclasses.replace(spec, tau=0.0)
         batch = is_recurrent(Trajectory(times, states), spec)
-        inv = is_invariant(Trajectory(times, states), spec.Q, 0.0, T)
+        inv = is_recurrent(Trajectory(times, states), invariance)
         assert len(batch) == len(inv) == len(rows)
+        assert inv == loop_is_invariant(Trajectory(times, states), spec.Q,
+                                        0.0, T)
         for b in range(len(rows)):
             row = Trajectory(times, states[:, b])
             assert batch[b] == is_recurrent(row, spec)
-            assert inv[b] == is_invariant(row, spec.Q, 0.0, T)
+            assert inv[b] == is_recurrent(row, invariance)
             assert batch[b][0] == brute_force_recurrent(times[visited[b]],
                                                         dt, tau, T)
             assert inv[b][0] == bool(visited[b].all())
@@ -140,7 +144,8 @@ def loop_is_recurrent(traj, spec):
 
 
 def loop_is_invariant(traj, Q, eps, T):
-    """The per-row loop that is_invariant's scan replaced."""
+    """Per row, (False, the first sample of [0, T] outside the eps-neighborhood
+    of Q) or (True, None): the tau = 0 verdicts of is_recurrent."""
     T = min(T, traj.horizon)
     outside = ((distance_many(traj.states, Q).T > eps + 1e-12)
                & (traj.times <= T + 1e-12))
@@ -150,7 +155,8 @@ def loop_is_invariant(traj, Q, eps, T):
 
 
 class TestGapScanOracle:
-    """The (K+1, B) scans give the per-row loops' verdicts and witnesses."""
+    """The (K+1, B) scan gives the per-row loops' verdicts and witnesses, of
+    recurrence and, at tau = 0, of invariance."""
 
     @given(dt=st.sampled_from([1 / 3, 0.05, 0.25]), K=st.integers(12, 40),
            partial=st.booleans(), data=st.data())
@@ -174,28 +180,32 @@ class TestGapScanOracle:
         T = min(T, float(times[-1]))
         rows = data.draw(st.lists(st.sets(st.integers(0, last), max_size=8),
                                   min_size=1, max_size=5))
-        # no visit, a visit at t = 0 only, visits at 0 and at the end
-        rows += [set(), {0}, {0, last}, {int(np.searchsorted(times, T))}]
+        # no visit, a visit at t = 0 only, visits at 0 and at the end, and
+        # every sample visiting up to the one at or after T
+        at_T = int(np.searchsorted(times, T))
+        rows += [set(), {0}, {0, last}, {at_T}, set(range(at_T)),
+                 set(range(at_T + 1))]
         visited = np.zeros((len(times), len(rows)), dtype=bool)
         for b, visits in enumerate(rows):
             visited[list(visits), b] = True
         states = np.where(visited, 0.0, 5.0)[..., None]  # (K+1, B, 1)
         spec = RecurrenceSpec(CompactSet.box([0.0], [1.0]), tau=tau, T=T)
+        invariance = dataclasses.replace(spec, tau=0.0)
         batch = Trajectory(times, states)
         assert is_recurrent(batch, spec) == loop_is_recurrent(batch, spec)
-        assert (is_invariant(batch, spec.Q, 0.0, T)
+        assert (is_recurrent(batch, invariance)
                 == loop_is_invariant(batch, spec.Q, 0.0, T))
         for b in range(len(rows)):  # the single-state (K+1, n) form
             one = Trajectory(times, states[:, b])
             assert is_recurrent(one, spec) == loop_is_recurrent(one, spec)
-            assert (is_invariant(one, spec.Q, 0.0, T)
+            assert (is_recurrent(one, invariance)
                     == loop_is_invariant(one, spec.Q, 0.0, T))
 
 
 def draw_grid(data):
     """(times, T, tau): a sample grid, perhaps ending on a partial step, a
-    horizon T at or before its end, and tau >= 10 steps, some within 1e-12
-    of the gap between two samples."""
+    horizon T at or before its end, and tau 0 or >= 10 steps, some within
+    1e-12 of the gap between two samples."""
     dt = data.draw(st.sampled_from([1 / 3, 0.05, 0.25]))
     partial = data.draw(st.booleans())
     times, _ = time_grid(data.draw(st.integers(12, 40)) * dt
@@ -207,7 +217,8 @@ def draw_grid(data):
         [-1e-12, 0.0, 1e-12, 0.37 * dt]))
     tau = min(tau, float(times[-1]))
     T = float(times[data.draw(st.integers(j, last))])
-    return times, max(T, tau), tau
+    # tau = 0 is invariance, which the build prunes by the same rule
+    return times, max(T, tau), data.draw(st.sampled_from([tau, 0.0]))
 
 
 def draw_visits(data, n, count):
@@ -252,9 +263,12 @@ class TestGapWitnessSettles:
 
 
 class TestIsInvariant:
+    """is_recurrent at tau = 0: every sample of [0, T] near Q."""
+
     def test_corner_trajectory_not_invariant(self):
         traj = corner_trajectory()
-        ok, t = is_invariant(traj, UNIT_SQUARE, 0.0, 4.0)
+        ok, t = is_recurrent(traj, RecurrenceSpec(UNIT_SQUARE, tau=0.0,
+                                                  T=4.0))
         assert not ok
         assert 0.0 < t < 0.1
 
@@ -262,14 +276,26 @@ class TestIsInvariant:
         sys = double_integrator()
         traj = integrate(sys, [0.0, 0.0], ControlSignal(4.0, [[0.0]]),
                          4.0, 0.01)
-        ok, t = is_invariant(traj, UNIT_SQUARE, 0.0, 4.0)
+        ok, t = is_recurrent(traj, RecurrenceSpec(UNIT_SQUARE, tau=0.0,
+                                                  T=4.0))
         assert ok and t is None
 
     def test_eps_inflation(self):
         # the excursion stays within 0.5 of Q up to the return at t=2
         traj = corner_trajectory(horizon=2.0)
-        ok, _ = is_invariant(traj, UNIT_SQUARE, 0.5, 2.0)
+        ok, _ = is_recurrent(traj, RecurrenceSpec(UNIT_SQUARE, tau=0.0,
+                                                  eps=0.5, T=2.0))
         assert ok
+
+    def test_resting_state_is_invariant(self):
+        # x' = 0 x + u, u = 0, rests at 0.5 in [-1, 1]: every sample is in
+        # Q, so no pair of adjacent visits counts as a gap
+        sys = scalar_linear(a=0.0)
+        Q = CompactSet.box([0.0], [1.0])
+        traj = integrate(sys, [0.5], ControlSignal(1.0, [[0.0]]), 1.0, 0.05)
+        spec = RecurrenceSpec(Q, tau=0.0, eps=0.0, T=1.0)
+        assert is_recurrent(traj, spec) == (True, None)
+        assert loop_is_invariant(traj, Q, 0.0, 1.0) == (True, None)
 
 
 class TestFirstReturn:
