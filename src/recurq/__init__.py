@@ -28,7 +28,6 @@ from .quantized import (BitRateReport, ClauseResult, ControllerInvalidError,
                         bit_rate, build_feedback_controller, closed_loop,
                         decode, encode, load_step_records,
                         reference_controller_double_integrator, run_episode,
-                        run_episodes, steady_state_cover_size,
-                        verify_guarantees)
+                        run_episodes, verify_guarantees)
 
 __version__ = "0.1.0"

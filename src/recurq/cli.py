@@ -32,6 +32,17 @@ EXIT_CONFIG = 2
 EXIT_GUARANTEE = 3
 EXIT_INFEASIBLE = 4
 
+#: corner_return_sweep's input values per axis
+_SWEEP_VALUES = 9
+#: the keys that some command reads, by section (Q: each of its boxes); any
+#: other key exits 2, so a misspelled or removed key cannot run a default
+_KEYS = {"config": ("Q alpha candidate csv_path dt eps eps_list horizons "
+                    "init_delta log_path max_candidates seed steps sweep_dt "
+                    "system tau tau_list x0").split(),
+         "system": ["name", "params"], "Q": ["center", "radius"],
+         "candidate": ["segment_duration", "values_per_axis"]}
+
+
 class ConfigError(ValueError):
     pass
 
@@ -52,6 +63,15 @@ def load_config(path: Optional[str]) -> dict:
             raise ConfigError(f"config parse error in {path}: {exc}")
         if not isinstance(cfg, dict):
             raise ConfigError(f"config root in {path} must be a mapping")
+    boxes = cfg["Q"] if type(cfg.get("Q")) is list else []
+    for where, section in [("config", cfg), ("system", cfg.get("system")),
+                           ("candidate", cfg.get("candidate")),
+                           *((f"Q[{k}]", box) for k, box in enumerate(boxes))]:
+        keys = _KEYS[where.partition("[")[0]]
+        unknown = set(section) - set(keys) if isinstance(section, dict) else ()
+        if unknown:  # the first in sorted order
+            raise ConfigError(f"unknown key {min(unknown, key=str)!r} in "
+                              f"{where}; its keys are {', '.join(keys)}")
     return cfg
 
 
@@ -59,9 +79,9 @@ def _read(cfg: dict, key: str, kind=float, default=None, low=None,
           strict=False):
     """cfg[key], checked by the rule of the log header (quantized._typed):
     an int (not a bool), a str, a number (read as a float), a list of finite
-    numbers (read as floats) or a dict.  With low, the number must also be
-    finite and at least low (above it when strict).  A missing or None
-    value takes default, and with no default is an error."""
+    numbers (read as floats, and not empty) or a dict.  With low, the number
+    must also be finite and at least low (above it when strict).  A missing
+    or None value takes default, and with no default is an error."""
     value = cfg.get(key)
     if value is None:
         if default is None:
@@ -71,6 +91,8 @@ def _read(cfg: dict, key: str, kind=float, default=None, low=None,
         value = _typed({key: value}, {key: kind})[key]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if kind is list and not value:
+        raise ConfigError(f"{key} must not be empty")
     if low is not None and not (-math.inf < value < math.inf and (
             value > low if strict else value >= low)):
         bound = "" if low == -math.inf else (
@@ -126,14 +148,14 @@ def _sweep_horizon(tau: float) -> float:
 
 
 def corner_return_sweep(sys: ControlSystem, Q: CompactSet, tau: float,
-                        values_per_axis: int = 9, dt: float = 0.01) -> list:
+                        dt: float = 0.01) -> list:
     """Minimum first-return time from each corner of Q over constant controls.
 
     A corner whose best sampled return exceeds tau is evidence (within the
     candidate class) that Q is not recurrent for that window.
     """
     horizon = _sweep_horizon(tau)
-    u_grid = CandidateClass(values_per_axis, horizon).input_values(sys.U)
+    u_grid = CandidateClass(_SWEEP_VALUES, horizon).input_values(sys.U)
     corners = np.vstack([box.corners() for box in Q.boxes])
     # every corner under every input in one batch, corner-major
     X = np.repeat(corners, len(u_grid), axis=0)
@@ -152,17 +174,14 @@ def cmd_bounds(cfg: dict, out) -> int:
     Q = build_Q(cfg, sys_.n)
     tau = _read(cfg, "tau", low=0.0)
     seed = _read(cfg, "seed", int, 0, low=0)
-    samples = _read(cfg, "samples_per_axis", int, 5, low=2)
-    sweep_values = _read(cfg, "sweep_values", int, 9, low=1)
     sweep_dt = _read(cfg, "sweep_dt", float, 0.01, low=0.0, strict=True)
     if sweep_dt > _sweep_horizon(tau):
         raise ConfigError(f"sweep_dt must be at most the sweep horizon "
                           f"{_sweep_horizon(tau)}, not {sweep_dt}")
     constants, region = lipschitz_region(sys_, Q, tau, seed=seed)
     upper = upper_bound(constants.L_tau, Q)
-    lower = lower_bound(sys_, Q, constants.delta_tau, samples_per_axis=samples)
-    sweep = corner_return_sweep(sys_, Q, tau, values_per_axis=sweep_values,
-                                dt=sweep_dt)
+    lower = lower_bound(sys_, Q, constants.delta_tau)
+    sweep = corner_return_sweep(sys_, Q, tau, dt=sweep_dt)
     bad = [(c, t) for c, t in sweep if t > tau + 1e-6]
     finite = not bad
     witness = None
@@ -185,25 +204,23 @@ def cmd_bounds(cfg: dict, out) -> int:
 def cmd_spanning(cfg: dict, out) -> int:
     sys_ = build_system(cfg)
     Q = build_Q(cfg, sys_.n)
-    if not cfg.get("horizons"):
-        raise ConfigError("missing 'horizons' list")
     horizons = _read(cfg, "horizons", list)
-    eps_list = (_read(cfg, "eps_list", list) if cfg.get("eps_list")
-                else [_read(cfg, "eps")])
-    tau_list = (_read(cfg, "tau_list", list) if cfg.get("tau_list")
-                else [_read(cfg, "tau")])
+    eps_list, tau_list = ([_read(cfg, one)] if cfg.get(key) is None else
+                          _read(cfg, key, list) for key, one in
+                          (("eps_list", "eps"), ("tau_list", "tau")))
     cand_cfg = _read(cfg, "candidate", dict, {})
     values_per_axis = _read(cand_cfg, "values_per_axis", int, 3)
     segment_duration = _read(cand_cfg, "segment_duration", float, 1.0)
     init_delta = _read(cfg, "init_delta", float, 0.25)
     max_candidates = _read(cfg, "max_candidates", int, 24)
-    max_points = _read(cfg, "max_points", int, 64)
-    if "mode" in cfg:  # refused, not ignored: a run would check recurrence
-        raise ConfigError("mode is not a key: list 0 in tau_list for invariance")
     try:
         cclass = CandidateClass(values_per_axis, segment_duration)
     except ValueError as exc:  # rejected by its name
         raise ConfigError(str(exc)) from exc
+    # one grid for every tau: the divisor of the segment duration nearest the
+    # finest positive tau / 20, or a 20th of it when tau 0 is all it asks
+    fine = min([t for t in tau_list if t > 0] or [segment_duration])
+    dt = segment_duration / max(1, round(segment_duration / (fine / 20)))
 
     # written once every instance is built, so a run that a later
     # instance's config error stops writes no record
@@ -219,8 +236,8 @@ def cmd_spanning(cfg: dict, out) -> int:
                 try:
                     spec = RecurrenceSpec(Q, tau=tau, eps=eps, T=T)
                     inst = build_spanning_instance(
-                        sys_, Q, spec, init_delta, cclass,
-                        max_candidates=max_candidates, max_points=max_points)
+                        sys_, Q, spec, init_delta, cclass, dt,
+                        max_candidates=max_candidates)
                 except InstanceTooLargeError as exc:
                     rec.update({"exact": False, "greedy_only": True,
                                 "note": str(exc)})

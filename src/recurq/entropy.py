@@ -11,10 +11,13 @@ import numpy as np
 
 from . import systems
 from .geometry import Box, CompactSet, distance_many, grid, neighborhood
-from .recurrence import _MEMBERSHIP_TOL, RecurrenceSpec, _gap_witness
+from .recurrence import (_MEMBERSHIP_TOL, _POINTS_PER_AXIS, RecurrenceSpec,
+                         _gap_witness)
 from .systems import ControlSignal, ControlSystem, divergence, time_grid
 
 LN2 = math.log(2.0)
+#: build_spanning_instance's cap on initial points
+_MAX_POINTS = 64
 
 
 class InstanceTooLargeError(ValueError):
@@ -34,8 +37,7 @@ def upper_bound(L_tau: float, Q: CompactSet) -> float:
     return L_tau * dim_box_counting(Q) / LN2
 
 
-def lower_bound(sys: ControlSystem, Q: CompactSet, delta_tau: float,
-                samples_per_axis: int = 5) -> float:
+def lower_bound(sys: ControlSystem, Q: CompactSet, delta_tau: float) -> float:
     """max{0, min divergence over the inflated neighborhood x U} / ln 2.
 
     The minimum is taken over a corner-including tensor grid, so it is an
@@ -45,10 +47,10 @@ def lower_bound(sys: ControlSystem, Q: CompactSet, delta_tau: float,
     if delta_tau < 0:
         raise ValueError("delta_tau must be nonnegative")
     region = neighborhood(Q, delta_tau)
-    u_grid = sys.U.sample_grid(samples_per_axis)
+    u_grid = sys.U.sample_grid(_POINTS_PER_AXIS)
     worst = math.inf
     for box in region.boxes:
-        for x in box.sample_grid(samples_per_axis):
+        for x in box.sample_grid(_POINTS_PER_AXIS):
             for u in u_grid:
                 worst = min(worst, divergence(sys, x, u))
     return max(0.0, worst) / LN2
@@ -103,7 +105,6 @@ class SpanningInstance:
     initial_points: np.ndarray
     candidates: tuple
     feasibility: np.ndarray
-    spec: RecurrenceSpec
 
 
 def initial_point_grid(Q: CompactSet, init_delta: float) -> np.ndarray:
@@ -124,10 +125,8 @@ def initial_point_grid(Q: CompactSet, init_delta: float) -> np.ndarray:
 
 def build_spanning_instance(sys: ControlSystem, Q: CompactSet,
                             spec: RecurrenceSpec, init_delta: float,
-                            candidate_class: CandidateClass,
-                            dt: Optional[float] = None,
-                            max_candidates: int = 24,
-                            max_points: int = 64) -> SpanningInstance:
+                            candidate_class: CandidateClass, dt: float,
+                            max_candidates: int = 24) -> SpanningInstance:
     """Enumerate candidates and fill the feasibility matrix by simulation.
 
     Marches the candidate tree a segment per level, row (prefix*V + v)*P + p
@@ -149,14 +148,12 @@ def build_spanning_instance(sys: ControlSystem, Q: CompactSet,
     # counted before any candidate is built
     values = candidate_class.input_values(sys.U)
     n_cand = len(values) ** n_seg
-    if n_cand > max_candidates or len(points) > max_points:
+    if n_cand > max_candidates or len(points) > _MAX_POINTS:
         raise InstanceTooLargeError(
             f"{n_cand} candidates x {len(points)} points exceeds "
-            f"caps {max_candidates} x {max_points}")
+            f"caps {max_candidates} x {_MAX_POINTS}")
     candidates = candidate_class.signals(sys.U, T)
     S, P, V = candidate_class.segment_duration, len(points), len(values)
-    if dt is None:  # the divisor of S nearest tau/20, or S/20 for invariance
-        dt = S / max(1, round(S / ((spec.tau or S) / 20)))
     if n_seg > 1:  # integrate's rule: whole steps in every segment
         systems._check_step_alignment(dt, S)
     h = S if n_seg > 1 else T  # one segment may end on a partial step
@@ -186,7 +183,7 @@ def build_spanning_instance(sys: ControlSystem, Q: CompactSet,
     feas = np.zeros((len(candidates), P), dtype=bool)
     feas.flat[live] = True
     return SpanningInstance(initial_points=points, candidates=tuple(candidates),
-                            feasibility=feas, spec=spec)
+                            feasibility=feas)
 
 
 def greedy_cover(feasibility: np.ndarray) -> Optional[list]:

@@ -300,11 +300,6 @@ class EpisodeLog:
     def plant_trajectory(self) -> tuple:
         return _concat(self.plant_states, self.config["tau"], self.config["dt"])
 
-    def bits_until(self, T: float) -> int:
-        """Bits sent at sensing instants i*tau <= T."""
-        tau = self.config["tau"]
-        return sum(len(s.bits) for s in self.steps if s.i * tau <= T + 1e-9)
-
     def to_jsonl(self, path: str):
         with open(path, "w") as fh:
             header = {"type": "header", "total_bits": self.total_bits,
@@ -584,13 +579,6 @@ class BitRateReport:
     steady_rate: float            # steady_bits_per_step / tau
     asymptote: float              # n * (L_tau + alpha) / ln 2
     ceiling_gap: float            # steady_rate - asymptote
-    first_step_bits: int
-
-
-def steady_state_cover_size(n: int, L_tau: float, alpha: float,
-                            tau: float) -> int:
-    """ceil(exp((L+alpha)*tau))^n, the post-transient grid size."""
-    return int(math.ceil(math.exp((L_tau + alpha) * tau))) ** n
 
 
 def bit_rate(log: EpisodeLog) -> BitRateReport:
@@ -598,8 +586,7 @@ def bit_rate(log: EpisodeLog) -> BitRateReport:
     if log.n_steps < 10:
         raise ValueError("rate accounting needs at least 10 steps")
     tau = log.config["tau"]
-    widths = [len(s.bits) for s in log.steps]
-    steady = widths[1:]
+    steady = [len(s.bits) for s in log.steps[1:]]
     if len(set(steady)) != 1:
         raise RuntimeError(f"non-constant steady-state widths: {sorted(set(steady))}")
     n = len(log.steps[0].x)
@@ -608,8 +595,7 @@ def bit_rate(log: EpisodeLog) -> BitRateReport:
     return BitRateReport(measured_rate=log.total_bits / (log.n_steps * tau),
                          steady_bits_per_step=steady[0],
                          steady_rate=steady_rate, asymptote=asymptote,
-                         ceiling_gap=steady_rate - asymptote,
-                         first_step_bits=widths[0])
+                         ceiling_gap=steady_rate - asymptote)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ from .systems import (ControlSystem, Trajectory, march, time_grid,
 _MEMBERSHIP_TOL = 1e-12
 #: width at which first_return_time's bisection stops
 _REFINE_TOL = 1e-9
-#: grid points per axis of estimate_F_Q's Q x U and estimate_L's region
+#: grid points per axis of estimate_F_Q's Q x U, estimate_L's region and
+#: entropy.lower_bound's neighborhood x U
 _POINTS_PER_AXIS = 5
 #: estimate_L's random point pairs; lipschitz_region's most re-estimates
 _L_SAMPLES, _REGION_ITERS = 200, 10

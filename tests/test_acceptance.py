@@ -17,7 +17,7 @@ from recurq import (CandidateClass, CompactSet, ControlSignal, GridMirror,
                     closed_loop, containment_radius, double_integrator, encode,
                     first_return_time, integrate, lipschitz_region,
                     lower_bound, min_spanning_cardinality, scalar_linear,
-                    steady_state_cover_size, upper_bound, verify_guarantees)
+                    upper_bound, verify_guarantees)
 from recurq.geometry import distance_many
 from recurq.cli import main
 
@@ -140,7 +140,8 @@ def test_criterion_5_steady_state_rate(episode_bundle):
     for alpha, expect_bits in ((0.0, 6), (0.1, 7), (0.5, 9)):
         log = by_alpha[alpha]
         r = bit_rate(log)
-        cover = steady_state_cover_size(2, 1.0, alpha, 2.0)
+        # ceil(e^((L + alpha) tau))^n, with L = 1, tau = 2 and n = 2
+        cover = math.ceil(math.exp((1.0 + alpha) * 2.0)) ** 2
         closed_form = (cover - 1).bit_length()
         assert r.steady_bits_per_step == closed_form == expect_bits
         assert r.steady_rate == closed_form / 2.0
@@ -240,7 +241,9 @@ def test_criterion_7_data_rate_lower_bound(episode_bundle, spanning_family):
         if not math.isfinite(r):
             continue
         for alpha, seed, log in episode_bundle["episodes"]:
-            bits = log.bits_until(T)
+            # the widths sent at sensing instants i tau <= T
+            bits = sum(len(s.bits) for s in log.steps
+                       if s.i * log.config["tau"] <= T)
             assert 2.0 ** bits >= r, (T, alpha, seed, bits, r)
             compared += 1
     assert compared >= 1, "no feasible instance matched any episode"

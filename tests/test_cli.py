@@ -241,6 +241,91 @@ class TestSpanning:
             assert err.startswith("config error:")
             assert re.search(r"\bmode\b", err) and "tau_list" in err, err
 
+    def test_one_study_compares_tau_on_one_grid(self, tmp_path):
+        # every tau is built at the dt of the finest, 0.1 here; built at its
+        # own dt 2/13, (T 4, eps 0.05, tau 3) read r = 3, not the 2 that the
+        # dt 0.05 family reads
+        cfg = dict(yaml.safe_load(SPAN_YAML.format(horizons="[4, 6, 8]")),
+                   eps_list=[0.05, 0.1], tau_list=[0.0, 2.0, 3.0, 4.0])
+        code, recs = run(tmp_path, yaml.safe_dump(cfg), "spanning")
+        assert code == EXIT_INFEASIBLE
+        r = {(x["T"], x["eps"], x["tau"]): math.inf if x["r"] is None
+             else x["r"] for x in recs if x["kind"] == "spanning"}
+        assert len(r) == 24 and r[(4.0, 0.05, 3.0)] == 2
+        for T, eps in {key[:2] for key in r}:
+            by_tau = [r[(T, eps, tau)] for tau in (0.0, 2.0, 3.0, 4.0)]
+            assert by_tau == sorted(by_tau, reverse=True), (T, eps, by_tau)
+
+    @pytest.mark.parametrize("key, single", [
+        ("tau_list", {"tau": 3.0}), ("eps_list", {"eps": 0.1}),
+        ("horizons", {})])
+    def test_empty_list_is_refused(self, tmp_path, capsys, key, single):
+        # an empty tau_list or eps_list ran the single tau or eps before
+        cfg = dict(yaml.safe_load(SPAN_YAML.format(horizons="[4]")),
+                   **single, **{key: []})
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert main(["--config", str(path), "spanning"]) == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"config error: {key} must not be empty"
+
+
+def readme_config(tmp_path) -> dict:
+    """The README's minimal config, its paths moved into tmp_path."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md"
+            ).read_text()
+    cfg = yaml.safe_load(text.split("Minimal config:")[1]
+                         .split("```yaml")[1].split("```")[0])
+    cfg.update(log_path=str(tmp_path / cfg["log_path"]),
+               csv_path=str(tmp_path / cfg["csv_path"]))
+    return cfg
+
+
+class TestConfigKeys:
+    def test_readme_config_runs_every_command(self, tmp_path):
+        # its steps only set the episode's length; 12 keep this quick
+        cfg = dict(readme_config(tmp_path), steps=12)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        for args in (["bounds"], ["spanning"], ["simulate"],
+                     ["verify", cfg["log_path"]]):
+            out = tmp_path / "out.jsonl"
+            assert main(["--config", str(path), "--out", str(out),
+                         *args]) == EXIT_OK, args
+            assert out.read_text()
+
+    @pytest.mark.parametrize("edit, key, keys", [
+        # misspelled keys and a non-string key, each ignored before
+        ({"tau_lists": [0.0], "max_point": 4,
+          "candidate": {"segment_duraton": 1.0}}, "max_point", "tau_list"),
+        ({"candidate": {"values_per_axis": 3, "segment_duraton": 1.0}},
+         "segment_duraton", "segment_duration, values_per_axis"),
+        ({"system": {"name": "double_integrator", "parms": {"u_max": 1.0}}},
+         "parms", "name, params"),
+        ({"Q": [{"center": [0.0, 0.0], "radius": [1.0, 1.0], "radus": 1}]},
+         "radus", "center, radius"),
+        ({1: 2}, 1, "tau_list"),
+        # keys that became constants
+        ({"max_points": 64}, "max_points", "max_candidates"),
+        ({"samples_per_axis": 5}, "samples_per_axis", "sweep_dt"),
+        ({"sweep_values": 9}, "sweep_values", "sweep_dt"),
+    ])
+    def test_unknown_key_is_refused(self, tmp_path, capsys, edit, key, keys):
+        cfg = {**readme_config(tmp_path), **edit}
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg, sort_keys=False))
+        out = tmp_path / "results.jsonl"
+        out.write_text('{"kind": "earlier"}\n')
+        for command in ("bounds", "spanning", "simulate"):
+            capsys.readouterr()
+            assert main(["--config", str(path), "--out", str(out),
+                         command]) == EXIT_CONFIG
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith(f"config error: unknown key {key!r} in ")
+            assert keys in line, line
+            assert out.read_text() == '{"kind": "earlier"}\n'
+            assert not os.path.exists(cfg["log_path"])
+
 
 class TestSimulateVerify:
     @pytest.fixture()
@@ -301,8 +386,8 @@ class TestSimulateVerify:
         ("simulate", "steps", -3),
         ("bounds", "sweep_dt", "fast"),
         ("bounds", "sweep_dt", 0.0),
-        ("bounds", "sweep_values", 0),  # read as "infinite" before
-        ("bounds", "samples_per_axis", 1),
+        ("bounds", "sweep_values", 0),  # removed; read as "infinite" before
+        ("bounds", "samples_per_axis", 1),  # removed
         ("bounds", "seed", -1),
         ("bounds", "tau", -1.0),
         ("spanning", "init_delta", 0.0),
@@ -327,7 +412,7 @@ class TestSimulateVerify:
         ("simulate", "steps", 3.7),  # ran 3 steps before
         ("simulate", "seed", True),  # read as 1 before
         ("simulate", "seed", -1),  # a traceback when x0 was drawn
-        ("bounds", "samples_per_axis", 2.9),  # read as 2 before
+        ("bounds", "samples_per_axis", 2.9),  # removed; read as 2 before
         ("bounds", "seed", 0.5),
         ("spanning", "values_per_axis", 2.5),
         ("spanning", "max_candidates", 24.5),

@@ -95,10 +95,9 @@ class TestInitialPoints:
 
 def make_instance(matrix):
     feas = np.asarray(matrix, dtype=bool)
-    spec = RecurrenceSpec(UNIT_SQUARE, tau=1.0, T=2.0)
     return SpanningInstance(initial_points=np.zeros((feas.shape[1], 2)),
                             candidates=tuple(range(feas.shape[0])),
-                            feasibility=feas, spec=spec)
+                            feasibility=feas)
 
 
 class TestCovers:
@@ -201,7 +200,8 @@ class TestBuildInstance:
         sys = double_integrator()
         spec = RecurrenceSpec(UNIT_SQUARE, tau=2.0, eps=0.1, T=4.0)
         cc = CandidateClass(values_per_axis=3, segment_duration=2.0)
-        inst = build_spanning_instance(sys, UNIT_SQUARE, spec, 0.5, cc)
+        inst = build_spanning_instance(sys, UNIT_SQUARE, spec, 0.5, cc,
+                                       dt=0.1)
         assert inst.feasibility.shape == (9, 4)
         # the all-zero control keeps every resting start recurrent; starts
         # with velocity drift out of Q and come back only for some controls
@@ -296,14 +296,15 @@ class TestBuildInstance:
         spec = RecurrenceSpec(UNIT_SQUARE, tau=2.0, eps=0.1, T=4.0)
         cc = CandidateClass(values_per_axis=3, segment_duration=2.0)
         with pytest.raises(ValueError, match="init_delta"):
-            build_spanning_instance(sys, UNIT_SQUARE, spec, init_delta, cc)
+            build_spanning_instance(sys, UNIT_SQUARE, spec, init_delta, cc,
+                                    dt=0.1)
 
     def test_caps_enforced(self):
         sys = double_integrator()
         spec = RecurrenceSpec(UNIT_SQUARE, tau=2.0, eps=0.1, T=4.0)
         cc = CandidateClass(values_per_axis=3, segment_duration=2.0)
         with pytest.raises(InstanceTooLargeError):
-            build_spanning_instance(sys, UNIT_SQUARE, spec, 0.5, cc,
+            build_spanning_instance(sys, UNIT_SQUARE, spec, 0.5, cc, dt=0.1,
                                     max_candidates=4)
 
     def test_cap_checked_before_building(self, monkeypatch):
@@ -316,14 +317,14 @@ class TestBuildInstance:
         # 3 ** 12 candidates, refused before one is built
         with pytest.raises(InstanceTooLargeError, match=(
                 r"^531441 candidates x 16 points exceeds caps 24 x 64$")):
-            build_spanning_instance(sys, UNIT_SQUARE, spec, 0.25, cc)
+            build_spanning_instance(sys, UNIT_SQUARE, spec, 0.25, cc, dt=0.1)
 
     def test_requires_finite_horizon(self):
         sys = double_integrator()
         spec = RecurrenceSpec(UNIT_SQUARE, tau=2.0, eps=0.1)
         cc = CandidateClass(values_per_axis=3, segment_duration=2.0)
         with pytest.raises(ValueError):
-            build_spanning_instance(sys, UNIT_SQUARE, spec, 0.5, cc)
+            build_spanning_instance(sys, UNIT_SQUARE, spec, 0.5, cc, dt=0.1)
 
 
 class TestCandidateTree:
@@ -454,7 +455,7 @@ class TestCandidateTree:
         spec = RecurrenceSpec(Q, tau=0.0, eps=0.1, T=2.5)
         cc = CandidateClass(values_per_axis=5, segment_duration=0.5)
         rows = counted_rows(monkeypatch)
-        inst = build_spanning_instance(sys, Q, spec, 1 / 64, cc,
+        inst = build_spanning_instance(sys, Q, spec, 1 / 64, cc, dt=0.025,
                                        max_candidates=3125)
         assert rows == [(n, 0.5) for n in (320, 900, 2510, 6930, 19230)]
         assert inst.feasibility.shape == (3125, 64)

@@ -19,7 +19,7 @@ from recurq import (Box, CompactSet, ControlSignal, ControlSystem,
                     bit_rate, closed_loop, decode, double_integrator, encode,
                     integrate, load_step_records,
                     reference_controller_double_integrator, run_episode,
-                    run_episodes, steady_state_cover_size, verify_guarantees)
+                    run_episodes, verify_guarantees)
 from recurq import quantized
 
 LN2 = math.log(2.0)
@@ -247,7 +247,8 @@ class TestGridMirror:
                            tau=2.0, alpha=alpha)
             m.step_to(fragments(di_controller, [m.C.center(0)])[-1, 0])
             assert m.C.size == expect
-            assert expect == steady_state_cover_size(2, 1.0, alpha, 2.0)
+            # ceil(e^((L + alpha) tau))^n, with L = 1, tau = 2 and n = 2
+            assert expect == math.ceil(math.exp((1.0 + alpha) * 2.0)) ** 2
 
     def test_radius_contraction(self, di_controller):
         m = GridMirror(di_controller, UNIT_SQUARE.boxes[0], eps=0.1, tau=2.0,
@@ -294,7 +295,7 @@ class TestEpisode:
         assert r.steady_rate == 3.0
         assert r.asymptote == pytest.approx(2.0 / LN2, rel=1e-12)
         assert r.ceiling_gap == pytest.approx(3.0 - 2.0 / LN2, rel=1e-12)
-        assert r.first_step_bits == 13
+        assert len(short_episode.steps[0].bits) == 13
 
     def test_validation_errors(self, di_controller):
         sys = double_integrator()
@@ -340,11 +341,6 @@ class TestEpisode:
                                S_center=s.S_center, S_radius=s.S_radius)
         report = verify_guarantees(bad)
         assert not report.state_in_ball.passed
-
-    def test_bits_until(self, short_episode):
-        assert short_episode.bits_until(0.0) == 13
-        assert short_episode.bits_until(4.0) == 13 + 6 + 6
-        assert short_episode.bits_until(1e9) == short_episode.total_bits
 
     def test_determinism_across_runs(self, di_controller):
         sys = double_integrator()
