@@ -10,12 +10,12 @@ and guarantees can be audited offline.
 from .geometry import (Box, CompactSet, GridCover, distance_many, grid,
                        neighborhood)
 from .systems import (BUILTIN_SYSTEMS, ControlSignal, ControlSystem,
-                      DomainError, IntegrationBlowupError, Trajectory,
-                      divergence, double_integrator, integrate, jacobian_fd,
-                      make_system, scalar_linear)
+                      DomainError, IntegrationBlowupError, divergence,
+                      double_integrator, jacobian_fd, make_system,
+                      scalar_linear)
 from .recurrence import (ContainmentConstants, RecurrenceSpec, ResolutionError,
                          containment_radius, estimate_F_Q, estimate_L,
-                         first_return_time, is_recurrent, lipschitz_region)
+                         first_return_time, lipschitz_region)
 from .entropy import (CandidateClass, InstanceTooLargeError, SpanningInstance,
                       build_spanning_instance, dim_box_counting, greedy_cover,
                       initial_point_grid, lower_bound,

@@ -79,9 +79,10 @@ def _read(cfg: dict, key: str, kind=float, default=None, low=None,
           strict=False):
     """cfg[key], checked by the rule of the log header (quantized._typed):
     an int (not a bool), a str, a number (read as a float), a list of finite
-    numbers (read as floats, and not empty) or a dict.  With low, the number
-    must also be finite and at least low (above it when strict).  A missing
-    or None value takes default, and with no default is an error."""
+    numbers (read as floats, and not empty) or a dict.  With low, the number,
+    or each entry of the list, must also be finite and at least low (above
+    it when strict).  A missing or None value takes default, and with no
+    default is an error."""
     value = cfg.get(key)
     if value is None:
         if default is None:
@@ -93,11 +94,15 @@ def _read(cfg: dict, key: str, kind=float, default=None, low=None,
         raise ConfigError(str(exc)) from None
     if kind is list and not value:
         raise ConfigError(f"{key} must not be empty")
-    if low is not None and not (-math.inf < value < math.inf and (
-            value > low if strict else value >= low)):
-        bound = "" if low == -math.inf else (
-            f" and {'above' if strict else 'at least'} {low}")
-        raise ConfigError(f"{key} must be finite{bound}, not {value}")
+    if low is None:
+        return value
+    for x in value if kind is list else [value]:
+        if not (-math.inf < x < math.inf and (
+                x > low if strict else x >= low)):
+            bound = "" if low == -math.inf else (
+                f" and {'above' if strict else 'at least'} {low}")
+            name = f"each entry of {key}" if kind is list else key
+            raise ConfigError(f"{name} must be finite{bound}, not {x}")
     return value
 
 
@@ -204,9 +209,9 @@ def cmd_bounds(cfg: dict, out) -> int:
 def cmd_spanning(cfg: dict, out) -> int:
     sys_ = build_system(cfg)
     Q = build_Q(cfg, sys_.n)
-    horizons = _read(cfg, "horizons", list)
-    eps_list, tau_list = ([_read(cfg, one)] if cfg.get(key) is None else
-                          _read(cfg, key, list) for key, one in
+    horizons = _read(cfg, "horizons", list, low=0.0, strict=True)
+    eps_list, tau_list = ([_read(cfg, one, low=0.0)] if cfg.get(key) is None
+                          else _read(cfg, key, list, low=0.0) for key, one in
                           (("eps_list", "eps"), ("tau_list", "tau")))
     cand_cfg = _read(cfg, "candidate", dict, {})
     values_per_axis = _read(cand_cfg, "values_per_axis", int, 3)

@@ -154,11 +154,12 @@ def build_spanning_instance(sys: ControlSystem, Q: CompactSet,
             f"caps {max_candidates} x {_MAX_POINTS}")
     candidates = candidate_class.signals(sys.U, T)
     S, P, V = candidate_class.segment_duration, len(points), len(values)
-    if n_seg > 1:  # integrate's rule: whole steps in every segment
-        systems._check_step_alignment(dt, S)
     h = S if n_seg > 1 else T  # one segment may end on a partial step
-    times, seg_times = time_grid(T, dt)[0], time_grid(h, dt)[0]
+    times, (seg_times, seg_full) = time_grid(T, dt)[0], time_grid(h, dt)
     steps = len(seg_times) - 1
+    if n_seg > 1 and steps > seg_full:  # so each step holds one input
+        raise ValueError(f"dt={dt} must divide the segment duration {S} "
+                         f"evenly")
     if len(times) - 1 != n_seg * steps:  # a grid that the segments tile
         raise ValueError(f"dt={dt} must divide the horizon T={T} evenly")
     T = min(T, float(times[-1]))  # the horizon the predicates read

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box, CompactSet, distance_many, neighborhood
-from .systems import (ControlSystem, Trajectory, march, time_grid,
-                      _checked_start)
+from .geometry import Box, CompactSet, _as_vector, neighborhood
+from .systems import ControlSystem, march, time_grid
 
 #: membership slack absorbing floating-point noise on box boundaries
 _MEMBERSHIP_TOL = 1e-12
@@ -27,7 +26,7 @@ _L_SAMPLES, _REGION_ITERS = 200, 10
 
 
 class ResolutionError(ValueError):
-    """Trajectory sampling too coarse for the requested recurrence window."""
+    """Sampling too coarse for the requested recurrence window."""
 
 
 @dataclass(frozen=True)
@@ -102,26 +101,6 @@ def _gap_witness(near: np.ndarray, times: np.ndarray, T: float, tau: float):
     return witness
 
 
-def is_recurrent(traj: Trajectory, spec: RecurrenceSpec):
-    """Sampled check of windowed recurrence; returns (ok, witness).
-
-    True iff every window [t, t+tau] with t in [0, T-tau] contains a
-    sample inside the eps-neighborhood of Q, at sample resolution.  On
-    failure the witness is the start of the first gap of _visit_gaps that
-    holds a violating window, or at tau = 0 (invariance) the first sample
-    outside.  One scan of the (K+1, B) visit mask checks a batch (K+1, B,
-    n), giving a list of B pairs, or one state (B = 1).
-    """
-    T = min(spec.T, traj.horizon)
-    if traj.horizon + 1e-9 < spec.T and math.isfinite(spec.T):
-        raise ValueError("trajectory shorter than the requested horizon T")
-    near = (distance_many(traj.states, spec.Q).reshape(len(traj.times), -1)
-            <= spec.eps + _MEMBERSHIP_TOL)
-    verdicts = [(True, None) if w == math.inf else (False, w)
-                for w in _gap_witness(near, traj.times, T, spec.tau).tolist()]
-    return verdicts[0] if traj.states.ndim == 2 else verdicts
-
-
 def first_return_time(sys: ControlSystem, x0, u, Q: CompactSet,
                       horizon: float, dt: float):
     """First t > 0 with the trajectory inside Q, refined by bisection.
@@ -131,7 +110,15 @@ def first_return_time(sys: ControlSystem, x0, u, Q: CompactSet,
     x0 (B, n) with inputs u (B, m) gives a list of B times, each as if
     its row were marched alone.
     """
-    x0 = _checked_start(sys, x0, horizon, dt)
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim != 2:
+        x0 = _as_vector(x0, dim=sys.n, name="x0")
+    elif x0.shape[1] != sys.n:
+        raise ValueError(f"x0 has dimension {x0.shape[1]}, expected {sys.n}")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
     u = np.asarray(u, dtype=float)
     states = march(sys.field, x0, dt, horizon, lambda *_: u)
     # the last step is partial when dt does not divide the horizon

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -58,8 +58,7 @@ class ControlSystem:
 class ControlSignal:
     """Piecewise-constant input on a uniform time grid.
 
-    values has one row per segment: shape (segments, m), or
-    (segments, B, m) to drive a batch of B states.
+    values has one row per segment: shape (segments, m).
     """
 
     segment_duration: float
@@ -72,34 +71,6 @@ class ControlSignal:
         if values.shape[0] < 1:
             raise ValueError("signal needs at least one segment")
         object.__setattr__(self, "values", values)
-
-    @property
-    def total_duration(self) -> float:
-        return self.segment_duration * self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Uniformly sampled solution path (final partial step permitted).
-
-    states is (K+1, n), or (K+1, B, n) for a batch sampled at `times`.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
-
-def _check_step_alignment(dt: float, segment_duration: float):
-    """dt divides the segment: its time_grid ends on a whole step."""
-    times, n_full = time_grid(segment_duration, dt)
-    if len(times) > n_full + 1:
-        raise ValueError(
-            f"dt={dt} must divide the segment duration {segment_duration} evenly"
-        )
 
 
 def time_grid(horizon: float, dt: float) -> tuple:
@@ -168,51 +139,6 @@ def march(field, x0: np.ndarray, dt: float, horizon: float,
                     k, *row = np.unravel_index(np.argmax(bad), bad.shape)
                     raise IntegrationBlowupError(times[i + k], *map(int, row))
     return states
-
-
-def integrate(sys: ControlSystem, x0, signal: ControlSignal,
-              horizon: float, dt: float) -> Trajectory:
-    """Classical fixed-step RK4; deterministic for identical inputs.
-
-    When the horizon passes a segment boundary, dt must divide the
-    segment duration so the input is constant within every step; a
-    horizon within the first segment may end on a partial step.  x0 may
-    be a batch (B, n) driven by a signal of shape (segments, B, m); each
-    row then integrates exactly as alone.
-    A non-finite state raises IntegrationBlowupError.
-    """
-    x0 = _checked_start(sys, x0, horizon, dt)
-    if horizon > signal.total_duration + 1e-9:
-        raise ValueError("horizon exceeds the signal duration")
-    if horizon > signal.segment_duration + 1e-9:  # a boundary inside
-        _check_step_alignment(dt, signal.segment_duration)
-
-    times, _ = time_grid(horizon, dt)
-    seg, values = _segment_of(signal, times[:-1]), signal.values
-    # values[seg[k]] is a view: no (steps, B, m) copy of a batch's inputs
-    states = march(sys.field, x0, dt, horizon, lambda k, _: values[seg[k]],
-                   finite_rows=slice(None))
-    return Trajectory(times, states)
-
-
-def _checked_start(sys: ControlSystem, x0, horizon: float, dt: float):
-    """x0 as one float state (n,) or a batch (B, n); checks dt and horizon."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 2:
-        x0 = _as_vector(x0, dim=sys.n, name="x0")
-    elif x0.shape[1] != sys.n:
-        raise ValueError(f"x0 has dimension {x0.shape[1]}, expected {sys.n}")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    return x0
-
-
-def _segment_of(signal: ControlSignal, times: np.ndarray) -> np.ndarray:
-    """Index of the signal segment that holds from each step start time."""
-    seg = (times / signal.segment_duration + 1e-9).astype(int)
-    return np.minimum(seg, signal.values.shape[0] - 1)
 
 
 def jacobian_fd(sys: ControlSystem, x, u) -> np.ndarray:

@@ -270,6 +270,38 @@ class TestSpanning:
         assert line == f"config error: {key} must not be empty"
 
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"tau_list": [-1.0, 2.0]},
+         "each entry of tau_list must be finite and at least 0.0, not -1.0"),
+        ({"eps_list": [-0.1]},
+         "each entry of eps_list must be finite and at least 0.0, not -0.1"),
+        ({"eps_list": None, "eps": -0.1},
+         "eps must be finite and at least 0.0, not -0.1"),
+        ({"tau_list": None, "tau": -2.0},
+         "tau must be finite and at least 0.0, not -2.0"),
+        ({"horizons": [0], "tau_list": [0.0]},
+         "each entry of horizons must be finite and above 0.0, not 0.0"),
+        ({"horizons": [4, -4]},
+         "each entry of horizons must be finite and above 0.0, not -4.0"),
+    ])
+    def test_bad_entry_is_refused_by_name(self, tmp_path, capsys, edit,
+                                          message):
+        # each exited 2 before with a message that named neither the key
+        # nor the value, from RecurrenceSpec or ControlSignal
+        cfg = {**yaml.safe_load(SPAN_YAML.format(horizons="[4]")), **edit}
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({k: v for k, v in cfg.items()
+                                        if v is not None}))
+        out = tmp_path / "results.jsonl"
+        out.write_text('{"kind": "earlier"}\n')
+        capsys.readouterr()
+        assert main(["--config", str(path), "--out", str(out),
+                     "spanning"]) == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"config error: {message}"
+        assert out.read_text() == '{"kind": "earlier"}\n'
+
+
 def readme_config(tmp_path) -> dict:
     """The README's minimal config, its paths moved into tmp_path."""
     text = (pathlib.Path(__file__).resolve().parents[1] / "README.md"

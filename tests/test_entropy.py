@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import judge, march_held
 from recurq import systems
-from recurq import (Box, CandidateClass, CompactSet, ControlSignal,
-                    ControlSystem, InstanceTooLargeError,
-                    IntegrationBlowupError, RecurrenceSpec, ResolutionError,
-                    SpanningInstance,
+from recurq import (Box, CandidateClass, CompactSet, ControlSystem,
+                    InstanceTooLargeError, IntegrationBlowupError,
+                    RecurrenceSpec, ResolutionError, SpanningInstance,
                     build_spanning_instance, dim_box_counting, double_integrator,
-                    greedy_cover, initial_point_grid,
-                    integrate, is_recurrent, lower_bound,
+                    greedy_cover, initial_point_grid, lower_bound,
                     min_spanning_cardinality, scalar_linear,
                     uncoverable_points, upper_bound)
 
@@ -173,14 +172,15 @@ def counted_rows(monkeypatch):
 
 
 def assert_matches_per_candidate_loop(sys, inst, spec, dt):
-    """The build the tree replaced: one integrate per candidate from every
-    initial point, then is_recurrent (invariance for tau = 0)."""
+    """The build the tree replaced: one march per candidate over the whole
+    horizon from every initial point, then the sampled verdicts of
+    _gap_witness (invariance for tau = 0)."""
     points = inst.initial_points
     for j, sig in enumerate(inst.candidates):
         held = np.repeat(sig.values[:, None], len(points), axis=1)
-        batch = integrate(sys, points, ControlSignal(sig.segment_duration,
-                                                     held), spec.T, dt)
-        verdicts = is_recurrent(batch, spec)
+        batch = march_held(sys, points, held, sig.segment_duration, spec.T,
+                           dt)
+        verdicts = judge(*batch, spec)
         assert inst.feasibility[j].tolist() == [ok for ok, _ in verdicts], j
 
 
@@ -223,8 +223,9 @@ class TestBuildInstance:
         assert inst.feasibility.any() and not inst.feasibility.all()
         for j, sig in enumerate(inst.candidates):
             for i, x0 in enumerate(inst.initial_points):
-                traj = integrate(sys, x0, sig, 4.0, 0.05)
-                ok, _ = is_recurrent(traj, spec)
+                traj = march_held(sys, x0, sig.values, sig.segment_duration,
+                                  4.0, 0.05)
+                ok, _ = judge(*traj, spec)
                 assert inst.feasibility[j, i] == ok, (j, i)
 
     @pytest.mark.parametrize("tau, level_rows", [
@@ -289,6 +290,34 @@ class TestBuildInstance:
             assert hashlib.sha256(np.packbits(feas).tobytes()).hexdigest()[
                 :16] == digest, (T, eps, tau)
             assert min_spanning_cardinality(inst) == (r, chosen), (T, eps, tau)
+
+    def test_candidate_order(self):
+        # candidate j holds input_values[digit d of j in base V] over
+        # segment d, most significant digit first (itertools.product
+        # order), and the feasibility rows follow it: a 2-D U with 2 values
+        # per axis (V = 4, 16 candidates), then the family's T = 6 (27)
+        plane = ControlSystem(n=2, m=2, U=Box([0.0, 0.0], [1.0, 2.0]),
+                              field=lambda x, u: u + 0.0 * x, name="plane")
+        cases = [(plane, CandidateClass(values_per_axis=2,
+                                        segment_duration=1.0), 2.0, 0.05),
+                 (double_integrator(), CandidateClass(
+                     values_per_axis=3, segment_duration=2.0), 6.0, 0.05)]
+        for sys, cc, T, dt in cases:
+            spec = RecurrenceSpec(UNIT_SQUARE, tau=2.0, eps=0.1, T=T)
+            inst = build_spanning_instance(sys, UNIT_SQUARE, spec, 0.5, cc,
+                                           dt=dt, max_candidates=128)
+            values = cc.input_values(sys.U)
+            V, n_seg = len(values), int(round(T / cc.segment_duration))
+            assert len(inst.candidates) == V ** n_seg
+            for j, sig in enumerate(inst.candidates):
+                assert sig.segment_duration == cc.segment_duration
+                assert sig.values.shape == (n_seg, sys.m)
+                for d in range(n_seg):
+                    digit = j // V ** (n_seg - 1 - d) % V
+                    assert np.array_equal(sig.values[d], values[digit]), (j, d)
+        # the 2-D inputs themselves, first axis major
+        assert cases[0][1].input_values(plane.U).tolist() == [
+            [-1.0, -2.0], [-1.0, 2.0], [1.0, -2.0], [1.0, 2.0]]
 
     @pytest.mark.parametrize("init_delta", [0.0, -0.25, float("inf")])
     def test_rejects_init_delta(self, init_delta):
@@ -358,12 +387,12 @@ class TestCandidateTree:
 
     def test_blowup_names_time_on_full_grid(self):
         # tau = T keeps the row alive after it leaves Q at t = 1, so the
-        # second segment's march blows up; integrate names the same time
+        # second segment's march blows up; a march over the whole horizon
+        # names the same time
         spec = RecurrenceSpec(SEGMENT_Q, tau=4.0, eps=0.0, T=4.0)
         cc = CandidateClass(values_per_axis=1, segment_duration=2.0)
         with pytest.raises(IntegrationBlowupError) as whole:
-            integrate(SQUARE, [0.5], ControlSignal(2.0, [[0.0], [0.0]]),
-                      4.0, 0.05)
+            march_held(SQUARE, [0.5], [[0.0], [0.0]], 2.0, 4.0, 0.05)
         with pytest.raises(IntegrationBlowupError) as tree:
             build_spanning_instance(SQUARE, SEGMENT_Q, spec, 1.0, cc, dt=0.05)
         times, _ = systems.time_grid(4.0, 0.05)
@@ -378,8 +407,7 @@ class TestCandidateTree:
         spec = RecurrenceSpec(SEGMENT_Q, tau=tau, eps=0.0, T=3.0)
         cc = CandidateClass(values_per_axis=1, segment_duration=1.5)
         with pytest.raises(IntegrationBlowupError):
-            integrate(SQUARE, [0.5], ControlSignal(1.5, [[0.0], [0.0]]),
-                      3.0, 0.05)
+            march_held(SQUARE, [0.5], [[0.0], [0.0]], 1.5, 3.0, 0.05)
         rows = counted_rows(monkeypatch)
         inst = build_spanning_instance(SQUARE, SEGMENT_Q, spec, 1.0, cc,
                                        dt=0.05)
@@ -393,25 +421,23 @@ class TestCandidateTree:
         # a 1 s segment's grid at dt = 1/3 + 1e-8 ends on a partial step
         # too: a step from 0.667 s would hold segment 0's input past t = 1
         for dt in (0.03, 1 / 3 + 1e-8):
-            with pytest.raises(ValueError) as whole:
-                integrate(sys, [0.5], ControlSignal(1.0, [[0.0], [0.0]]), 2.0,
-                          dt)
             with pytest.raises(ValueError) as tree:
                 build_spanning_instance(sys, SEGMENT_Q, spec, 1.0, cc, dt=dt)
-            assert str(tree.value) == str(whole.value) == (
+            assert str(tree.value) == (
                 f"dt={dt} must divide the segment duration 1.0 evenly")
 
     @pytest.mark.parametrize("dt, T", [((1 - 9e-13) / 3, 2.0),
                                        (0.5, 2.0 + 5e-10)])
     def test_horizon_grid_must_tile(self, dt, T):
         # each 1 s segment ends on a whole step, but time_grid(T, dt) ends
-        # on a partial one that no level marches; integrate marches it
+        # on a partial one that no level marches; a march over T marches it
         spec = RecurrenceSpec(SEGMENT_Q, tau=0.0, eps=0.0, T=T)
         cc = CandidateClass(values_per_axis=2, segment_duration=1.0)
         sys = scalar_linear(a=-1.0)
         times, n_full = systems.time_grid(T, dt)
         assert len(times) == n_full + 2 == 2 * round(1 / dt) + 2
-        integrate(sys, [0.5], ControlSignal(1.0, [[0.0], [0.0]]), T, dt)
+        _, states = march_held(sys, [0.5], [[0.0], [0.0]], 1.0, T, dt)
+        assert len(states) == len(times)
         with pytest.raises(ValueError, match="must divide the horizon T="):
             build_spanning_instance(sys, SEGMENT_Q, spec, 1.0, cc, dt=dt)
 

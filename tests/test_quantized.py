@@ -13,14 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from recurq import (Box, CompactSet, ControlSignal, ControlSystem,
+from recurq import (Box, CompactSet, ControlSystem,
                     ControllerInvalidError, DeterminismError,
                     GridMirror, IntegrationBlowupError, ProtocolError,
                     bit_rate, closed_loop, decode, double_integrator, encode,
-                    integrate, load_step_records,
+                    load_step_records,
                     reference_controller_double_integrator, run_episode,
                     run_episodes, verify_guarantees)
 from recurq import quantized
+from recurq.systems import march
 
 LN2 = math.log(2.0)
 UNIT_SQUARE = CompactSet.box([0.0, 0.0], [1.0, 1.0])
@@ -430,8 +431,8 @@ class TestEpisodeBatch:
 
         sys = ControlSystem(n=2, m=1, U=base.U, field=cliff, name="cliff")
         with pytest.raises(IntegrationBlowupError) as alone:
-            integrate(sys, x0s[-1], ControlSignal(2.0, [[0.0]]), 2.0,
-                      0.01)
+            march(sys.field, np.array(x0s[-1]), 0.01, 2.0,
+                  lambda *_: np.zeros(1), finite_rows=slice(None))
         with pytest.raises(IntegrationBlowupError) as batch:
             run_episodes(sys, UNIT_SQUARE, di_controller, x0s, 0.1, 2.0,
                          [0.0] * len(x0s), 2, 0.01)
@@ -454,7 +455,7 @@ class TestEpisodeBatch:
     @pytest.mark.parametrize("B", [1, 4])
     def test_replay_oracle(self, di_controller, B, dt):
         # every logged array recomputed from its step's logged inputs by
-        # the unbatched closed_loop and integrate, and by replay's one
+        # the unbatched closed_loop and march, and by replay's one
         # batch; where dt does not divide tau the fragment and the plant
         # end each tau step on a partial RK4 step
         sys = double_integrator()
@@ -469,8 +470,8 @@ class TestEpisodeBatch:
                 # the input held over each step, from the fragment's state
                 u = np.clip(di_controller.feedback(frag[:-1]), sys.U.lo,
                             sys.U.hi)
-                replay = integrate(sys, s.x, ControlSignal(dt, u), 2.0,
-                                   dt).states
+                replay = march(sys.field, s.x, dt, 2.0, lambda k, _: u[k],
+                               finite_rows=slice(None))
                 assert np.array_equal(plant, replay)
             replayed, failures = quantized.replay(
                 di_controller, dict(log.config, total_bits=log.total_bits),

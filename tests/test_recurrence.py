@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recurq import (Box, CompactSet, ControlSignal, ControlSystem,
-                    RecurrenceSpec, ResolutionError, Trajectory,
-                    containment_radius, double_integrator, estimate_F_Q,
-                    estimate_L, first_return_time, integrate, is_recurrent,
+from helpers import judge, march_held, verdicts
+from recurq import (Box, CompactSet, ControlSystem, RecurrenceSpec,
+                    ResolutionError, containment_radius, double_integrator,
+                    estimate_F_Q, estimate_L, first_return_time,
                     lipschitz_region, scalar_linear)
 from recurq.geometry import distance_many
 from recurq.recurrence import _first_entry, _gap_witness, _visit_gaps
@@ -19,21 +19,23 @@ UNIT_SQUARE = CompactSet.box([0.0, 0.0], [1.0, 1.0])
 
 
 def corner_trajectory(horizon=4.0, dt=0.01):
-    """Double integrator from (1,1) under u = -1: leaves Q, returns at t=2."""
-    sys = double_integrator()
-    return integrate(sys, [1.0, 1.0], ControlSignal(horizon, [[-1.0]]),
-                     horizon, dt)
+    """(times, states) of the double integrator from (1,1) under u = -1:
+    leaves Q, returns at t=2."""
+    return march_held(double_integrator(), [1.0, 1.0], [[-1.0]], horizon,
+                      horizon, dt)
 
 
 class TestIsRecurrent:
+    """The sampled verdict of a marched trajectory, by _gap_witness."""
+
     def test_corner_trajectory_recurrent_for_tau_2(self):
         traj = corner_trajectory()
-        ok, witness = is_recurrent(traj, RecurrenceSpec(UNIT_SQUARE, tau=2.0, T=4.0))
+        ok, witness = judge(*traj, RecurrenceSpec(UNIT_SQUARE, tau=2.0, T=4.0))
         assert ok and witness is None
 
     def test_corner_trajectory_not_recurrent_below_2(self):
         traj = corner_trajectory()
-        ok, witness = is_recurrent(traj, RecurrenceSpec(UNIT_SQUARE, tau=1.9, T=4.0))
+        ok, witness = judge(*traj, RecurrenceSpec(UNIT_SQUARE, tau=1.9, T=4.0))
         assert not ok
         # the violating window starts at the departure time t=0
         assert witness == pytest.approx(0.0, abs=1e-9)
@@ -42,43 +44,41 @@ class TestIsRecurrent:
         # over [0, 2] the excursion peaks at distance 0.5 from Q (t=1, x1=1.5);
         # with eps=0.49 the uncovered stretch around the peak lasts ~0.283 s
         traj = corner_trajectory(horizon=2.0)
-        ok, _ = is_recurrent(traj, RecurrenceSpec(UNIT_SQUARE, tau=0.2, eps=0.5,
-                                                  T=2.0))
+        ok, _ = judge(*traj, RecurrenceSpec(UNIT_SQUARE, tau=0.2, eps=0.5,
+                                            T=2.0))
         assert ok
-        ok, _ = is_recurrent(traj, RecurrenceSpec(UNIT_SQUARE, tau=0.2, eps=0.49,
-                                                  T=2.0))
+        ok, _ = judge(*traj, RecurrenceSpec(UNIT_SQUARE, tau=0.2, eps=0.49,
+                                            T=2.0))
         assert not ok
 
     def test_never_visiting(self):
         sys = double_integrator()
-        traj = integrate(sys, [5.0, 0.0], ControlSignal(4.0, [[1.0]]),
-                         4.0, 0.01)
+        traj = march_held(sys, [5.0, 0.0], [[1.0]], 4.0, 4.0, 0.01)
         for tau in (1.0, 4.0):
             # at tau = T the no-visit stretch is infinite, so it still fails
-            ok, witness = is_recurrent(traj, RecurrenceSpec(UNIT_SQUARE,
-                                                            tau=tau, T=4.0))
+            ok, witness = judge(*traj, RecurrenceSpec(UNIT_SQUARE, tau=tau,
+                                                      T=4.0))
             assert not ok and witness == 0.0
 
     def test_tail_violation_witness(self):
         # leaves Q when x2 crosses 1 at t=1, never returns: witness is the
         # last visit
         sys = double_integrator()
-        traj = integrate(sys, [0.0, 0.0], ControlSignal(6.0, [[1.0]]),
-                         6.0, 0.01)
-        ok, witness = is_recurrent(traj, RecurrenceSpec(UNIT_SQUARE, tau=2.0, T=6.0))
+        traj = march_held(sys, [0.0, 0.0], [[1.0]], 6.0, 6.0, 0.01)
+        ok, witness = judge(*traj, RecurrenceSpec(UNIT_SQUARE, tau=2.0, T=6.0))
         assert not ok
         assert witness == pytest.approx(1.0, abs=0.02)
 
     def test_resolution_guard(self):
         traj = corner_trajectory(dt=0.5)
         with pytest.raises(ResolutionError):
-            is_recurrent(traj, RecurrenceSpec(UNIT_SQUARE, tau=1.0, T=4.0))
+            judge(*traj, RecurrenceSpec(UNIT_SQUARE, tau=1.0, T=4.0))
 
     def test_short_trajectory_rejected(self):
         traj = corner_trajectory(horizon=3.0)
         for tau in (2.0, 0.0):  # invariance does not clamp T either
             with pytest.raises(ValueError):
-                is_recurrent(traj, RecurrenceSpec(UNIT_SQUARE, tau=tau, T=4.0))
+                judge(*traj, RecurrenceSpec(UNIT_SQUARE, tau=tau, T=4.0))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -113,29 +113,29 @@ class TestIsRecurrentOracle:
         states = np.where(visited.T, 0.0, 5.0)[..., None]  # (K+1, B, 1)
         spec = RecurrenceSpec(CompactSet.box([0.0], [1.0]), tau=tau, T=T)
         invariance = dataclasses.replace(spec, tau=0.0)
-        batch = is_recurrent(Trajectory(times, states), spec)
-        inv = is_recurrent(Trajectory(times, states), invariance)
+        batch = judge(times, states, spec)
+        inv = judge(times, states, invariance)
         assert len(batch) == len(inv) == len(rows)
-        assert inv == loop_is_invariant(Trajectory(times, states), spec.Q,
-                                        0.0, T)
+        assert inv == loop_is_invariant(times, states, spec.Q, 0.0, T)
         for b in range(len(rows)):
-            row = Trajectory(times, states[:, b])
-            assert batch[b] == is_recurrent(row, spec)
-            assert inv[b] == is_recurrent(row, invariance)
+            row = states[:, b]
+            assert batch[b] == judge(times, row, spec)
+            assert inv[b] == judge(times, row, invariance)
             assert batch[b][0] == brute_force_recurrent(times[visited[b]],
                                                         dt, tau, T)
             assert inv[b][0] == bool(visited[b].all())
 
 
-def loop_is_recurrent(traj, spec):
-    """The per-row loop over _visit_gaps that is_recurrent's scan replaced."""
-    T = min(spec.T, traj.horizon)
+def loop_is_recurrent(times, states, spec):
+    """The per-row loop over _visit_gaps that _gap_witness's scan replaced,
+    on states (K+1, B, n) or one state (K+1, n)."""
+    T = min(spec.T, float(times[-1]))
     tau, tol = spec.tau, 1e-12
-    visited = ((distance_many(traj.states, spec.Q).T <= spec.eps + tol)
-               & (traj.times <= T + tol))
+    visited = ((distance_many(states, spec.Q).T <= spec.eps + tol)
+               & (times <= T + tol))
     verdicts = []
     for row in np.atleast_2d(visited):
-        gaps, starts = _visit_gaps(traj.times[row], 0.0, T)
+        gaps, starts = _visit_gaps(times[row], 0.0, T)
         fail = gaps > tau + tol
         fail[1:-1] &= starts[1:-1] < T - tau - tol
         verdicts.append((False, float(starts[np.argmax(fail)]))
@@ -143,20 +143,20 @@ def loop_is_recurrent(traj, spec):
     return verdicts if visited.ndim == 2 else verdicts[0]
 
 
-def loop_is_invariant(traj, Q, eps, T):
+def loop_is_invariant(times, states, Q, eps, T):
     """Per row, (False, the first sample of [0, T] outside the eps-neighborhood
-    of Q) or (True, None): the tau = 0 verdicts of is_recurrent."""
-    T = min(T, traj.horizon)
-    outside = ((distance_many(traj.states, Q).T > eps + 1e-12)
-               & (traj.times <= T + 1e-12))
-    verdicts = [(False, float(traj.times[np.argmax(row)])) if row.any()
+    of Q) or (True, None): the tau = 0 verdicts of _gap_witness."""
+    T = min(T, float(times[-1]))
+    outside = ((distance_many(states, Q).T > eps + 1e-12)
+               & (times <= T + 1e-12))
+    verdicts = [(False, float(times[np.argmax(row)])) if row.any()
                 else (True, None) for row in np.atleast_2d(outside)]
     return verdicts if outside.ndim == 2 else verdicts[0]
 
 
 class TestGapScanOracle:
-    """The (K+1, B) scan gives the per-row loops' verdicts and witnesses, of
-    recurrence and, at tau = 0, of invariance."""
+    """_gap_witness's (K+1, B) scan gives the per-row loops' verdicts and
+    witnesses, of recurrence and, at tau = 0, of invariance."""
 
     @given(dt=st.sampled_from([1 / 3, 0.05, 0.25]), K=st.integers(12, 40),
            partial=st.booleans(), data=st.data())
@@ -190,16 +190,16 @@ class TestGapScanOracle:
             visited[list(visits), b] = True
         states = np.where(visited, 0.0, 5.0)[..., None]  # (K+1, B, 1)
         spec = RecurrenceSpec(CompactSet.box([0.0], [1.0]), tau=tau, T=T)
-        invariance = dataclasses.replace(spec, tau=0.0)
-        batch = Trajectory(times, states)
-        assert is_recurrent(batch, spec) == loop_is_recurrent(batch, spec)
-        assert (is_recurrent(batch, invariance)
-                == loop_is_invariant(batch, spec.Q, 0.0, T))
-        for b in range(len(rows)):  # the single-state (K+1, n) form
-            one = Trajectory(times, states[:, b])
-            assert is_recurrent(one, spec) == loop_is_recurrent(one, spec)
-            assert (is_recurrent(one, invariance)
-                    == loop_is_invariant(one, spec.Q, 0.0, T))
+        assert (verdicts(_gap_witness(visited, times, T, tau))
+                == loop_is_recurrent(times, states, spec))
+        assert (verdicts(_gap_witness(visited, times, T, 0.0))
+                == loop_is_invariant(times, states, spec.Q, 0.0, T))
+        for b in range(len(rows)):  # one column alone, as in the batch
+            one = states[:, b]
+            assert (verdicts(_gap_witness(visited[:, [b]], times, T, tau))
+                    == [loop_is_recurrent(times, one, spec)])
+            assert (verdicts(_gap_witness(visited[:, [b]], times, T, 0.0))
+                    == [loop_is_invariant(times, one, spec.Q, 0.0, T)])
 
 
 def draw_grid(data):
@@ -263,28 +263,25 @@ class TestGapWitnessSettles:
 
 
 class TestIsInvariant:
-    """is_recurrent at tau = 0: every sample of [0, T] near Q."""
+    """The verdict at tau = 0: every sample of [0, T] near Q."""
 
     def test_corner_trajectory_not_invariant(self):
         traj = corner_trajectory()
-        ok, t = is_recurrent(traj, RecurrenceSpec(UNIT_SQUARE, tau=0.0,
-                                                  T=4.0))
+        ok, t = judge(*traj, RecurrenceSpec(UNIT_SQUARE, tau=0.0, T=4.0))
         assert not ok
         assert 0.0 < t < 0.1
 
     def test_interior_stays(self):
         sys = double_integrator()
-        traj = integrate(sys, [0.0, 0.0], ControlSignal(4.0, [[0.0]]),
-                         4.0, 0.01)
-        ok, t = is_recurrent(traj, RecurrenceSpec(UNIT_SQUARE, tau=0.0,
-                                                  T=4.0))
+        traj = march_held(sys, [0.0, 0.0], [[0.0]], 4.0, 4.0, 0.01)
+        ok, t = judge(*traj, RecurrenceSpec(UNIT_SQUARE, tau=0.0, T=4.0))
         assert ok and t is None
 
     def test_eps_inflation(self):
         # the excursion stays within 0.5 of Q up to the return at t=2
         traj = corner_trajectory(horizon=2.0)
-        ok, _ = is_recurrent(traj, RecurrenceSpec(UNIT_SQUARE, tau=0.0,
-                                                  eps=0.5, T=2.0))
+        ok, _ = judge(*traj, RecurrenceSpec(UNIT_SQUARE, tau=0.0, eps=0.5,
+                                            T=2.0))
         assert ok
 
     def test_resting_state_is_invariant(self):
@@ -292,10 +289,10 @@ class TestIsInvariant:
         # Q, so no pair of adjacent visits counts as a gap
         sys = scalar_linear(a=0.0)
         Q = CompactSet.box([0.0], [1.0])
-        traj = integrate(sys, [0.5], ControlSignal(1.0, [[0.0]]), 1.0, 0.05)
+        traj = march_held(sys, [0.5], [[0.0]], 1.0, 1.0, 0.05)
         spec = RecurrenceSpec(Q, tau=0.0, eps=0.0, T=1.0)
-        assert is_recurrent(traj, spec) == (True, None)
-        assert loop_is_invariant(traj, Q, 0.0, 1.0) == (True, None)
+        assert judge(*traj, spec) == (True, None)
+        assert loop_is_invariant(*traj, Q, 0.0, 1.0) == (True, None)
 
 
 class TestFirstReturn:
@@ -466,8 +463,8 @@ class TestConstants:
         # the corner excursion is tau=2 recurrent on [0, 4] and stays well
         # inside the certified radius there
         sys = double_integrator()
-        traj = corner_trajectory(horizon=4.0)
+        _, states = corner_trajectory(horizon=4.0)
         constants, _ = lipschitz_region(sys, UNIT_SQUARE, 2.0)
         worst = max(
-            max(0.0, float(np.max(np.abs(x) - 1.0))) for x in traj.states)
+            max(0.0, float(np.max(np.abs(x) - 1.0))) for x in states)
         assert worst <= constants.delta_tau

@@ -5,20 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recurq import (Box, ControlSignal, ControlSystem, DomainError,
-                    IntegrationBlowupError, divergence, double_integrator,
-                    integrate, jacobian_fd, make_system, scalar_linear)
+from helpers import march_held
+from recurq import (Box, ControlSystem, DomainError, IntegrationBlowupError,
+                    divergence, double_integrator, jacobian_fd, make_system,
+                    scalar_linear)
 from recurq import systems
-from recurq.systems import _segment_of, march, time_grid
-
-
-class TestControlSignal:
-    def test_segment_of(self):
-        sig = ControlSignal(1.0, [[-1.0], [0.0], [1.0]])
-        times = np.array([0.0, 0.999, 1 - 1e-10, 1.0, 2.5, 3.0])
-        # a step start within 1e-9 of a boundary takes the next segment, as
-        # integrate's steps do; 3.0 is clamped to the last segment
-        assert _segment_of(sig, times).tolist() == [0, 0, 1, 1, 2, 2]
+from recurq.systems import march, time_grid
 
 
 class TestRK4:
@@ -26,20 +18,17 @@ class TestRK4:
         # double integrator with constant input has polynomial solutions of
         # degree 2, which RK4 reproduces to rounding error
         sys = double_integrator()
-        traj = integrate(sys, [1.0, 1.0], ControlSignal(5.0, [[-1.0]]),
-                         4.0, 0.05)
-        t = traj.times
+        t, states = march_held(sys, [1.0, 1.0], [[-1.0]], 5.0, 4.0, 0.05)
         exact = np.stack([1.0 + t - 0.5 * t**2, 1.0 - t], axis=-1)
-        assert np.max(np.abs(traj.states - exact)) < 1e-12
+        assert np.max(np.abs(states - exact)) < 1e-12
 
     def test_convergence_order_on_exponential(self):
         # x' = x, x(1) = e; the error must shrink by ~2^4 per halving
         sys = scalar_linear(a=1.0)
-        u0 = ControlSignal(1.0, [[0.0]])
 
         def err(dt):
-            traj = integrate(sys, [1.0], u0, 1.0, dt)
-            return abs(traj.states[-1][0] - math.e)
+            _, states = march_held(sys, [1.0], [[0.0]], 1.0, 1.0, dt)
+            return abs(states[-1][0] - math.e)
 
         e1, e2 = err(0.05), err(0.025)
         order = math.log2(e1 / e2)
@@ -50,8 +39,8 @@ class TestRK4:
         sys = scalar_linear(a=1.0)
         x1 = march(sys.field, np.array([1.0]), 0.1, horizon=0.1,
                    input_at=lambda k, x: np.array([0.5]))[-1]
-        traj = integrate(sys, [1.0], ControlSignal(0.1, [[0.5]]), 0.1, 0.1)
-        np.testing.assert_allclose(traj.states[-1], x1, rtol=0, atol=0)
+        _, states = march_held(sys, [1.0], [[0.5]], 0.1, 0.1, 0.1)
+        np.testing.assert_allclose(states[-1], x1, rtol=0, atol=0)
 
 
 def check_finite_oracle(x, t):
@@ -212,84 +201,70 @@ class TestTimeGrid:
 
 
 class TestIntegrate:
+    """march under a piecewise-constant input, held per segment."""
+
     def test_zero_horizon(self):
         sys = double_integrator()
-        traj = integrate(sys, [0.2, -0.3], ControlSignal(1.0, [[0.0]]),
-                         0.0, 0.1)
-        assert traj.horizon == 0.0
-        np.testing.assert_allclose(traj.states, [[0.2, -0.3]])
+        times, states = march_held(sys, [0.2, -0.3], [[0.0]], 1.0, 0.0, 0.1)
+        assert times[-1] == 0.0
+        np.testing.assert_allclose(states, [[0.2, -0.3]])
 
     def test_partial_final_step(self):
         sys = scalar_linear(a=1.0)
-        traj = integrate(sys, [1.0], ControlSignal(1.0, [[0.0]]), 0.55, 0.1)
-        assert traj.times[-1] == pytest.approx(0.55)
-        assert traj.states[-1][0] == pytest.approx(math.exp(0.55), rel=1e-6)
-
-    def test_dt_must_divide_segment(self):
-        # the boundary at t = 1 lies inside the horizon
-        sys = double_integrator()
-        with pytest.raises(ValueError):
-            integrate(sys, [0.0, 0.0], ControlSignal(1.0, [[0.0], [1.0]]),
-                      2.0, 0.3)
+        times, states = march_held(sys, [1.0], [[0.0]], 1.0, 0.55, 0.1)
+        assert times[-1] == pytest.approx(0.55)
+        assert states[-1][0] == pytest.approx(math.exp(0.55), rel=1e-6)
 
     @pytest.mark.parametrize("horizon, times", [
         (1.0, [0.0, 0.3, 0.6, 0.9, 1.0]), (0.7, [0.0, 0.3, 0.6, 0.7])])
     def test_one_segment_ends_on_a_partial_step(self, horizon, times):
         # no boundary inside the horizon: dt need not divide the segment
         sys = double_integrator()
-        traj = integrate(sys, [0.2, 0.5], ControlSignal(1.0, [[-1.0], [1.0]]),
-                         horizon, 0.3)
-        np.testing.assert_allclose(traj.times, times, rtol=0, atol=1e-15)
+        got, states = march_held(sys, [0.2, 0.5], [[-1.0], [1.0]], 1.0,
+                                 horizon, 0.3)
+        np.testing.assert_allclose(got, times, rtol=0, atol=1e-15)
         # RK4 is exact on the quadratic flow of one held input
         np.testing.assert_allclose(
-            traj.states[-1],
+            states[-1],
             [0.2 + 0.5 * horizon - horizon**2 / 2, 0.5 - horizon],
             rtol=0, atol=1e-12)
-
-    def test_horizon_beyond_signal_rejected(self):
-        sys = double_integrator()
-        with pytest.raises(ValueError):
-            integrate(sys, [0.0, 0.0], ControlSignal(1.0, [[0.0]]),
-                      2.0, 0.1)
 
     def test_blowup_detected(self):
         cubic = ControlSystem(
             n=1, m=1, U=Box([0.0], [1.0]),
             field=lambda x, u: np.array((x[0] ** 3,)), name="cubic")
         with pytest.raises(IntegrationBlowupError) as exc:
-            integrate(cubic, [5.0], ControlSignal(10.0, [[0.0]]),
-                      10.0, 0.01)
+            march_held(cubic, [5.0], [[0.0]], 10.0, 10.0, 0.01)
         assert 0.0 < exc.value.t <= 10.0
 
     def test_deterministic_repeatability(self):
         sys = double_integrator()
-        sig = ControlSignal(0.5, [[0.3], [-0.7], [1.0], [0.0]])
-        a = integrate(sys, [0.1, 0.2], sig, 2.0, 0.01)
-        b = integrate(sys, [0.1, 0.2], sig, 2.0, 0.01)
-        assert np.array_equal(a.states, b.states)
+        values = [[0.3], [-0.7], [1.0], [0.0]]
+        _, a = march_held(sys, [0.1, 0.2], values, 0.5, 2.0, 0.01)
+        _, b = march_held(sys, [0.1, 0.2], values, 0.5, 2.0, 0.01)
+        assert np.array_equal(a, b)
 
     def test_batch_rows_match_single_runs(self):
         sys = double_integrator()
         X = np.array([[0.1, 0.2], [-1.0, 0.5], [0.7, -0.9]])
         values = np.array([[[0.3], [-1.0], [1.0]], [[-0.7], [0.2], [0.0]]])
         # 0.95 = 9 full steps of 0.1 plus one partial step of 0.05
-        batch = integrate(sys, X, ControlSignal(0.5, values), 0.95, 0.1)
-        assert batch.states.shape == (11, 3, 2)
+        times, batch = march_held(sys, X, values, 0.5, 0.95, 0.1)
+        assert batch.shape == (11, 3, 2)
         for b in range(3):
-            alone = integrate(sys, X[b], ControlSignal(0.5, values[:, b]),
-                              0.95, 0.1)
-            assert np.array_equal(batch.times, alone.times)
-            assert np.array_equal(batch.states[:, b], alone.states)
+            alone_times, alone = march_held(sys, X[b], values[:, b], 0.5,
+                                            0.95, 0.1)
+            assert np.array_equal(times, alone_times)
+            assert np.array_equal(batch[:, b], alone)
 
     def test_batch_blowup_names_row(self):
         cubic = ControlSystem(n=1, m=1, U=Box([0.0], [1.0]),
                               field=lambda x, u: x ** 3, name="cubic")
-        sig = ControlSignal(10.0, [[0.0]])
         with pytest.raises(IntegrationBlowupError) as alone:
-            integrate(cubic, [5.0], sig, 10.0, 0.01)
-        batch_sig = ControlSignal(10.0, np.zeros((1, 2, 1)))
+            march_held(cubic, [5.0], [[0.0]], 10.0, 10.0, 0.01)
         with pytest.raises(IntegrationBlowupError) as batch:
-            integrate(cubic, [[0.1], [5.0]], batch_sig, 10.0, 0.01)
+            march_held(cubic, [[0.1], [5.0]], np.zeros((1, 2, 1)), 10.0,
+                       10.0, 0.01)
         assert batch.value.row == 1
         assert batch.value.t == alone.value.t
 
