@@ -213,11 +213,16 @@ def cmd_spanning(cfg: dict, out) -> int:
     eps_list, tau_list = ([_read(cfg, one, low=0.0)] if cfg.get(key) is None
                           else _read(cfg, key, list, low=0.0) for key, one in
                           (("eps_list", "eps"), ("tau_list", "tau")))
+    for T in horizons:  # every (T, tau) pair, before any instance is built
+        if T < max(tau_list):
+            tau_key = "tau" if cfg.get("tau_list") is None else "tau_list"
+            raise ConfigError(f"horizons entry {T} is below {tau_key} entry "
+                              f"{max(tau_list)}; each T must be at least tau")
     cand_cfg = _read(cfg, "candidate", dict, {})
     values_per_axis = _read(cand_cfg, "values_per_axis", int, 3)
     segment_duration = _read(cand_cfg, "segment_duration", float, 1.0)
     init_delta = _read(cfg, "init_delta", float, 0.25)
-    max_candidates = _read(cfg, "max_candidates", int, 24)
+    max_candidates = _read(cfg, "max_candidates", int, 24, low=1)
     try:
         cclass = CandidateClass(values_per_axis, segment_duration)
     except ValueError as exc:  # rejected by its name
@@ -244,8 +249,7 @@ def cmd_spanning(cfg: dict, out) -> int:
                         sys_, Q, spec, init_delta, cclass, dt,
                         max_candidates=max_candidates)
                 except InstanceTooLargeError as exc:
-                    rec.update({"exact": False, "greedy_only": True,
-                                "note": str(exc)})
+                    rec.update({"exact": False, "note": str(exc)})
                     continue
                 except ValueError as exc:  # rejected by its name
                     raise ConfigError(str(exc)) from exc

@@ -12,7 +12,7 @@ import numpy as np
 from . import systems
 from .geometry import Box, CompactSet, distance_many, grid, neighborhood
 from .recurrence import (_MEMBERSHIP_TOL, _POINTS_PER_AXIS, RecurrenceSpec,
-                         _gap_witness)
+                         _recurrent)
 from .systems import ControlSignal, ControlSystem, divergence, time_grid
 
 LN2 = math.log(2.0)
@@ -132,7 +132,7 @@ def build_spanning_instance(sys: ControlSystem, Q: CompactSet,
     Marches the candidate tree a segment per level, row (prefix*V + v)*P + p
     holding value v from point p, and stops marching a row once its mask of
     samples near Q, unmarched ones counted as visits, already fails
-    recurrence._gap_witness, which at tau = 0 fails on a sample outside.  So
+    recurrence._recurrent, which at tau = 0 fails on a sample outside.  So
     a dead row's later blow-up raises nothing; IntegrationBlowupError names
     a time on time_grid(T, dt) and that row index.  With more than one
     segment, dt must divide the segment duration and the horizon.
@@ -179,7 +179,7 @@ def build_spanning_instance(sys: ControlSystem, Q: CompactSet,
         near = near[:, parent]
         near[lo + 1:lo + steps + 1] = (distance_many(states[1:], spec.Q)
                                        <= spec.eps + _MEMBERSHIP_TOL)
-        ok = _gap_witness(near, times, T, spec.tau) == math.inf
+        ok = _recurrent(near, times, T, spec.tau)
         live, x, near = live[ok], states[-1, ok], near[:, ok]
     feas = np.zeros((len(candidates), P), dtype=bool)
     feas.flat[live] = True

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import Box, CompactSet, distance_many, grid
-from .recurrence import _visit_gaps, estimate_L
+from .recurrence import _longest_gap, estimate_L
 from .systems import ControlSystem, march, time_grid
 
 LN2 = math.log(2.0)
@@ -156,8 +156,7 @@ def build_feedback_controller(sys: ControlSystem, Q: CompactSet, tau: float,
     times, _ = time_grid(horizon, _SWEEP_DT)
     dists = distance_many(swept, Q)
     # each row's longest gap, tail included; inf with no visit
-    gaps = np.array([np.max(_visit_gaps(times[row], 0.0, horizon)[0])
-                     for row in (dists <= 1e-9).T])
+    gaps = _longest_gap(dists <= 1e-9, times, horizon)
     failed = np.flatnonzero(gaps > tau + 2 * _SWEEP_DT)
     if len(failed):
         raise ControllerInvalidError(
@@ -629,10 +628,10 @@ def _windowed_recurrence_margin(times, dists, slacks, windows, starts,
         visits = times[k:][dists[k:] <= slack + 1e-9]
         if len(visits) == 0:
             return math.inf
-        gaps, _ = _visit_gaps(visits, t0, T_end)
-        gap = max(0.0, float(np.max(gaps[:-1])))
+        # the head and the gaps between visits, then the tail
+        gap = max(0.0, float(np.max(np.diff(visits, prepend=t0))))
         if visits[-1] < T_end - window - 1e-12:
-            gap = max(gap, float(gaps[-1]))
+            gap = max(gap, T_end - float(visits[-1]))
         worst = max(worst, gap - window)
     return worst
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box, CompactSet, _as_vector, neighborhood
+from .geometry import Box, CompactSet, neighborhood
 from .systems import ControlSystem, march, time_grid
 
 #: membership slack absorbing floating-point noise on box boundaries
@@ -55,65 +55,48 @@ class ContainmentConstants:
     converged: bool = True
 
 
-def _visit_gaps(visits: np.ndarray, t0: float, T: float) -> tuple:
-    """(gaps, starts) of the stretches of [t0, T] between sorted visit
-    times; with no visit, one infinite stretch from t0."""
-    if len(visits) == 0:
-        return np.array([math.inf]), np.array([t0])
-    starts = np.concatenate(([t0], visits))
-    return np.append(visits, T) - starts, starts
-
-
-def _gap_witness(near: np.ndarray, times: np.ndarray, T: float, tau: float):
-    """Per column of the (K+1, B) mask of samples near Q (none past T), the
-    start of the first violating gap of _visit_gaps (tau = 0: the first
-    sample not near Q), inf where none; more visits never undo an inf."""
-    if tau == 0:  # invariance: argmin finds the first miss, if any
-        n = np.searchsorted(times, T + _MEMBERSHIP_TOL, side="right")
-        first = np.argmin(near[:n], axis=0)
-        return np.where(near[first, np.arange(near.shape[1])], math.inf,
-                        times[first])
-    if len(times) > 1 and times[1] - times[0] > tau / 10 + 1e-12:
-        raise ResolutionError(f"sample step {times[1] - times[0]} too coarse "
-                              f"for tau={tau}; need dt <= tau/10")
-    limit = tau + _MEMBERSHIP_TOL
+def _longest_gap(near: np.ndarray, times: np.ndarray, T: float):
+    """Per column of the (K+1, B) mask of samples near Q, the longest
+    stretch of [times[0], T] without a visit (samples past T ignored): the
+    head, a gap between two visits or the tail; inf with no visit."""
     visited = near & (times <= T + _MEMBERSHIP_TOL)[:, None]
     # last[k, b]: row b's last visit at or before sample k, or -1
     last = np.where(visited, np.arange(len(times), dtype=np.int32)[:, None], -1)
     np.maximum.accumulate(last, axis=0, out=last)
-    # the gap ending at visit k starts at times[prev[k - 1]] (a first visit
-    # reads times[-1]: gap <= 0); it fails only if it starts before T - tau
-    prev = last[:-1]
-    gaps = times[prev]
-    inner = gaps < T - tau - _MEMBERSHIP_TOL
-    inner &= np.subtract(times[1:, None], gaps, out=gaps) > limit
-    inner &= visited[1:]
-    # the earliest failing start: an interior gap, or the tail and the head
-    # (0), which fail on length alone; no visit is an infinite head.  take's
-    # default mode would buffer out=; "wrap" reads -1 as indexing does
-    witness = np.min(np.take(times, prev, out=gaps, mode="wrap"), axis=0,
-                     where=inner, initial=math.inf)
-    seen = last[-1] >= 0
-    np.minimum(witness, times[last[-1]], out=witness,
-               where=seen & (T - times[last[-1]] > limit))
-    witness[np.where(seen, times[np.argmax(visited, axis=0)], math.inf)
-            > limit] = 0.0
-    return witness
+    # the gap ending at visit k starts at its previous visit, or at
+    # times[0] for the first one (the head)
+    gaps = times[1:, None] - times[np.maximum(last[:-1], 0)]
+    longest = np.max(gaps, axis=0, where=visited[1:], initial=0.0)
+    tail = np.where(last[-1] >= 0, T - times[last[-1]], math.inf)
+    return np.maximum(longest, tail)
+
+
+def _recurrent(near: np.ndarray, times: np.ndarray, T: float, tau: float):
+    """Per column of the (K+1, B) mask of samples near Q, whether [0, T]
+    has no gap longer than tau; at tau = 0, whether every sample of [0, T]
+    is near Q.  More visits never fail a column that passes."""
+    if tau == 0:
+        return near[:np.searchsorted(times, T + _MEMBERSHIP_TOL,
+                                     side="right")].all(axis=0)
+    if len(times) > 1 and times[1] - times[0] > tau / 10 + 1e-12:
+        raise ResolutionError(f"sample step {times[1] - times[0]} too coarse "
+                              f"for tau={tau}; need dt <= tau/10")
+    return _longest_gap(near, times, T) <= tau + _MEMBERSHIP_TOL
 
 
 def first_return_time(sys: ControlSystem, x0, u, Q: CompactSet,
-                      horizon: float, dt: float):
-    """First t > 0 with the trajectory inside Q, refined by bisection.
+                      horizon: float, dt: float) -> list:
+    """Per row of x0 (B, n), the first t > 0 with its trajectory inside Q,
+    refined by bisection, as if the row were marched alone.
 
-    The input u (m,) is held throughout.  None if the trajectory never
-    meets Q in (0, horizon]; a state that blows up never meets it.  A batch
-    x0 (B, n) with inputs u (B, m) gives a list of B times, each as if
-    its row were marched alone.
+    Row b holds the input u[b] (u is (B, m)) throughout.  None if the
+    trajectory never meets Q in (0, horizon]; a state that blows up never
+    meets it.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 2:
-        x0 = _as_vector(x0, dim=sys.n, name="x0")
-    elif x0.shape[1] != sys.n:
+        raise ValueError(f"x0 must be a batch (B, n), not shape {x0.shape}")
+    if x0.shape[1] != sys.n:
         raise ValueError(f"x0 has dimension {x0.shape[1]}, expected {sys.n}")
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -124,8 +107,6 @@ def first_return_time(sys: ControlSystem, x0, u, Q: CompactSet,
     # the last step is partial when dt does not divide the horizon
     times, n_full = time_grid(horizon, dt)
     last_h = float(times[-1] - times[-2]) if len(times) > n_full + 1 else dt
-    if states.ndim == 2:
-        return _first_entry(sys.field, states, u, dt, Q, last_h)
     return [_first_entry(sys.field, states[:, b], u[b], dt, Q, last_h)
             for b in range(states.shape[1])]
 

@@ -1,12 +1,12 @@
 """Test helpers: march a piecewise-constant input, and judge the sampled
-states by the library's one recurrence rule (recurrence._gap_witness)."""
+states by the library's one recurrence rule (recurrence._recurrent)."""
 
 import math
 
 import numpy as np
 
 from recurq.geometry import distance_many
-from recurq.recurrence import _MEMBERSHIP_TOL, _gap_witness
+from recurq.recurrence import _MEMBERSHIP_TOL, _longest_gap, _recurrent
 from recurq.systems import march, time_grid
 
 
@@ -25,19 +25,14 @@ def march_held(sys, x0, values, segment_duration, horizon, dt):
 
 
 def judge(times, states, spec):
-    """(ok, witness) of spec over [0, min(spec.T, times[-1])] per row of
+    """(ok, longest gap) of spec over [0, min(spec.T, times[-1])] per row of
     states (K+1, B, n), or one pair for (K+1, n): the samples within eps
-    of Q, scanned by _gap_witness; witness is None where it holds."""
+    of Q, judged by _recurrent and measured by _longest_gap."""
     if times[-1] + 1e-9 < spec.T and math.isfinite(spec.T):
         raise ValueError("trajectory shorter than the requested horizon T")
     near = (distance_many(states, spec.Q).reshape(len(times), -1)
             <= spec.eps + _MEMBERSHIP_TOL)
-    pairs = verdicts(_gap_witness(near, times, min(spec.T, float(times[-1])),
-                                  spec.tau))
+    T = min(spec.T, float(times[-1]))
+    pairs = list(zip(_recurrent(near, times, T, spec.tau).tolist(),
+                     _longest_gap(near, times, T).tolist()))
     return pairs[0] if states.ndim == 2 else pairs
-
-
-def verdicts(witness):
-    """(ok, witness) per column from _gap_witness: (True, None) for inf."""
-    return [(True, None) if w == math.inf else (False, w)
-            for w in witness.tolist()]

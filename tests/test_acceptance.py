@@ -87,7 +87,7 @@ def test_criterion_2_non_recurrence_floor():
     assert floor >= 2.0 - 0.01, f"return at {floor}"
 
     sys = double_integrator()
-    t_ret = first_return_time(sys, [1.0, 1.0], [-1.0], Q, 8.0, 0.01)
+    [t_ret] = first_return_time(sys, [[1.0, 1.0]], [[-1.0]], Q, 8.0, 0.01)
     assert abs(t_ret - 2.0) <= 1e-6
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0

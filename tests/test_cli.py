@@ -216,8 +216,12 @@ class TestSpanning:
                                                         "max_candidates: 24")
         code, recs = run(tmp_path, text, "spanning")
         assert code == EXIT_OK
-        (r,) = recs
-        assert r["greedy_only"] and not r["exact"]
+        # the cap is checked before the matrix exists, so a capped record
+        # carries no cover, greedy or exact
+        assert recs == [{"kind": "spanning", "T": 8.0, "eps": 0.1, "tau": 2.0,
+                         "mode": "recurrence", "exact": False,
+                         "note": "81 candidates x 16 points exceeds caps "
+                                 "24 x 64"}]
 
     def test_tau_zero_is_labelled_invariance(self, tmp_path):
         # tau 0 builds the invariance instance; with eps 1 it has a cover
@@ -283,6 +287,18 @@ class TestSpanning:
          "each entry of horizons must be finite and above 0.0, not 0.0"),
         ({"horizons": [4, -4]},
          "each entry of horizons must be finite and above 0.0, not -4.0"),
+        # from RecurrenceSpec before, naming neither key nor value
+        ({"horizons": [4, 1], "tau_list": [0.0, 2.0]},
+         "horizons entry 1.0 is below tau_list entry 2.0; each T must be at "
+         "least tau"),
+        ({"tau_list": None, "tau": 5.0},
+         "horizons entry 4.0 is below tau entry 5.0; each T must be at least "
+         "tau"),
+        # ran before, every record capped
+        ({"max_candidates": 0},
+         "max_candidates must be finite and at least 1, not 0"),
+        ({"max_candidates": -3},
+         "max_candidates must be finite and at least 1, not -3"),
     ])
     def test_bad_entry_is_refused_by_name(self, tmp_path, capsys, edit,
                                           message):

@@ -174,7 +174,7 @@ def counted_rows(monkeypatch):
 def assert_matches_per_candidate_loop(sys, inst, spec, dt):
     """The build the tree replaced: one march per candidate over the whole
     horizon from every initial point, then the sampled verdicts of
-    _gap_witness (invariance for tau = 0)."""
+    _recurrent (invariance for tau = 0)."""
     points = inst.initial_points
     for j, sig in enumerate(inst.candidates):
         held = np.repeat(sig.values[:, None], len(points), axis=1)

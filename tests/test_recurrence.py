@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import judge, march_held, verdicts
+from helpers import judge, march_held
 from recurq import (Box, CompactSet, ControlSystem, RecurrenceSpec,
                     ResolutionError, containment_radius, double_integrator,
                     estimate_F_Q, estimate_L, first_return_time,
                     lipschitz_region, scalar_linear)
 from recurq.geometry import distance_many
-from recurq.recurrence import _first_entry, _gap_witness, _visit_gaps
+from recurq.recurrence import _first_entry, _longest_gap, _recurrent
 from recurq.systems import time_grid
 
 UNIT_SQUARE = CompactSet.box([0.0, 0.0], [1.0, 1.0])
@@ -26,19 +26,20 @@ def corner_trajectory(horizon=4.0, dt=0.01):
 
 
 class TestIsRecurrent:
-    """The sampled verdict of a marched trajectory, by _gap_witness."""
+    """The sampled verdict of a marched trajectory, by _recurrent, and its
+    longest gap."""
 
     def test_corner_trajectory_recurrent_for_tau_2(self):
         traj = corner_trajectory()
-        ok, witness = judge(*traj, RecurrenceSpec(UNIT_SQUARE, tau=2.0, T=4.0))
-        assert ok and witness is None
+        ok, gap = judge(*traj, RecurrenceSpec(UNIT_SQUARE, tau=2.0, T=4.0))
+        assert ok and gap == pytest.approx(2.0, abs=1e-9)
 
     def test_corner_trajectory_not_recurrent_below_2(self):
         traj = corner_trajectory()
-        ok, witness = judge(*traj, RecurrenceSpec(UNIT_SQUARE, tau=1.9, T=4.0))
+        ok, gap = judge(*traj, RecurrenceSpec(UNIT_SQUARE, tau=1.9, T=4.0))
         assert not ok
-        # the violating window starts at the departure time t=0
-        assert witness == pytest.approx(0.0, abs=1e-9)
+        # the excursion leaves Q at t=0 and returns at t=2
+        assert gap == pytest.approx(2.0, abs=1e-9)
 
     def test_eps_slack_restores_recurrence(self):
         # over [0, 2] the excursion peaks at distance 0.5 from Q (t=1, x1=1.5);
@@ -56,18 +57,17 @@ class TestIsRecurrent:
         traj = march_held(sys, [5.0, 0.0], [[1.0]], 4.0, 4.0, 0.01)
         for tau in (1.0, 4.0):
             # at tau = T the no-visit stretch is infinite, so it still fails
-            ok, witness = judge(*traj, RecurrenceSpec(UNIT_SQUARE, tau=tau,
-                                                      T=4.0))
-            assert not ok and witness == 0.0
+            ok, gap = judge(*traj, RecurrenceSpec(UNIT_SQUARE, tau=tau, T=4.0))
+            assert not ok and gap == math.inf
 
     def test_tail_violation_witness(self):
-        # leaves Q when x2 crosses 1 at t=1, never returns: witness is the
-        # last visit
+        # leaves Q when x2 crosses 1 at t=1, never returns: the longest gap
+        # is the tail from the last visit to T
         sys = double_integrator()
         traj = march_held(sys, [0.0, 0.0], [[1.0]], 6.0, 6.0, 0.01)
-        ok, witness = judge(*traj, RecurrenceSpec(UNIT_SQUARE, tau=2.0, T=6.0))
+        ok, gap = judge(*traj, RecurrenceSpec(UNIT_SQUARE, tau=2.0, T=6.0))
         assert not ok
-        assert witness == pytest.approx(1.0, abs=0.02)
+        assert gap == pytest.approx(5.0, abs=0.02)
 
     def test_resolution_guard(self):
         traj = corner_trajectory(dt=0.5)
@@ -116,7 +116,8 @@ class TestIsRecurrentOracle:
         batch = judge(times, states, spec)
         inv = judge(times, states, invariance)
         assert len(batch) == len(inv) == len(rows)
-        assert inv == loop_is_invariant(times, states, spec.Q, 0.0, T)
+        assert ([ok for ok, _ in inv]
+                == loop_is_invariant(times, states, spec.Q, 0.0, T))
         for b in range(len(rows)):
             row = states[:, b]
             assert batch[b] == judge(times, row, spec)
@@ -127,79 +128,112 @@ class TestIsRecurrentOracle:
 
 
 def loop_is_recurrent(times, states, spec):
-    """The per-row loop over _visit_gaps that _gap_witness's scan replaced,
-    on states (K+1, B, n) or one state (K+1, n)."""
+    """The per-row loop over visit lists that _recurrent's scan replaced, on
+    states (K+1, B, n) or one state (K+1, n): every gap of [0, T], the head
+    and the tail included, is at most tau (a gap that ends within 1e-12 of
+    T, and is longer than tau by less than 2e-12, fails here though no
+    window of [0, T] fits in it)."""
     T = min(spec.T, float(times[-1]))
     tau, tol = spec.tau, 1e-12
     visited = ((distance_many(states, spec.Q).T <= spec.eps + tol)
                & (times <= T + tol))
     verdicts = []
     for row in np.atleast_2d(visited):
-        gaps, starts = _visit_gaps(times[row], 0.0, T)
-        fail = gaps > tau + tol
-        fail[1:-1] &= starts[1:-1] < T - tau - tol
-        verdicts.append((False, float(starts[np.argmax(fail)]))
-                        if fail.any() else (True, None))
+        visits = times[row]
+        gaps = np.append(visits, T) - np.concatenate(([0.0], visits))
+        verdicts.append(len(visits) > 0 and bool(np.all(gaps <= tau + tol)))
     return verdicts if visited.ndim == 2 else verdicts[0]
 
 
 def loop_is_invariant(times, states, Q, eps, T):
-    """Per row, (False, the first sample of [0, T] outside the eps-neighborhood
-    of Q) or (True, None): the tau = 0 verdicts of _gap_witness."""
+    """Per row, whether every sample of [0, T] lies in the eps-neighborhood
+    of Q: the tau = 0 verdicts of _recurrent."""
     T = min(T, float(times[-1]))
     outside = ((distance_many(states, Q).T > eps + 1e-12)
                & (times <= T + 1e-12))
-    verdicts = [(False, float(times[np.argmax(row)])) if row.any()
-                else (True, None) for row in np.atleast_2d(outside)]
+    verdicts = [not row.any() for row in np.atleast_2d(outside)]
     return verdicts if outside.ndim == 2 else verdicts[0]
 
 
-class TestGapScanOracle:
-    """_gap_witness's (K+1, B) scan gives the per-row loops' verdicts and
-    witnesses, of recurrence and, at tau = 0, of invariance."""
+def loop_longest_gap(times, visited, T):
+    """Per column of the (K+1, B) mask, the longest stretch of [times[0], T]
+    without a visit, from its list of visits at or before T: the head, the
+    gaps between visits and the tail; inf with no visit."""
+    gaps = []
+    for row in visited.T:
+        visits = times[row & (times <= T + 1e-12)]
+        gaps.append(max(float(np.max(np.diff(visits, prepend=times[0]))),
+                        T - float(visits[-1])) if len(visits) else math.inf)
+    return gaps
 
-    @given(dt=st.sampled_from([1 / 3, 0.05, 0.25]), K=st.integers(12, 40),
-           partial=st.booleans(), data=st.data())
+
+def draw_scan_case(data):
+    """(times, T, tau, visited): a sample grid that may end on a partial
+    step, tau within 1e-12 of the gap between two samples or off the grid,
+    T at the horizon, at tau or at or near a sample before the end, and a
+    (K+1, B) mask of random and edge-case visits."""
+    dt = data.draw(st.sampled_from([1 / 3, 0.05, 0.25]))
+    K, partial = data.draw(st.integers(12, 40)), data.draw(st.booleans())
+    # a horizon off the dt grid ends on a partial step
+    times, _ = time_grid(K * dt + 0.4 * dt * partial, dt)
+    last = len(times) - 1
+    # tau within 1e-12 of the gap between two samples, or off the grid
+    i = data.draw(st.integers(0, last - 11))
+    j = data.draw(st.integers(i + 11, last))
+    tau = float(times[j] - times[i]) + data.draw(st.sampled_from(
+        [-1e-12, -5e-13, 0.0, 5e-13, 1e-12, 0.37 * dt]))
+    tau = min(tau, float(times[-1]))
+    # T at the horizon, at tau, or at or near a sample before the end,
+    # so that some samples lie past T
+    m = data.draw(st.integers(j, last))
+    T = max(tau, data.draw(st.sampled_from(
+        [float(times[-1]), tau, float(times[m]), times[m] + 1e-12,
+         times[m] - 1e-12, times[m] + 0.5 * dt])))
+    T = min(T, float(times[-1]))
+    rows = data.draw(st.lists(st.sets(st.integers(0, last), max_size=8),
+                              min_size=1, max_size=5))
+    # no visit, a visit at t = 0 only, visits at 0 and at the end, and
+    # every sample visiting up to the one at or after T
+    at_T = int(np.searchsorted(times, T))
+    rows += [set(), {0}, {0, last}, {at_T}, set(range(at_T)),
+             set(range(at_T + 1))]
+    visited = np.zeros((len(times), len(rows)), dtype=bool)
+    for b, visits in enumerate(rows):
+        visited[list(visits), b] = True
+    return times, T, tau, visited
+
+
+class TestGapScanOracle:
+    """_recurrent's (K+1, B) scan gives the per-row loops' verdicts, of
+    recurrence and, at tau = 0, of invariance; _longest_gap gives the
+    per-row loop's longest gap."""
+
+    @given(data=st.data())
     @settings(max_examples=400, deadline=None)
-    def test_scan_matches_per_row_loop(self, dt, K, partial, data):
-        # a horizon off the dt grid ends on a partial step
-        times, _ = time_grid(K * dt + 0.4 * dt * partial, dt)
-        last = len(times) - 1
-        # tau within 1e-12 of the gap between two samples, or off the grid
-        i = data.draw(st.integers(0, last - 11))
-        j = data.draw(st.integers(i + 11, last))
-        tau = float(times[j] - times[i]) + data.draw(st.sampled_from(
-            [-1e-12, -5e-13, 0.0, 5e-13, 1e-12, 0.37 * dt]))
-        tau = min(tau, float(times[-1]))
-        # T at the horizon, at tau, or at or near a sample before the end,
-        # so that some samples lie past T
-        m = data.draw(st.integers(j, last))
-        T = max(tau, data.draw(st.sampled_from(
-            [float(times[-1]), tau, float(times[m]), times[m] + 1e-12,
-             times[m] - 1e-12, times[m] + 0.5 * dt])))
-        T = min(T, float(times[-1]))
-        rows = data.draw(st.lists(st.sets(st.integers(0, last), max_size=8),
-                                  min_size=1, max_size=5))
-        # no visit, a visit at t = 0 only, visits at 0 and at the end, and
-        # every sample visiting up to the one at or after T
-        at_T = int(np.searchsorted(times, T))
-        rows += [set(), {0}, {0, last}, {at_T}, set(range(at_T)),
-                 set(range(at_T + 1))]
-        visited = np.zeros((len(times), len(rows)), dtype=bool)
-        for b, visits in enumerate(rows):
-            visited[list(visits), b] = True
+    def test_scan_matches_per_row_loop(self, data):
+        times, T, tau, visited = draw_scan_case(data)
         states = np.where(visited, 0.0, 5.0)[..., None]  # (K+1, B, 1)
         spec = RecurrenceSpec(CompactSet.box([0.0], [1.0]), tau=tau, T=T)
-        assert (verdicts(_gap_witness(visited, times, T, tau))
+        assert (_recurrent(visited, times, T, tau).tolist()
                 == loop_is_recurrent(times, states, spec))
-        assert (verdicts(_gap_witness(visited, times, T, 0.0))
+        assert (_recurrent(visited, times, T, 0.0).tolist()
                 == loop_is_invariant(times, states, spec.Q, 0.0, T))
-        for b in range(len(rows)):  # one column alone, as in the batch
+        for b in range(visited.shape[1]):  # one column alone, as in the batch
             one = states[:, b]
-            assert (verdicts(_gap_witness(visited[:, [b]], times, T, tau))
+            assert (_recurrent(visited[:, [b]], times, T, tau).tolist()
                     == [loop_is_recurrent(times, one, spec)])
-            assert (verdicts(_gap_witness(visited[:, [b]], times, T, 0.0))
+            assert (_recurrent(visited[:, [b]], times, T, 0.0).tolist()
                     == [loop_is_invariant(times, one, spec.Q, 0.0, T)])
+
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_longest_gap_matches_per_row_loop(self, data):
+        times, T, _, visited = draw_scan_case(data)
+        assert (_longest_gap(visited, times, T).tolist()
+                == loop_longest_gap(times, visited, T))
+        for b in range(visited.shape[1]):
+            assert (_longest_gap(visited[:, [b]], times, T).tolist()
+                    == loop_longest_gap(times, visited[:, [b]], T))
 
 
 def draw_grid(data):
@@ -232,9 +266,9 @@ def draw_visits(data, n, count):
 
 
 class TestGapWitnessSettles:
-    """The spanning build's pruning rule: a mask whose unmarched samples
-    all count as visits, and which still fails, fails for every marching
-    of them."""
+    """The spanning build's pruning rule, by _recurrent: a mask whose
+    unmarched samples all count as visits, and which still fails, fails for
+    every marching of them."""
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -243,8 +277,8 @@ class TestGapWitnessSettles:
         near = draw_visits(data, len(times), 6)
         near[:, 0] = False  # a mask with no visit
         more = near | draw_visits(data, len(times), 6)
-        passes = _gap_witness(near, times, T, tau) == math.inf
-        assert np.all(_gap_witness(more, times, T, tau)[passes] == math.inf)
+        passes = _recurrent(near, times, T, tau)
+        assert np.all(_recurrent(more, times, T, tau)[passes])
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -256,10 +290,9 @@ class TestGapWitnessSettles:
         full = draw_visits(data, len(times), 6)
         full[j:, 0], full[j:, 1] = False, True
         full[:j] = full[:j, :1]
-        witness = _gap_witness(full, times, T, tau)
-        dead = witness[1] < math.inf
-        if dead:
-            assert np.all(witness < math.inf)
+        ok = _recurrent(full, times, T, tau)
+        if not ok[1]:  # dead
+            assert not ok.any()
 
 
 class TestIsInvariant:
@@ -267,15 +300,14 @@ class TestIsInvariant:
 
     def test_corner_trajectory_not_invariant(self):
         traj = corner_trajectory()
-        ok, t = judge(*traj, RecurrenceSpec(UNIT_SQUARE, tau=0.0, T=4.0))
+        ok, _ = judge(*traj, RecurrenceSpec(UNIT_SQUARE, tau=0.0, T=4.0))
         assert not ok
-        assert 0.0 < t < 0.1
 
     def test_interior_stays(self):
         sys = double_integrator()
         traj = march_held(sys, [0.0, 0.0], [[0.0]], 4.0, 4.0, 0.01)
-        ok, t = judge(*traj, RecurrenceSpec(UNIT_SQUARE, tau=0.0, T=4.0))
-        assert ok and t is None
+        ok, _ = judge(*traj, RecurrenceSpec(UNIT_SQUARE, tau=0.0, T=4.0))
+        assert ok
 
     def test_eps_inflation(self):
         # the excursion stays within 0.5 of Q up to the return at t=2
@@ -286,29 +318,30 @@ class TestIsInvariant:
 
     def test_resting_state_is_invariant(self):
         # x' = 0 x + u, u = 0, rests at 0.5 in [-1, 1]: every sample is in
-        # Q, so no pair of adjacent visits counts as a gap
+        # Q, so the longest gap is one step
         sys = scalar_linear(a=0.0)
         Q = CompactSet.box([0.0], [1.0])
         traj = march_held(sys, [0.5], [[0.0]], 1.0, 1.0, 0.05)
         spec = RecurrenceSpec(Q, tau=0.0, eps=0.0, T=1.0)
-        assert judge(*traj, spec) == (True, None)
-        assert loop_is_invariant(*traj, Q, 0.0, 1.0) == (True, None)
+        assert judge(*traj, spec) == (True, pytest.approx(0.05, abs=1e-12))
+        assert loop_is_invariant(*traj, Q, 0.0, 1.0)
 
 
 class TestFirstReturn:
     def test_closed_form_return_at_2(self):
         sys = double_integrator()
-        t = first_return_time(sys, [1.0, 1.0], [-1.0], UNIT_SQUARE, 8.0, 0.01)
+        [t] = first_return_time(sys, [[1.0, 1.0]], [[-1.0]], UNIT_SQUARE, 8.0,
+                                0.01)
         assert t == pytest.approx(2.0, abs=1e-9)
 
     def test_none_when_never_returning(self):
         sys = double_integrator()
-        t = first_return_time(sys, [1.0, 1.0], [1.0], UNIT_SQUARE, 8.0, 0.01)
-        assert t is None
+        assert first_return_time(sys, [[1.0, 1.0]], [[1.0]], UNIT_SQUARE, 8.0,
+                                 0.01) == [None]
         # x' = 200 x leaves [-1, 1] from 1.5 and overflows before t = 5
-        t = first_return_time(scalar_linear(a=200.0), [1.5], [0.0],
-                              CompactSet.box([0.0], [1.0]), 5.0, 0.01)
-        assert t is None
+        assert first_return_time(scalar_linear(a=200.0), [[1.5]], [[0.0]],
+                                 CompactSet.box([0.0], [1.0]), 5.0,
+                                 0.01) == [None]
 
     def test_batch_rows_match_single_calls(self):
         sys = double_integrator()
@@ -319,31 +352,35 @@ class TestFirstReturn:
             batch = first_return_time(sys, X, U, UNIT_SQUARE, horizon, 0.01)
             assert len(batch) == 4 and batch[1] is None  # full thrust escapes
             for x0, u, t in zip(X, U, batch):
-                alone = first_return_time(sys, x0, u, UNIT_SQUARE, horizon,
-                                          0.01)
-                assert t == alone
+                alone = first_return_time(sys, x0[None], u[None], UNIT_SQUARE,
+                                          horizon, 0.01)
+                assert [t] == alone
 
     def test_entry_inside_partial_last_step(self):
         # x' = u = -1 from 7.998 crosses [-1e-4, 1e-4] over [7.9979, 7.9981];
         # the horizon 7.998 ends on a partial step of 0.008 s, so bisecting
         # over a full 0.01 s step would run past the exit
         sys = scalar_linear(a=0.0)
-        t = first_return_time(sys, [7.998], [-1.0],
-                              CompactSet.box([0.0], [1e-4]), 7.998, 0.01)
+        [t] = first_return_time(sys, [[7.998]], [[-1.0]],
+                                CompactSet.box([0.0], [1e-4]), 7.998, 0.01)
         assert t == pytest.approx(7.9979, abs=1e-8)
 
     def test_interior_start_returns_immediately(self):
         sys = double_integrator()
-        t = first_return_time(sys, [0.0, 0.0], [0.0], UNIT_SQUARE, 1.0, 0.01)
+        [t] = first_return_time(sys, [[0.0, 0.0]], [[0.0]], UNIT_SQUARE, 1.0,
+                                0.01)
         assert t is not None and t <= 0.01
 
     @pytest.mark.parametrize("x0, horizon, dt", [
-        ([1.0, 1.0], 8.0, 0.0), ([1.0, 1.0], 8.0, -0.01),
-        ([1.0, 1.0], -1.0, 0.01), ([1.0], 8.0, 0.01),
-        ([1.0, 1.0, 1.0], 8.0, 0.01), ([[1.0, 1.0, 1.0]], 8.0, 0.01)])
+        ([[1.0, 1.0]], 8.0, 0.0), ([[1.0, 1.0]], 8.0, -0.01),
+        ([[1.0, 1.0]], -1.0, 0.01), ([[1.0]], 8.0, 0.01),
+        ([[1.0, 1.0, 1.0]] * 2, 8.0, 0.01), ([[1.0, 1.0, 1.0]], 8.0, 0.01),
+        ([1.0, 1.0], 8.0, 0.01)])  # a state (n,) is not a batch
     def test_bad_input_rejected(self, x0, horizon, dt):
-        with pytest.raises(ValueError):
-            first_return_time(double_integrator(), x0, [-1.0], UNIT_SQUARE,
+        # each case fails for its own reason
+        reason = "dt" if dt <= 0 else "horizon" if horizon < 0 else "x0"
+        with pytest.raises(ValueError, match=reason):
+            first_return_time(double_integrator(), x0, [[-1.0]], UNIT_SQUARE,
                               horizon, dt)
 
     @given(n=st.integers(1, 3), K=st.integers(1, 30), data=st.data())
