@@ -10,9 +10,8 @@ and guarantees can be audited offline.
 from .geometry import (Box, CompactSet, GridCover, distance_many, grid,
                        neighborhood)
 from .systems import (BUILTIN_SYSTEMS, ControlSignal, ControlSystem,
-                      DomainError, IntegrationBlowupError, divergence,
-                      double_integrator, jacobian_fd, make_system,
-                      scalar_linear)
+                      IntegrationBlowupError, double_integrator, jacobian_fd,
+                      make_system, scalar_linear)
 from .recurrence import (ContainmentConstants, RecurrenceSpec, ResolutionError,
                          containment_radius, estimate_F_Q, estimate_L,
                          first_return_time, lipschitz_region)

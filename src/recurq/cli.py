@@ -160,45 +160,42 @@ def corner_return_sweep(sys: ControlSystem, Q: CompactSet, tau: float,
     candidate class) that Q is not recurrent for that window.
     """
     horizon = _sweep_horizon(tau)
-    u_grid = CandidateClass(_SWEEP_VALUES, horizon).input_values(sys.U)
+    u_grid = sys.U.sample_grid(_SWEEP_VALUES)
     corners = np.vstack([box.corners() for box in Q.boxes])
     # every corner under every input in one batch, corner-major
     X = np.repeat(corners, len(u_grid), axis=0)
     U = np.tile(u_grid, (len(corners), 1))
     returns = first_return_time(sys, X, U, Q, horizon, dt)
     k = len(u_grid)
-    results = []
-    for c, corner in enumerate(corners):
-        hits = [t for t in returns[c * k:(c + 1) * k] if t is not None]
-        results.append((corner, min(hits, default=math.inf)))
-    return results
+    return [(corner, min((t for t in returns[c * k:(c + 1) * k]
+                          if t is not None), default=math.inf))
+            for c, corner in enumerate(corners)]
 
 
 def cmd_bounds(cfg: dict, out) -> int:
     sys_ = build_system(cfg)
     Q = build_Q(cfg, sys_.n)
     tau = _read(cfg, "tau", low=0.0)
-    seed = _read(cfg, "seed", int, 0, low=0)
     sweep_dt = _read(cfg, "sweep_dt", float, 0.01, low=0.0, strict=True)
     if sweep_dt > _sweep_horizon(tau):
         raise ConfigError(f"sweep_dt must be at most the sweep horizon "
                           f"{_sweep_horizon(tau)}, not {sweep_dt}")
-    constants, region = lipschitz_region(sys_, Q, tau, seed=seed)
+    try:
+        constants, region = lipschitz_region(sys_, Q, tau)
+        lower = lower_bound(sys_, Q, constants.delta_tau)
+    except FloatingPointError as exc:  # so no record holds a non-finite value
+        raise ConfigError(f"system {sys_.name}: {exc}") from None
     upper = upper_bound(constants.L_tau, Q)
-    lower = lower_bound(sys_, Q, constants.delta_tau)
     sweep = corner_return_sweep(sys_, Q, tau, dt=sweep_dt)
-    bad = [(c, t) for c, t in sweep if t > tau + 1e-6]
-    finite = not bad
-    witness = None
-    if bad:
-        # worst corner; ties resolve toward the lexicographically largest
-        witness = max(bad, key=lambda ct: (ct[1], tuple(ct[0])))[0]
+    # corners slower than tau; the witness is the worst, ties going to the
+    # lexicographically largest
+    bad = [(t, tuple(c)) for c, t in sweep if t > tau + 1e-6]
     _record({"kind": "bounds", "system": sys_.name, "tau": tau,
              "F_Q": constants.F_Q, "L_tau": constants.L_tau,
              "delta_tau": constants.delta_tau,
              "upper_bits_per_s": upper, "lower_bits_per_s": lower,
-             "verdict": "finite" if finite else "infinite",
-             "witness": None if witness is None else list(witness),
+             "verdict": "infinite" if bad else "finite",
+             "witness": list(max(bad)[1]) if bad else None,
              "corner_min_returns": [
                  {"corner": list(c), "min_return": (t if math.isfinite(t) else None)}
                  for c, t in sweep],

@@ -13,7 +13,7 @@ from . import systems
 from .geometry import Box, CompactSet, distance_many, grid, neighborhood
 from .recurrence import (_MEMBERSHIP_TOL, _POINTS_PER_AXIS, RecurrenceSpec,
                          _recurrent)
-from .systems import ControlSignal, ControlSystem, divergence, time_grid
+from .systems import ControlSignal, ControlSystem, _jacobians, time_grid
 
 LN2 = math.log(2.0)
 #: build_spanning_instance's cap on initial points
@@ -38,7 +38,8 @@ def upper_bound(L_tau: float, Q: CompactSet) -> float:
 
 
 def lower_bound(sys: ControlSystem, Q: CompactSet, delta_tau: float) -> float:
-    """max{0, min divergence over the inflated neighborhood x U} / ln 2.
+    """max{0, min divergence (the state Jacobian's trace) over the inflated
+    neighborhood x U} / ln 2.
 
     The minimum is taken over a corner-including tensor grid, so it is an
     over-estimate of the true minimum (and hence of the bound) unless the
@@ -46,13 +47,10 @@ def lower_bound(sys: ControlSystem, Q: CompactSet, delta_tau: float) -> float:
     """
     if delta_tau < 0:
         raise ValueError("delta_tau must be nonnegative")
-    region = neighborhood(Q, delta_tau)
     u_grid = sys.U.sample_grid(_POINTS_PER_AXIS)
-    worst = math.inf
-    for box in region.boxes:
-        for x in box.sample_grid(_POINTS_PER_AXIS):
-            for u in u_grid:
-                worst = min(worst, divergence(sys, x, u))
+    worst = min(float(np.min(np.trace(
+        _jacobians(sys, box.sample_grid(_POINTS_PER_AXIS), u_grid),
+        axis1=1, axis2=2))) for box in neighborhood(Q, delta_tau).boxes)
     return max(0.0, worst) / LN2
 
 

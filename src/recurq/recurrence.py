@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Box, CompactSet, neighborhood
-from .systems import ControlSystem, march, time_grid
+from .systems import ControlSystem, _jacobians, march, time_grid
 
 #: membership slack absorbing floating-point noise on box boundaries
 _MEMBERSHIP_TOL = 1e-12
@@ -21,8 +21,8 @@ _REFINE_TOL = 1e-9
 #: grid points per axis of estimate_F_Q's Q x U, estimate_L's region and
 #: entropy.lower_bound's neighborhood x U
 _POINTS_PER_AXIS = 5
-#: estimate_L's random point pairs; lipschitz_region's most re-estimates
-_L_SAMPLES, _REGION_ITERS = 200, 10
+#: lipschitz_region's most re-estimates
+_REGION_ITERS = 10
 
 
 class ResolutionError(ValueError):
@@ -103,6 +103,9 @@ def first_return_time(sys: ControlSystem, x0, u, Q: CompactSet,
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     u = np.asarray(u, dtype=float)
+    if u.shape != (len(x0), sys.m):
+        raise ValueError(f"u has shape {u.shape}, expected {(len(x0), sys.m)} "
+                         f"for x0 of shape {x0.shape}")
     states = march(sys.field, x0, dt, horizon, lambda *_: u)
     # the last step is partial when dt does not divide the horizon
     times, n_full = time_grid(horizon, dt)
@@ -140,62 +143,52 @@ def _first_entry(field, states, u, dt: float, Q: CompactSet, last_h: float):
 
 
 def estimate_F_Q(sys: ControlSystem, Q: CompactSet) -> float:
-    """Max of ||f(x, u)||_inf over a corner-including grid of Q x U."""
-    u_grid = sys.U.sample_grid(_POINTS_PER_AXIS)
+    """Max of ||f(x, u)||_inf over a corner-including grid of Q x U.  A
+    non-finite value raises FloatingPointError naming its pair, and no numpy
+    warning is raised."""
     best = 0.0
-    for box in Q.boxes:
-        xs = box.sample_grid(_POINTS_PER_AXIS)
-        # every (x, u) pair of the box in one call, x-major
-        X = np.repeat(xs, len(u_grid), axis=0)
-        U = np.tile(u_grid, (len(xs), 1))
-        v = np.asarray(sys.field(X, U), dtype=float)
-        bad = np.flatnonzero(~np.all(np.isfinite(v), axis=-1))
-        if len(bad):
-            raise FloatingPointError(
-                f"vector field non-finite at x={X[bad[0]]}, u={U[bad[0]]}")
-        best = max(best, float(np.max(np.abs(v))))
+    with np.errstate(all="ignore"):
+        u_grid = sys.U.sample_grid(_POINTS_PER_AXIS)
+        for box in Q.boxes:
+            xs = box.sample_grid(_POINTS_PER_AXIS)
+            # every (x, u) pair of the box in one call, x-major
+            X = np.repeat(xs, len(u_grid), axis=0)
+            U = np.tile(u_grid, (len(xs), 1))
+            v = np.asarray(sys.field(X, U), dtype=float)
+            bad = np.flatnonzero(~np.all(np.isfinite(v), axis=-1))
+            if len(bad):
+                raise FloatingPointError(
+                    f"vector field non-finite at x={X[bad[0]]}, u={U[bad[0]]}")
+            best = max(best, float(np.max(np.abs(v))))
     return best
 
 
-def estimate_L(sys: ControlSystem, region: Box, seed: int = 0) -> float:
-    """Lipschitz bound of f in x over a box region.
-
-    Takes the larger of the sampled difference quotients and, when an
-    analytic Jacobian exists, its max infinity norm over a tensor grid;
-    for smooth fields the Jacobian sup dominates.
-    """
-    rng = np.random.default_rng(seed)
-    # the same draws, in the same order, as x1 then x2 for each sample
-    pairs = rng.uniform(region.lo, region.hi,
-                        size=(_L_SAMPLES, 2, region.dim))
-    sep = np.max(np.abs(pairs[:, 0] - pairs[:, 1]), axis=-1)
-    pairs, sep = pairs[sep >= 1e-12], sep[sep >= 1e-12]
-    X = np.concatenate((pairs[:, 0], pairs[:, 1]))
-    u_points = [sys.U.center] + list(sys.U.corners())
-    best = 0.0
-    for u in u_points:
-        f = np.asarray(sys.field(X, np.tile(u, (len(X), 1))))
-        quotients = np.max(np.abs(f[:len(sep)] - f[len(sep):]), axis=-1) / sep
-        # fmax skips a NaN quotient, as the running max(best, q) did
-        best = float(np.fmax.reduce(quotients, initial=best))
-    if sys.jacobian is not None:
-        x_grid = region.sample_grid(_POINTS_PER_AXIS)
-        for x in x_grid:
-            for u in u_points:
-                J = np.asarray(sys.jacobian(x, u), dtype=float)
-                best = max(best, float(np.max(np.sum(np.abs(J), axis=1))))
-    return best
+def estimate_L(sys: ControlSystem, region: Box) -> float:
+    """Lipschitz bound of f in x over a box region: the max row-sum norm of
+    the state Jacobian over a corner-including grid of the region x the
+    centre and corners of U."""
+    us = np.vstack(([sys.U.center], sys.U.corners()))
+    J = _jacobians(sys, region.sample_grid(_POINTS_PER_AXIS), us)
+    return float(np.max(np.sum(np.abs(J), axis=-1)))
 
 
 def containment_radius(F_Q: float, L_tau: float, tau: float) -> float:
-    """Excursion bound F * tau * exp(L * tau)."""
+    """Excursion bound F * tau * exp(L * tau); FloatingPointError when it
+    is not finite."""
     if F_Q < 0 or L_tau < 0 or tau < 0:
         raise ValueError("all arguments must be nonnegative")
-    return F_Q * tau * math.exp(L_tau * tau)
+    try:
+        delta = F_Q * tau * math.exp(L_tau * tau)
+    except OverflowError:
+        delta = math.inf
+    if not math.isfinite(delta):
+        raise FloatingPointError(
+            f"containment radius F_Q * tau * exp(L_tau * tau) non-finite at "
+            f"F_Q={F_Q}, L_tau={L_tau}, tau={tau}")
+    return delta
 
 
-def lipschitz_region(sys: ControlSystem, Q: CompactSet, tau: float,
-                     seed: int = 0) -> tuple:
+def lipschitz_region(sys: ControlSystem, Q: CompactSet, tau: float) -> tuple:
     """Fixed-point over-approximation of the Lipschitz bound's domain.
 
     Starts from the bounding box of Q, inflates it by the containment
@@ -204,17 +197,12 @@ def lipschitz_region(sys: ControlSystem, Q: CompactSet, tau: float,
     always contains every state reachable by recurrent trajectories.
     """
     F_Q = estimate_F_Q(sys, Q)
-    box = Q.bounding_box()
-    L = estimate_L(sys, box, seed=seed)
-    delta = containment_radius(F_Q, L, tau)
-    converged = False
+    delta = containment_radius(F_Q, estimate_L(sys, Q.bounding_box()), tau)
     for _ in range(_REGION_ITERS):
-        box = neighborhood(Q, delta).bounding_box() if delta > 0 else Q.bounding_box()
-        L_new = estimate_L(sys, box, seed=seed)
-        delta_new = containment_radius(F_Q, L_new, tau)
-        converged = abs(delta_new - delta) <= 0.01 * max(delta_new, 1e-30)
-        L, delta = L_new, delta_new
-        if converged:
+        box = neighborhood(Q, delta).bounding_box()
+        L = estimate_L(sys, box)
+        delta, last = containment_radius(F_Q, L, tau), delta
+        if converged := abs(delta - last) <= 0.01 * max(delta, 1e-30):
             break
     return ContainmentConstants(F_Q=F_Q, L_tau=L, delta_tau=delta,
                                 converged=converged), box

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -12,10 +11,6 @@ from .geometry import Box, _as_vector
 
 #: state entries per chunk of march's finiteness scan
 _SCAN_CHUNK = 1 << 14
-
-
-class DomainError(ValueError):
-    """Input vector outside the admissible input box."""
 
 
 class IntegrationBlowupError(RuntimeError):
@@ -155,17 +150,20 @@ def jacobian_fd(sys: ControlSystem, x, u) -> np.ndarray:
     return J
 
 
-def divergence(sys: ControlSystem, x, u) -> float:
-    """Trace of the state Jacobian at (x, u)."""
-    x = _as_vector(x, dim=sys.n, name="state")
-    u = _as_vector(u, dim=sys.m, name="input")
-    if not sys.U.contains(u, tol=1e-12):
-        raise DomainError(f"input {u} outside U")
-    J = jacobian_fd(sys, x, u) if sys.jacobian is None else sys.jacobian(x, u)
-    div = float(np.trace(np.asarray(J, dtype=float)))
-    if not math.isfinite(div):
-        raise FloatingPointError("divergence evaluated to a non-finite value")
-    return div
+def _jacobians(sys: ControlSystem, xs: np.ndarray, us: np.ndarray):
+    """State Jacobians at every (x, u) pair of the rows of xs and us,
+    x-major, shape (len(xs) * len(us), n, n), by sys.jacobian or else
+    jacobian_fd.  A non-finite entry raises FloatingPointError naming its
+    pair, and no numpy warning is raised."""
+    jac = sys.jacobian or (lambda x, u: jacobian_fd(sys, x, u))
+    pairs = [(x, u) for x in xs for u in us]
+    with np.errstate(all="ignore"):
+        J = np.array([jac(x, u) for x, u in pairs], dtype=float)
+    bad = np.flatnonzero(~np.isfinite(J).all(axis=(1, 2)))
+    if len(bad):
+        x, u = pairs[bad[0]]
+        raise FloatingPointError(f"state Jacobian non-finite at x={x}, u={u}")
+    return J
 
 
 def double_integrator(u_max: float = 1.0) -> ControlSystem:

@@ -99,6 +99,24 @@ class TestBounds:
             {"corner": [1.0, -1.0], "min_return": 5.960464477539063e-10},
             {"corner": [1.0, 1.0], "min_return": 2.0}]
 
+    def test_tight_system_records_read_no_seed(self, tmp_path):
+        # x' = x + u on [-1, 1]: L_tau is the Jacobian's 1 exactly, so the
+        # two bounds meet at 1/ln 2 and the region is Q inflated by delta_tau
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("system: {name: scalar_linear, params: {a: 1.0}}\n"
+                       "Q:\n  - {center: [0.0], radius: [1.0]}\ntau: 2.0\n")
+        texts = set()
+        for seed in range(5):
+            out = tmp_path / f"seed{seed}.jsonl"
+            assert main(["--config", str(cfg), "--out", str(out),
+                         "--seed", str(seed), "bounds"]) == EXIT_OK
+            texts.add(out.read_text())
+        (text,) = texts
+        r = json.loads(text)
+        assert r["L_tau"] == 1.0
+        assert r["upper_bits_per_s"] == r["lower_bits_per_s"] == 1.0 / LN2
+        assert r["region_hi"] == [1.0 + r["delta_tau"]]
+
     @pytest.mark.parametrize("sweep_dt", [0.015625, 0.03])
     def test_sweep_dt_not_dividing_the_horizon(self, tmp_path, sweep_dt):
         # the sweep's one held segment ends on a partial step at 6.8 s
@@ -436,7 +454,8 @@ class TestSimulateVerify:
         ("bounds", "sweep_dt", 0.0),
         ("bounds", "sweep_values", 0),  # removed; read as "infinite" before
         ("bounds", "samples_per_axis", 1),  # removed
-        ("bounds", "seed", -1),
+        # a non-finite constant: an OverflowError traceback before
+        ("bounds", "system", {"name": "scalar_linear", "params": {"a": 400}}),
         ("bounds", "tau", -1.0),
         ("spanning", "init_delta", 0.0),
         ("spanning", "init_delta", "fast"),
@@ -461,7 +480,9 @@ class TestSimulateVerify:
         ("simulate", "seed", True),  # read as 1 before
         ("simulate", "seed", -1),  # a traceback when x0 was drawn
         ("bounds", "samples_per_axis", 2.9),  # removed; read as 2 before
-        ("bounds", "seed", 0.5),
+        # a FloatingPointError traceback before: U's grid overflows
+        ("bounds", "system", {"name": "scalar_linear",
+                              "params": {"u_max": 1e308}}),
         ("spanning", "values_per_axis", 2.5),
         ("spanning", "max_candidates", 24.5),
         # header fields are typed as step fields are: the clean log's own
@@ -480,6 +501,12 @@ class TestSimulateVerify:
         ("simulate", "steps", 2.0),  # an int only, as in the header
         ("simulate", "csv_path", [1]),  # a traceback from numpy
         ("spanning", "segment_duration", True),
+        # delta_tau inf, which a record wrote as Infinity
+        ("bounds", "system", {"name": "scalar_linear",
+                              "params": {"a": 1e308}}),
+        # U's grid overflows, as in the scalar case above
+        ("bounds", "system", {"name": "double_integrator",
+                              "params": {"u_max": 1e308}}),
     ])
     def test_rejected_input_is_config_error(self, request, tmp_path, capsys,
                                             command, key, value):
@@ -488,6 +515,8 @@ class TestSimulateVerify:
                                  else SPAN_YAML.format(horizons="[4]"))
             in_candidate = key in ("values_per_axis", "segment_duration")
             (cfg["candidate"] if in_candidate else cfg)[key] = value
+            if key == "system" and value["name"] == "scalar_linear":
+                cfg["Q"] = [{"center": [0.0], "radius": [1.0]}]
             args = [command]
         else:
             _, _, log_path, _, text = request.getfixturevalue("sim")

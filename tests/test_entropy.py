@@ -40,7 +40,25 @@ class TestBoundFormulas:
     def test_lower_bound_constant_divergence(self):
         sys = scalar_linear(a=1.0)
         Q = CompactSet.box([0.0], [1.0])
-        assert lower_bound(sys, Q, 0.5) == pytest.approx(1.0 / LN2, rel=1e-15)
+        assert lower_bound(sys, Q, 0.5) == 1.0 / LN2
+
+    def test_lower_bound_fd_fallback(self):
+        # a system with no analytic Jacobian reads jacobian_fd's trace
+        sys = scalar_linear(a=2.5)
+        bare = ControlSystem(n=1, m=1, U=sys.U, field=sys.field, name="bare")
+        Q = CompactSet.box([0.0], [1.0])
+        assert lower_bound(bare, Q, 0.5) == pytest.approx(2.5 / LN2, abs=1e-6)
+
+    def test_lower_bound_is_the_min_over_its_grid(self):
+        # divergence x * u + 3 on U = [-1, 1], least at the grid corner
+        # x = 1 + delta_tau, u = -1
+        sys = ControlSystem(
+            n=1, m=1, U=Box([0.0], [1.0]),
+            field=lambda x, u: x * x * u / 2 + 3.0 * x,
+            jacobian=lambda x, u: np.array([[x[0] * u[0] + 3.0]]), name="xu")
+        Q = CompactSet.box([0.5], [0.5])
+        assert lower_bound(sys, Q, 0.0) == 2.0 / LN2
+        assert lower_bound(sys, Q, 0.5) == 1.5 / LN2
 
     def test_lower_bound_clamped_at_zero(self):
         sys = scalar_linear(a=-1.0)

@@ -10,7 +10,7 @@ from helpers import judge, march_held
 from recurq import (Box, CompactSet, ControlSystem, RecurrenceSpec,
                     ResolutionError, containment_radius, double_integrator,
                     estimate_F_Q, estimate_L, first_return_time,
-                    lipschitz_region, scalar_linear)
+                    jacobian_fd, lipschitz_region, scalar_linear)
 from recurq.geometry import distance_many
 from recurq.recurrence import _first_entry, _longest_gap, _recurrent
 from recurq.systems import time_grid
@@ -383,6 +383,17 @@ class TestFirstReturn:
             first_return_time(double_integrator(), x0, [[-1.0]], UNIT_SQUARE,
                               horizon, dt)
 
+    @pytest.mark.parametrize("x0, u, want", [
+        ([[1.0, 1.0]], [-1.0], r"\(1,\), expected \(1, 1\) .* \(1, 2\)"),
+        ([[1.0, 1.0], [0.5, 0.5]], [[-1.0]],
+         r"\(1, 1\), expected \(2, 1\) .* \(2, 2\)")],
+        ids=["u_not_a_batch", "u_one_row_for_two"])
+    def test_bad_u_rejected(self, x0, u, want):
+        # u must hold one input row per row of x0
+        with pytest.raises(ValueError, match=r"^u has shape " + want):
+            first_return_time(double_integrator(), x0, u, UNIT_SQUARE, 8.0,
+                              0.01)
+
     @given(n=st.integers(1, 3), K=st.integers(1, 30), data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_entry_scan_matches_box_contains(self, n, K, data):
@@ -421,31 +432,24 @@ class TestConstants:
         assert estimate_L(sys, Box([0.0, 0.0], [5.0, 5.0])) == 1.0
 
     def test_L_scalar_linear(self):
-        # sampled quotients can exceed a by rounding, so allow a few ulps
+        # the Jacobian sup of a linear field is its coefficient, exactly
         sys = scalar_linear(a=1.0)
-        assert estimate_L(sys, Box([0.0], [3.0])) == pytest.approx(1.0, rel=1e-12)
-        assert estimate_L(scalar_linear(a=2.5),
-                          Box([0.0], [3.0])) == pytest.approx(2.5, rel=1e-12)
+        assert estimate_L(sys, Box([0.0], [3.0])) == 1.0
+        assert estimate_L(scalar_linear(a=2.5), Box([0.0], [3.0])) == 2.5
 
     def test_estimates_equal_per_sample_loops(self):
-        # the per-sample loops the batched estimates replaced; the fields
-        # are elementwise, so the results must be bit-equal
+        # per-sample loops of the two estimates; the fields are
+        # elementwise, so the results must be bit-equal
         def F_loop(sys, Q):
             return max(float(np.max(np.abs(sys.field(x, u))))
                        for box in Q.boxes for x in box.sample_grid(5)
                        for u in sys.U.sample_grid(5))
 
-        def L_loop(sys, region, seed):
-            rng = np.random.default_rng(seed)
-            best = 0.0
-            for _ in range(200):
-                x1, x2 = rng.uniform(region.lo, region.hi), rng.uniform(
-                    region.lo, region.hi)
-                sep = np.max(np.abs(x1 - x2))
-                for u in [sys.U.center] + list(sys.U.corners()):
-                    df = sys.field(x1, u) - sys.field(x2, u)
-                    best = max(best, float(np.max(np.abs(df)) / sep))
-            return best
+        def L_loop(sys, region):
+            return max(float(np.max(np.sum(np.abs(jacobian_fd(sys, x, u)),
+                                           axis=1)))
+                       for x in region.sample_grid(5)
+                       for u in [sys.U.center] + list(sys.U.corners()))
 
         def planar(name, field):
             return ControlSystem(n=2, m=1, U=Box([0.0], [1.0]), field=field,
@@ -453,24 +457,28 @@ class TestConstants:
 
         cubic = planar("cubic", lambda x, u: np.stack(
             (x[..., 1] ** 3 - x[..., 0], u[..., 0] * x[..., 0] ** 2), -1))
-        # NaN on part of the region: the quotients there are skipped
+        # NaN on part of the region
         holed = planar("holed", lambda x, u: np.stack(
             (np.where(x[..., 0] > 0.3, np.nan, x[..., 0] ** 2),
              u[..., 0] * x[..., 1]), -1))
         linear = dataclasses.replace(scalar_linear(a=2.5), jacobian=None)
         two_boxes = CompactSet((Box([0.0, 0.0], [2.0, 1.0]),
                                 Box([3.0, 0.0], [1.0, 1.0])))
-        for sys, Q in ((cubic, two_boxes), (holed, UNIT_SQUARE),
+        for sys, Q in ((cubic, two_boxes),
                        (linear, CompactSet.box([0.0], [3.0]))):
             region = Q.bounding_box()
-            for seed in (0, 1):
-                assert estimate_L(sys, region, seed=seed) == L_loop(
-                    sys, region, seed)
-            if sys is not holed:
-                assert estimate_F_Q(sys, Q) == F_loop(sys, Q)
+            assert estimate_L(sys, region) == L_loop(sys, region)
+            assert estimate_F_Q(sys, Q) == F_loop(sys, Q)
+        # |2 u x[0]| reaches the exact sup 8 at x[0] = 4, |u| = 1
+        assert estimate_L(cubic, two_boxes.bounding_box()) == pytest.approx(
+            8.0, rel=1e-9)
         with pytest.raises(FloatingPointError,
                            match=r"at x=\[ 0.5 -1. \], u=\[-1.\]$"):
             estimate_F_Q(holed, UNIT_SQUARE)
+        with pytest.raises(FloatingPointError,
+                           match=r"Jacobian non-finite at x=\[ 0.5 -1. \], "
+                                 r"u=\[0.\]$"):
+            estimate_L(holed, UNIT_SQUARE.bounding_box())
 
     def test_containment_radius_formula(self):
         assert containment_radius(1.0, 1.0, 2.0) == pytest.approx(

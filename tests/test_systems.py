@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import march_held
-from recurq import (Box, ControlSystem, DomainError, IntegrationBlowupError,
-                    divergence, double_integrator, jacobian_fd, make_system,
-                    scalar_linear)
+from recurq import (Box, ControlSystem, IntegrationBlowupError,
+                    double_integrator, jacobian_fd, make_system, scalar_linear)
 from recurq import systems
-from recurq.systems import march, time_grid
+from recurq.systems import _jacobians, march, time_grid
 
 
 class TestRK4:
@@ -314,28 +313,35 @@ class TestJacobians:
         J = jacobian_fd(sys, [0.3, -0.5], [0.2])
         np.testing.assert_allclose(J, [[0.0, 1.0], [0.0, 0.0]], atol=1e-8)
 
+    # the divergence is the trace of the state Jacobian
     def test_divergence_double_integrator_zero(self):
         sys = double_integrator()
-        assert divergence(sys, [0.5, 0.5], [1.0]) == 0.0
+        [J] = _jacobians(sys, np.array([[0.5, 0.5]]), np.array([[1.0]]))
+        assert np.trace(J) == 0.0
 
     def test_divergence_scalar_linear(self):
         sys = scalar_linear(a=1.0)
-        assert divergence(sys, [0.3], [0.1]) == 1.0
+        [J] = _jacobians(sys, np.array([[0.3]]), np.array([[0.1]]))
+        assert np.trace(J) == 1.0
 
     def test_divergence_fd_fallback(self):
         sys = scalar_linear(a=2.5)
         bare = ControlSystem(n=1, m=1, U=sys.U, field=sys.field, name="bare")
-        assert divergence(bare, [0.3], [0.1]) == pytest.approx(2.5, abs=1e-6)
+        [J] = _jacobians(bare, np.array([[0.3]]), np.array([[0.1]]))
+        assert np.trace(J) == pytest.approx(2.5, abs=1e-6)
 
-    def test_divergence_domain_check(self):
-        sys = double_integrator()
-        with pytest.raises(DomainError):
-            divergence(sys, [0.0, 0.0], [1.5])
-
-    def test_divergence_dimension_check(self):
-        sys = double_integrator()
-        with pytest.raises(ValueError):
-            divergence(sys, [0.0], [0.0])
+    def test_jacobian_sweep_is_x_major_and_names_a_bad_pair(self):
+        sys = ControlSystem(
+            n=1, m=1, U=Box([0.0], [1.0]), field=lambda x, u: x * u,
+            jacobian=lambda x, u: np.array([[u[0] / x[0]]]), name="ratio")
+        J = _jacobians(sys, np.array([[1.0], [2.0]]),
+                       np.array([[1.0], [-1.0], [4.0]]))
+        assert J.shape == (6, 1, 1)
+        assert J.ravel().tolist() == [1.0, -1.0, 4.0, 0.5, -0.5, 2.0]
+        # 0/0 at the third pair, with no numpy warning
+        with pytest.raises(FloatingPointError,
+                           match=r"at x=\[0.\], u=\[0.\]$"):
+            _jacobians(sys, np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
 
 
 class TestFactory:
