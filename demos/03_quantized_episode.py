@@ -11,7 +11,7 @@ of both the reconstructed and the true trajectory.
 import numpy as np
 
 from recurq import (CompactSet, bit_rate, double_integrator,
-                    reference_controller_double_integrator, run_episode,
+                    reference_controller_double_integrator, run_episodes,
                     verify_guarantees)
 
 
@@ -25,8 +25,8 @@ def main():
     print(f"  worst visit gap {controller.max_visit_gap:.2f} s <= tau, "
           f"c* = {controller.c_star:.3f}, L = {controller.L_tau}")
 
-    log = run_episode(sys, Q, controller, x0=[0.6, -0.4], eps=eps, tau=tau,
-                      alpha=alpha, steps=30, dt=0.01)
+    log, = run_episodes(sys, Q, controller, x0s=[[0.6, -0.4]], eps=eps,
+                        tau=tau, alphas=[alpha], steps=30, dt=0.01)
 
     print(f"\nbits per step: {[len(s.bits) for s in log.steps[:6]]} ... "
           f"(total {log.total_bits})")

@@ -24,9 +24,9 @@ from .quantized import (BitRateReport, ClauseResult, ControllerInvalidError,
                         DeterminismError, EpisodeLog, GridMirror,
                         GuaranteeReport, GuaranteeViolationError,
                         ProtocolError, RecurrenceController, StepRecord,
-                        bit_rate, build_feedback_controller, closed_loop,
-                        decode, encode, load_step_records,
-                        reference_controller_double_integrator, run_episode,
-                        run_episodes, verify_guarantees)
+                        bit_rate, build_feedback_controller, decode, encode,
+                        load_step_records,
+                        reference_controller_double_integrator, run_episodes,
+                        verify_guarantees)
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from .geometry import Box, CompactSet, _as_vector
 from .quantized import (ControllerInvalidError, GuaranteeViolationError,
                         _typed, bit_rate, load_step_records,
                         reference_controller_double_integrator, replay,
-                        run_episode, verify_guarantees)
+                        run_episodes, verify_guarantees)
 from .recurrence import RecurrenceSpec, first_return_time, lipschitz_region
 from .systems import ControlSystem, IntegrationBlowupError, make_system
 
@@ -310,9 +310,9 @@ def cmd_simulate(cfg: dict, out) -> int:
         box = Q.boxes[0]
         x0 = rng.uniform(box.lo + 0.1 * box.radius, box.hi - 0.1 * box.radius)
     try:
-        log = run_episode(sys_, Q, _controller(sys_, Q, tau, eps),
-                          _as_vector(x0, sys_.n, "x0"), eps, tau, alpha,
-                          steps, dt, seed=seed)
+        log, = run_episodes(sys_, Q, _controller(sys_, Q, tau, eps),
+                            [_as_vector(x0, sys_.n, "x0")], eps, tau, [alpha],
+                            steps, dt, seeds=[seed])
     except (ValueError, OverflowError) as exc:  # rejected by its name
         raise ConfigError(str(exc)) from exc
     if log_path:

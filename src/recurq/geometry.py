@@ -59,10 +59,7 @@ class Box:
 
     def corners(self) -> np.ndarray:
         """All 2^d corner points, rows in lexicographic (lo-first) order."""
-        offsets = np.array(
-            np.meshgrid(*[(-r, r) for r in self.radius], indexing="ij")
-        ).reshape(self.dim, -1).T
-        return self.center + offsets
+        return self.sample_grid(2)
 
     def sample_grid(self, points_per_axis: int) -> np.ndarray:
         """Inclusive tensor grid over the box; always contains the corners."""

@@ -74,30 +74,34 @@ def decode(bits: str, cover_size: int) -> int:
 # --------------------------------------------------------------------------
 # reference controllers
 
-def _saturated(feedback: Callable, x, lo, hi, out) -> np.ndarray:
-    """feedback(x) clipped to [lo, hi], the input box, written into out."""
-    # lo and hi have shape (m,), so a (B, m) out broadcasts a feedback
-    # returning one (m,) input to the batch
-    return np.minimum(np.maximum(feedback(x), lo, out=out), hi, out=out)
+def _closed_loop(sys: ControlSystem, feedback: Callable, frags0: np.ndarray,
+                 plants0: np.ndarray, duration: float, dt: float) -> tuple:
+    """F fragments and P <= F plant segments of the closed loop in one march.
 
-
-def closed_loop(sys: ControlSystem, feedback: Callable, x0, duration: float,
-                dt: float) -> np.ndarray:
-    """Simulate state feedback sampled and held at each step of march's grid.
-
-    The steps have width dt, and the last is partial when dt does not
-    divide duration, so the run ends at duration.  x0 is one state (n,) or
-    a batch (B, n); a batch needs a field that indexes the last axis, and
-    the field gets (B, m) inputs even from a feedback that returns one
-    (m,) input.  Returns the states, shape (K+1,) + x0.shape, K steps.
-    Controller validation marches through here; _march_tau_step applies
-    the same clipped feedback to its fragment rows.
+    All F + P rows march to duration on march's grid, so fragments and
+    plant segments share one time axis, with a partial last step when dt
+    does not divide duration.  The fragments are held at the feedback
+    clipped to U; plant row j is held at fragment j's input.  A non-finite
+    plant state raises IntegrationBlowupError naming its row; controller
+    validation passes no plant rows.  Returns (frags, plants), shapes
+    (K+1, F, n) and (K+1, P, n).
     """
-    x0 = np.array(x0, dtype=float)
-    u = np.empty(x0.shape[:-1] + (sys.m,))
+    F, P = len(frags0), len(plants0)
+    u = np.empty((F + P, sys.m))
     lo, hi = sys.U.lo, sys.U.hi
-    return march(sys.field, x0, dt, duration,
-                 lambda k, x: _saturated(feedback, x, lo, hi, u))
+    u_frags, u_plants, u_held = u[:F], u[F:], u[:P]
+
+    def held(k, x):
+        # lo and hi have shape (m,), so the (F, m) u_frags broadcasts a
+        # feedback returning one (m,) input to the batch
+        np.minimum(np.maximum(feedback(x[:F]), lo, out=u_frags), hi,
+                   out=u_frags)
+        u_plants[...] = u_held
+        return u
+
+    states = march(sys.field, np.concatenate((frags0, plants0)), dt,
+                   duration, held, finite_rows=slice(F, None))
+    return states[:, :F], states[:, F:]
 
 
 @dataclass
@@ -151,8 +155,9 @@ def build_feedback_controller(sys: ControlSystem, Q: CompactSet, tau: float,
     centers = grid(box, _SWEEP_DELTA).centers()
     centers = centers[[Q.contains(c, tol=1e-12) for c in centers]]
     horizon = _SWEEP_TAUS * tau
-    # every grid state marched at once: (K+1, B, n)
-    swept = closed_loop(sys, feedback, centers, horizon, _SWEEP_DT)
+    # every grid state marched at once, with no plant rows: (K+1, B, n)
+    swept, _ = _closed_loop(sys, feedback, centers, centers[:0], horizon,
+                            _SWEEP_DT)
     times, _ = time_grid(horizon, _SWEEP_DT)
     dists = distance_many(swept, Q)
     # each row's longest gap, tail included; inf with no visit
@@ -392,40 +397,13 @@ def load_step_records(path: str) -> tuple:
     return header, steps
 
 
-def _march_tau_step(sys: ControlSystem, feedback: Callable,
-                    frags0: np.ndarray, plants0: np.ndarray, tau: float,
-                    dt: float) -> tuple:
-    """One tau step of F fragments and P <= F plant segments in one march.
-
-    All F + P rows march to tau on march's grid, so fragments and plant
-    segments share one time axis ending at tau, with a partial last step
-    when dt does not divide tau.  The fragments are held at the clipped
-    feedback, as in closed_loop; plant row j is held at fragment j's input.
-    A non-finite plant state raises IntegrationBlowupError naming its row.
-    Returns (frags, plants), shapes (K+1, F, n) and (K+1, P, n).
-    """
-    F, P = len(frags0), len(plants0)
-    u = np.empty((F + P, sys.m))
-    lo, hi = sys.U.lo, sys.U.hi
-    u_frags, u_plants, u_held = u[:F], u[F:], u[:P]
-
-    def held(k, x):
-        _saturated(feedback, x[:F], lo, hi, u_frags)
-        u_plants[...] = u_held
-        return u
-
-    states = march(sys.field, np.concatenate((frags0, plants0)), dt, tau,
-                   held, finite_rows=slice(F, None))
-    return states[:, :F], states[:, F:]
-
-
 def replay(controller: RecurrenceController, header: dict,
            steps: list) -> tuple:
     """Re-run a logged episode and check its links: (EpisodeLog, failures).
 
     header and steps are a log's (load_step_records).  A dt or alpha the
     controller cannot run raises ValueError.  All N steps march in one
-    _march_tau_step, fragment i from the logged q_i and plant segment i
+    _closed_loop, fragment i from the logged q_i and plant segment i
     from x_i, as run_episodes marched them.  failures name, in order, a
     step count, total_bits, L_tau or c_star that the header gets wrong,
     and each step whose record a fresh GridMirror does not reproduce from
@@ -438,7 +416,7 @@ def replay(controller: RecurrenceController, header: dict,
     if not (0 < dt <= tau and 0 <= alpha < math.inf):
         raise ValueError(f"need 0 < dt <= tau and a finite alpha >= 0, not "
                          f"dt={dt}, tau={tau}, alpha={alpha}")
-    frags, plants = _march_tau_step(
+    frags, plants = _closed_loop(
         controller.sys, controller.feedback, np.array([s.q for s in steps]),
         np.array([s.x for s in steps]), controller.tau, dt)
     config = {k: v for k, v in header.items() if k != "total_bits"}
@@ -470,15 +448,6 @@ def replay(controller: RecurrenceController, header: dict,
     return log, failures
 
 
-def run_episode(sys: ControlSystem, Q: CompactSet,
-                controller: RecurrenceController, x0, eps: float, tau: float,
-                alpha: float, steps: int, dt: float,
-                seed: int = 0) -> EpisodeLog:
-    """Run Algorithm-style sensing/quantization for a fixed number of steps."""
-    return run_episodes(sys, Q, controller, [x0], eps, tau, [alpha], steps,
-                        dt, seeds=[seed])[0]
-
-
 def run_episodes(sys: ControlSystem, Q: CompactSet,
                  controller: RecurrenceController, x0s, eps: float,
                  tau: float, alphas, steps: int, dt: float,
@@ -488,7 +457,7 @@ def run_episodes(sys: ControlSystem, Q: CompactSet,
     Episode b starts at x0s[b] with contraction rate alphas[b] and logs
     seeds[b] (default b).  Quantizing, the codec and each mirror's
     grid/ball update stay per episode.  Each tau step marches one
-    (3B, n) batch through _march_tau_step: the B sensor fragments from the
+    (3B, n) batch through _closed_loop: the B sensor fragments from the
     quantized centres, the B receiver fragments from the receivers' own
     decoded centres (recomputed, not copied, so the mirror comparison
     checks two computations), and the B plant segments, each held at its
@@ -550,7 +519,7 @@ def run_episodes(sys: ControlSystem, Q: CompactSet,
             Q_c[b] = receivers[b].C.center(rx_index)
             logs[b].steps.append(record)
 
-        mirrors, plant = _march_tau_step(
+        mirrors, plant = _closed_loop(
             sys, controller.feedback, np.concatenate((Q_s, Q_c)), X, tau, dt)
         for b in range(B):
             frag = mirrors[:, b].copy()

@@ -52,7 +52,6 @@ class ContainmentConstants:
     F_Q: float
     L_tau: float
     delta_tau: float
-    converged: bool = True
 
 
 def _longest_gap(near: np.ndarray, times: np.ndarray, T: float):
@@ -194,15 +193,23 @@ def lipschitz_region(sys: ControlSystem, Q: CompactSet, tau: float) -> tuple:
     Starts from the bounding box of Q, inflates it by the containment
     radius implied by the current Lipschitz estimate, and iterates until
     the radius stabilizes within 1%.  Returns (constants, box); the box
-    always contains every state reachable by recurrent trajectories.
+    is inflated by the radius from before the last estimate, so it reaches
+    delta_tau around Q to within 1% of delta_tau.  A box that is not
+    finite, or a radius that has not settled after _REGION_ITERS
+    re-estimates, raises FloatingPointError.
     """
     F_Q = estimate_F_Q(sys, Q)
     delta = containment_radius(F_Q, estimate_L(sys, Q.bounding_box()), tau)
     for _ in range(_REGION_ITERS):
-        box = neighborhood(Q, delta).bounding_box()
+        with np.errstate(over="ignore", invalid="ignore"):
+            box = neighborhood(Q, delta).bounding_box()
+            finite = np.isfinite([box.lo, box.hi]).all()
+        if not finite:
+            raise FloatingPointError(f"region around Q non-finite at "
+                                     f"delta_tau={delta}")
         L = estimate_L(sys, box)
         delta, last = containment_radius(F_Q, L, tau), delta
-        if converged := abs(delta - last) <= 0.01 * max(delta, 1e-30):
-            break
-    return ContainmentConstants(F_Q=F_Q, L_tau=L, delta_tau=delta,
-                                converged=converged), box
+        if abs(delta - last) <= 0.01 * max(delta, 1e-30):
+            return ContainmentConstants(F_Q=F_Q, L_tau=L, delta_tau=delta), box
+    raise FloatingPointError(f"containment radius still moving after "
+                             f"{_REGION_ITERS} re-estimates: {last} -> {delta}")

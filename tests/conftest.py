@@ -27,7 +27,7 @@ def episode_bundle(di_system, di_controller):
     eps=0.1, tau=2, 200 steps at dt=1e-3, alphas split 7/7/6 across
     {0, 0.1, 0.5}; initial states drawn from the controller-validated
     interior of Q.  All 20 run in lockstep through one run_episodes call,
-    which logs each episode float-identically to its own run_episode.
+    which logs each episode float-identically to a run of it alone.
     """
     alphas = [0.0] * 7 + [0.1] * 7 + [0.5] * 6
     seeds = list(range(len(alphas)))

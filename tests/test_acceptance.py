@@ -14,12 +14,13 @@ import pytest
 
 from helpers import march_held
 from recurq import (CandidateClass, CompactSet, GridMirror, RecurrenceSpec,
-                    bit_rate, build_spanning_instance, closed_loop,
-                    containment_radius, double_integrator, encode,
+                    bit_rate, build_spanning_instance, containment_radius,
+                    double_integrator, encode,
                     first_return_time, lipschitz_region, lower_bound,
                     min_spanning_cardinality, scalar_linear, upper_bound,
                     verify_guarantees)
 from recurq.geometry import distance_many
+from recurq.quantized import _closed_loop
 from recurq.cli import main
 
 LN2 = math.log(2.0)
@@ -324,28 +325,34 @@ class TestCriterion8Properties:
 
     def test_mirror_state_equality(self, episode_bundle, di_controller):
         # replay every logged index stream through fresh mirrors in
-        # lockstep, one closed_loop over the episodes' cell centres per
-        # step, and demand float-identical grid state at every step
+        # lockstep and demand float-identical grid state at every step.
+        # Each step's decoded centre is asserted equal to its logged q, so
+        # the fragments marched from the logged q are the ones the
+        # mirrors' own centres give, by induction over the steps; they
+        # march a chunk of steps at a time, as one batch of rows
         logs = [log for _, _, log in episode_bundle["episodes"]]
         tau, dt, steps = (logs[0].config[k] for k in ("tau", "dt", "steps"))
         assert all(log.config["tau"] == tau and log.config["dt"] == dt
                    and log.n_steps == steps for log in logs)
         mirrors = [GridMirror(di_controller, Q.boxes[0], log.config["eps"],
                               tau, log.config["alpha"]) for log in logs]
-        qs = np.empty((len(logs), Q.dim))
-        for i in range(steps):
-            for b, (mirror, log) in enumerate(zip(mirrors, logs)):
-                s = log.steps[i]
-                assert mirror.C.size == s.cover_size
-                assert mirror.r == s.r
-                assert np.array_equal(mirror.S.center, s.S_center)
-                assert np.array_equal(mirror.S.radius, s.S_radius)
-                qs[b] = mirror.C.center(s.index)
-                assert np.array_equal(qs[b], s.q)
-            frags = closed_loop(di_controller.sys, di_controller.feedback, qs,
-                                tau, dt)
-            for b, mirror in enumerate(mirrors):
-                mirror.step_to(frags[-1, b])
+        # logged centres, step-major: (steps, episodes, n)
+        qs = np.array([[s.q for s in log.steps] for log in logs]).swapaxes(0, 1)
+        chunk = 50  # steps per march: 1000 rows of 2001 samples, 32 MB
+        for i0 in range(0, steps, chunk):
+            part = qs[i0:i0 + chunk].reshape(-1, Q.dim)
+            frags, _ = _closed_loop(di_controller.sys, di_controller.feedback,
+                                    part, part[:0], tau, dt)
+            ends = frags[-1].reshape(-1, len(logs), Q.dim)
+            for i in range(i0, i0 + len(ends)):
+                for mirror, log, end in zip(mirrors, logs, ends[i - i0]):
+                    s = log.steps[i]
+                    assert mirror.C.size == s.cover_size
+                    assert mirror.r == s.r
+                    assert np.array_equal(mirror.S.center, s.S_center)
+                    assert np.array_equal(mirror.S.radius, s.S_radius)
+                    assert np.array_equal(mirror.C.center(s.index), s.q)
+                    mirror.step_to(end)
         print(f"\n[criterion 8e] PASS: {len(logs)} episodes replayed in "
               f"lockstep, mirrors float-identical to logged sensor state at "
               f"all {steps} steps")

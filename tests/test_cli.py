@@ -507,6 +507,10 @@ class TestSimulateVerify:
         # U's grid overflows, as in the scalar case above
         ("bounds", "system", {"name": "double_integrator",
                               "params": {"u_max": 1e308}}),
+        # delta_tau finite but its region not: a record of infinite
+        # region_lo and region_hi before
+        ("bounds", "system", {"name": "scalar_linear",
+                              "params": {"a": 351.5}}),
     ])
     def test_rejected_input_is_config_error(self, request, tmp_path, capsys,
                                             command, key, value):

@@ -16,10 +16,10 @@ from hypothesis.extra.numpy import arrays
 from recurq import (Box, CompactSet, ControlSystem,
                     ControllerInvalidError, DeterminismError,
                     GridMirror, IntegrationBlowupError, ProtocolError,
-                    bit_rate, closed_loop, decode, double_integrator, encode,
+                    bit_rate, decode, double_integrator, encode,
                     load_step_records,
-                    reference_controller_double_integrator, run_episode,
-                    run_episodes, verify_guarantees)
+                    reference_controller_double_integrator, run_episodes,
+                    verify_guarantees)
 from recurq import quantized
 from recurq.systems import march
 
@@ -65,31 +65,41 @@ class TestCodec:
         assert decode(bits, size) == idx
 
 
+def march_fragments(sys, feedback, X, duration, dt):
+    """The closed-loop fragments from the rows of X (B, n), with no plant."""
+    X = np.array(X, dtype=float)
+    frags, _ = quantized._closed_loop(sys, feedback, X, X[:0], duration, dt)
+    return frags
+
+
 class TestClosedLoop:
     def test_input_clamped_to_U(self):
         # u = 5 is clipped to 1, whose flow from rest is (t^2/2, t); RK4 is
         # exact for it
-        states = closed_loop(double_integrator(), lambda x: np.array([5.0]),
-                             [0.0, 0.0], 0.5, 0.1)
+        states = march_fragments(double_integrator(),
+                                 lambda x: np.array([5.0]), [[0.0, 0.0]],
+                                 0.5, 0.1)
         t = np.linspace(0.0, 0.5, 6)
-        np.testing.assert_allclose(states, np.column_stack((t**2 / 2, t)),
+        np.testing.assert_allclose(states[:, 0],
+                                   np.column_stack((t**2 / 2, t)),
                                    rtol=0, atol=1e-15)
 
     def test_bit_identical_reruns(self):
         sys = double_integrator()
-        fb = lambda x: np.array((-x[0] - 1.5 * x[1],))
-        a = closed_loop(sys, fb, [0.3, -0.8], 4.0, 0.01)
-        b = closed_loop(sys, fb, [0.3, -0.8], 4.0, 0.01)
+        fb = lambda x: -x[..., :1] - 1.5 * x[..., 1:]
+        a = march_fragments(sys, fb, [[0.3, -0.8]], 4.0, 0.01)
+        b = march_fragments(sys, fb, [[0.3, -0.8]], 4.0, 0.01)
         assert np.array_equal(a, b)
 
     def test_batch_rows_match_single_runs(self, di_controller):
         sys = double_integrator()
         X = np.array([[0.3, -0.8], [-0.9, 0.95], [1.0, 1.0]])
-        states = closed_loop(sys, di_controller.feedback, X, 2.0, 0.01)
+        states = march_fragments(sys, di_controller.feedback, X, 2.0, 0.01)
         assert states.shape == (201, 3, 2)
-        for b, x0 in enumerate(X):
-            s1 = closed_loop(sys, di_controller.feedback, x0, 2.0, 0.01)
-            assert np.array_equal(states[:, b], s1)
+        for b in range(len(X)):
+            s1 = march_fragments(sys, di_controller.feedback, X[b:b + 1],
+                                 2.0, 0.01)
+            assert np.array_equal(states[:, b:b + 1], s1)
 
     @pytest.mark.parametrize("dt", [0.01, 0.03, 0.07, 0.3, 0.45, 0.9])
     def test_ends_at_duration_on_the_exact_flow(self, dt):
@@ -97,8 +107,8 @@ class TestClosedLoop:
         # x2 = q2 - t; RK4 is exact for it, so the run ends on the flow at
         # t = 2 whether or not dt divides 2
         Q0 = np.array([[0.3, -0.8], [-0.9, 0.95], [1.0, 1.0]])
-        states = closed_loop(double_integrator(), lambda x: np.array([-1.0]),
-                             Q0, 2.0, dt)
+        states = march_fragments(double_integrator(),
+                                 lambda x: np.array([-1.0]), Q0, 2.0, dt)
         exact = np.column_stack((Q0[:, 0] + 2.0 * Q0[:, 1] - 2.0,
                                  Q0[:, 1] - 2.0))
         np.testing.assert_allclose(states[-1], exact, rtol=0, atol=1e-12)
@@ -231,8 +241,12 @@ class TestExcursionTails:
 
 
 def fragments(controller, Q0):
-    """The closed-loop fragments over tau = 2 from the centres Q0 (B, n)."""
-    return closed_loop(controller.sys, controller.feedback, Q0, 2.0, 0.01)
+    """The closed-loop fragments over tau = 2 from the centres Q0 (B, n),
+    marched with the feedback clipped to U here, not by the library."""
+    sys = controller.sys
+    return march(sys.field, np.array(Q0, dtype=float), 0.01, 2.0,
+                 lambda k, x: np.clip(controller.feedback(x), sys.U.lo,
+                                      sys.U.hi))
 
 
 class TestGridMirror:
@@ -275,8 +289,9 @@ class TestGridMirror:
 @pytest.fixture(scope="module")
 def short_episode(di_controller):
     sys = double_integrator()
-    return run_episode(sys, UNIT_SQUARE, di_controller, [0.4, -0.2],
-                       eps=0.1, tau=2.0, alpha=0.0, steps=12, dt=0.01)
+    log, = run_episodes(sys, UNIT_SQUARE, di_controller, [[0.4, -0.2]],
+                        eps=0.1, tau=2.0, alphas=[0.0], steps=12, dt=0.01)
+    return log
 
 
 class TestEpisode:
@@ -301,18 +316,18 @@ class TestEpisode:
     def test_validation_errors(self, di_controller):
         sys = double_integrator()
         with pytest.raises(ValueError):
-            run_episode(sys, UNIT_SQUARE, di_controller, [2.0, 0.0],
-                        0.1, 2.0, 0.0, 5, 0.01)  # x0 outside Q
+            run_episodes(sys, UNIT_SQUARE, di_controller, [[2.0, 0.0]],
+                         0.1, 2.0, [0.0], 5, 0.01)  # x0 outside Q
         with pytest.raises(ValueError):
-            run_episode(sys, UNIT_SQUARE, di_controller, [0.0, 0.0],
-                        0.2, 2.0, 0.0, 5, 0.01)  # eps above validated eps_star
+            run_episodes(sys, UNIT_SQUARE, di_controller, [[0.0, 0.0]],
+                         0.2, 2.0, [0.0], 5, 0.01)  # eps above eps_star
         with pytest.raises(ValueError):
-            run_episode(sys, UNIT_SQUARE, di_controller, [0.0, 0.0],
-                        0.1, 3.0, 0.0, 5, 0.01)  # tau mismatch
+            run_episodes(sys, UNIT_SQUARE, di_controller, [[0.0, 0.0]],
+                         0.1, 3.0, [0.0], 5, 0.01)  # tau mismatch
         for dt in (0.0, 2.5):  # no step, or one longer than tau
             with pytest.raises(ValueError, match="dt"):
-                run_episode(sys, UNIT_SQUARE, di_controller, [0.0, 0.0],
-                            0.1, 2.0, 0.0, 5, dt)
+                run_episodes(sys, UNIT_SQUARE, di_controller, [[0.0, 0.0]],
+                             0.1, 2.0, [0.0], 5, dt)
 
     def test_jsonl_round_trip(self, short_episode, tmp_path):
         path = tmp_path / "ep.jsonl"
@@ -345,10 +360,10 @@ class TestEpisode:
 
     def test_determinism_across_runs(self, di_controller):
         sys = double_integrator()
-        a = run_episode(sys, UNIT_SQUARE, di_controller, [0.4, -0.2],
-                        0.1, 2.0, 0.1, 6, 0.01)
-        b = run_episode(sys, UNIT_SQUARE, di_controller, [0.4, -0.2],
-                        0.1, 2.0, 0.1, 6, 0.01)
+        a, = run_episodes(sys, UNIT_SQUARE, di_controller, [[0.4, -0.2]],
+                          0.1, 2.0, [0.1], 6, 0.01)
+        b, = run_episodes(sys, UNIT_SQUARE, di_controller, [[0.4, -0.2]],
+                          0.1, 2.0, [0.1], 6, 0.01)
         assert [s.bits for s in a.steps] == [s.bits for s in b.steps]
         assert np.array_equal(a.steps[-1].x, b.steps[-1].x)
 
@@ -378,8 +393,8 @@ class TestEpisodeBatch:
         assert len(logs) == 4
         for x0, alpha, seed, log in zip(self.X0S, self.ALPHAS, [5, 6, 7, 8],
                                         logs):
-            alone = run_episode(sys, UNIT_SQUARE, di_controller, x0, 0.1,
-                                2.0, alpha, 6, 0.01, seed=seed)
+            alone, = run_episodes(sys, UNIT_SQUARE, di_controller, [x0],
+                                  0.1, 2.0, [alpha], 6, 0.01, seeds=[seed])
             _assert_logs_identical(log, alone)
 
     def test_partial_plant_step_matches_separate_runs(self, di_controller):
@@ -388,8 +403,9 @@ class TestEpisodeBatch:
         logs = run_episodes(sys, UNIT_SQUARE, di_controller, self.X0S[:2],
                             0.1, 2.0, self.ALPHAS[:2], 3, 0.03)
         for b, log in enumerate(logs):
-            alone = run_episode(sys, UNIT_SQUARE, di_controller, self.X0S[b],
-                                0.1, 2.0, self.ALPHAS[b], 3, 0.03, seed=b)
+            alone, = run_episodes(sys, UNIT_SQUARE, di_controller,
+                                  [self.X0S[b]], 0.1, 2.0, [self.ALPHAS[b]],
+                                  3, 0.03, seeds=[b])
             _assert_logs_identical(log, alone)
 
     def test_diverging_receiver_raises(self, di_controller, monkeypatch):
@@ -455,21 +471,21 @@ class TestEpisodeBatch:
     @pytest.mark.parametrize("B", [1, 4])
     def test_replay_oracle(self, di_controller, B, dt):
         # every logged array recomputed from its step's logged inputs by
-        # the unbatched closed_loop and march, and by replay's one
-        # batch; where dt does not divide tau the fragment and the plant
-        # end each tau step on a partial RK4 step
+        # one-row marches with the feedback clipped here, and by replay's
+        # one batch; where dt does not divide tau the fragment and the
+        # plant end each tau step on a partial RK4 step
         sys = double_integrator()
+        lo, hi = sys.U.lo, sys.U.hi
         logs = run_episodes(sys, UNIT_SQUARE, di_controller, self.X0S[:B],
                             0.1, 2.0, self.ALPHAS[:B], 4, dt)
         for log in logs:
             for s, frag, plant in zip(log.steps, log.frag_states,
                                       log.plant_states):
-                states = closed_loop(sys, di_controller.feedback, s.q, 2.0,
-                                     dt)
-                assert np.array_equal(frag, states)
+                states = march(sys.field, s.q[None], dt, 2.0, lambda k, x:
+                               np.clip(di_controller.feedback(x), lo, hi))
+                assert np.array_equal(frag, states[:, 0])
                 # the input held over each step, from the fragment's state
-                u = np.clip(di_controller.feedback(frag[:-1]), sys.U.lo,
-                            sys.U.hi)
+                u = np.clip(di_controller.feedback(frag[:-1]), lo, hi)
                 replay = march(sys.field, s.x, dt, 2.0, lambda k, _: u[k],
                                finite_rows=slice(None))
                 assert np.array_equal(plant, replay)
@@ -518,7 +534,6 @@ class TestEpisodeBatch:
         def refuse(*args, **kwargs):
             raise AssertionError("marched before the inputs were checked")
 
-        monkeypatch.setattr(quantized, "closed_loop", refuse)
         monkeypatch.setattr(quantized, "march", refuse)
         with pytest.raises(ValueError, match=match):
             run_episodes(double_integrator(), UNIT_SQUARE, di_controller,

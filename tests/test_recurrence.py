@@ -11,11 +11,21 @@ from recurq import (Box, CompactSet, ControlSystem, RecurrenceSpec,
                     ResolutionError, containment_radius, double_integrator,
                     estimate_F_Q, estimate_L, first_return_time,
                     jacobian_fd, lipschitz_region, scalar_linear)
+from recurq import recurrence
 from recurq.geometry import distance_many
 from recurq.recurrence import _first_entry, _longest_gap, _recurrent
 from recurq.systems import time_grid
 
 UNIT_SQUARE = CompactSet.box([0.0, 0.0], [1.0, 1.0])
+
+
+def planar(name, field):
+    return ControlSystem(n=2, m=1, U=Box([0.0], [1.0]), field=field,
+                         name=name)
+
+
+CUBIC = planar("cubic", lambda x, u: np.stack(
+    (x[..., 1] ** 3 - x[..., 0], u[..., 0] * x[..., 0] ** 2), -1))
 
 
 def corner_trajectory(horizon=4.0, dt=0.01):
@@ -451,12 +461,7 @@ class TestConstants:
                        for x in region.sample_grid(5)
                        for u in [sys.U.center] + list(sys.U.corners()))
 
-        def planar(name, field):
-            return ControlSystem(n=2, m=1, U=Box([0.0], [1.0]), field=field,
-                                 name=name)
-
-        cubic = planar("cubic", lambda x, u: np.stack(
-            (x[..., 1] ** 3 - x[..., 0], u[..., 0] * x[..., 0] ** 2), -1))
+        cubic = CUBIC
         # NaN on part of the region
         holed = planar("holed", lambda x, u: np.stack(
             (np.where(x[..., 0] > 0.3, np.nan, x[..., 0] ** 2),
@@ -493,7 +498,6 @@ class TestConstants:
         assert constants.F_Q == 1.0
         assert constants.L_tau == 1.0
         assert constants.delta_tau == pytest.approx(2.0 * math.exp(2.0), rel=1e-12)
-        assert constants.converged
         # the returned region contains the inflated neighborhood of Q
         assert box.contains([1.0 + constants.delta_tau, 0.0])
 
@@ -502,7 +506,17 @@ class TestConstants:
         Q = CompactSet.box([0.0], [1.0])
         constants, _ = lipschitz_region(sys, Q, 1.0)
         assert constants.L_tau == pytest.approx(1.0, rel=1e-12)
-        assert constants.converged
+
+    def test_lipschitz_region_unsettled_raises(self, monkeypatch):
+        # the cubic settles on its second re-estimate; its box is inflated
+        # by the radius from before that estimate, within 1% of delta_tau
+        constants, box = lipschitz_region(CUBIC, UNIT_SQUARE, 0.05)
+        assert box.hi[0] < 1.0 + constants.delta_tau
+        assert box.hi[0] == pytest.approx(1.0 + constants.delta_tau,
+                                          abs=0.01 * constants.delta_tau)
+        monkeypatch.setattr(recurrence, "_REGION_ITERS", 1)
+        with pytest.raises(FloatingPointError, match="after 1 re-estimates"):
+            lipschitz_region(CUBIC, UNIT_SQUARE, 0.05)
 
     def test_containment_holds_on_recurrent_trajectory(self):
         # the corner excursion is tau=2 recurrent on [0, 4] and stays well
