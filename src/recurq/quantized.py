@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import Box, CompactSet, distance_many, grid
 from .recurrence import _longest_gap, estimate_L
-from .systems import ControlSystem, march, time_grid
+from .systems import ControlSystem, double_integrator, march, time_grid
 
 LN2 = math.log(2.0)
 
@@ -79,21 +79,23 @@ def _closed_loop(sys: ControlSystem, feedback: Callable, frags0: np.ndarray,
     """F fragments and P <= F plant segments of the closed loop in one march.
 
     All F + P rows march to duration on march's grid, so fragments and
-    plant segments share one time axis, with a partial last step when dt
-    does not divide duration.  The fragments are held at the feedback
-    clipped to U; plant row j is held at fragment j's input.  A non-finite
+    plant segments share one time axis (a partial last step when dt does
+    not divide duration).  The fragments are held at the feedback clipped
+    to U, every feedback's one saturation (NaN passes as NaN), and plant
+    row j at fragment j's input, so P > F raises ValueError.  A non-finite
     plant state raises IntegrationBlowupError naming its row; controller
     validation passes no plant rows.  Returns (frags, plants), shapes
     (K+1, F, n) and (K+1, P, n).
     """
     F, P = len(frags0), len(plants0)
+    if P > F:
+        raise ValueError(f"{P} plant rows need as many fragments, not {F}")
     u = np.empty((F + P, sys.m))
-    lo, hi = sys.U.lo, sys.U.hi
+    lo, hi = np.full((F, sys.m), sys.U.lo), np.full((F, sys.m), sys.U.hi)
     u_frags, u_plants, u_held = u[:F], u[F:], u[:P]
 
     def held(k, x):
-        # lo and hi have shape (m,), so the (F, m) u_frags broadcasts a
-        # feedback returning one (m,) input to the batch
+        # lo, hi are (F, m), so only an (m,) feedback's input broadcasts
         np.minimum(np.maximum(feedback(x[:F]), lo, out=u_frags), hi,
                    out=u_frags)
         u_plants[...] = u_held
@@ -194,13 +196,12 @@ def build_feedback_controller(sys: ControlSystem, Q: CompactSet, tau: float,
 
 def reference_controller_double_integrator(Q: CompactSet, tau: float,
                                            eps: float) -> RecurrenceController:
-    """Saturated linear feedback u = clip(-x1 - 1.5*x2) for x'' = u.
+    """Linear feedback u = -x1 - 1.5*x2 for x'' = u, saturated by _closed_loop.
 
     The feedback accepts one state (n,) or a batch (B, n).  Validated by
     build_feedback_controller's fixed sweep, (Q, tau, eps) name it
     completely.
     """
-    from .systems import double_integrator
     if not 2.0 <= tau < math.inf:
         raise ValueError(f"tau must be finite and at least 2, not {tau}: the "
                          "double integrator's unit box is not recurrent for "
@@ -208,10 +209,8 @@ def reference_controller_double_integrator(Q: CompactSet, tau: float,
     sys = double_integrator()
 
     def feedback(x):
-        # fmax(-1, NaN) is -1, so a NaN state gets the input -1;
         # -1.5*x2 - x1 rounds as -x1 - 1.5*x2 does, with one ufunc fewer
-        v = np.fmin(1.0, np.fmax(-1.0, -1.5 * x[..., 1] - x[..., 0]))
-        return v[..., None]
+        return (-1.5 * x[..., 1] - x[..., 0])[..., None]
 
     return build_feedback_controller(sys, Q, tau, eps, feedback)
 

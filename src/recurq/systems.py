@@ -104,24 +104,25 @@ def march(field, x0: np.ndarray, dt: float, horizon: float,
     states = np.empty(times.shape + x0.shape)
     states[0] = x = x0
     y, d = np.empty(x0.shape), np.empty(x0.shape)  # stage point, update
+    add, mul, rows = np.add, np.multiply, iter(states[1:])
     with np.errstate(over="ignore", invalid="ignore"):
         for h, ks in ((dt, range(n_full)),
                       (horizon - times[n_full], range(n_full, len(times) - 1))):
             # 0-d arrays: a ufunc converts a Python float on every call
-            h2, h6, h = np.array(0.5 * h), np.array(h / 6.0), np.array(h)
+            two, h2, h6, h = map(np.array, (2.0, 0.5 * h, h / 6.0, h))
             for k in ks:
                 u = input_at(k, x)
                 k1 = field(x, u)
-                k2 = field(np.add(np.multiply(k1, h2, out=y), x, out=y), u)
-                k3 = field(np.add(np.multiply(k2, h2, out=y), x, out=y), u)
-                k4 = field(np.add(np.multiply(k3, h, out=y), x, out=y), u)
+                k2 = field(add(mul(k1, h2, y), x, y), u)
+                k3 = field(add(mul(k2, h2, y), x, y), u)
+                k4 = field(add(mul(k3, h, y), x, y), u)
                 # h/6 (k1 + 2 (k2 + k3) + k4), in that order of operations
-                np.add(k2, k3, out=d)
-                d *= 2.0
-                d += k1
-                d += k4
-                d *= h6
-                x = np.add(x, d, out=states[k + 1])
+                add(k2, k3, d)
+                mul(d, two, d)
+                add(d, k1, d)
+                add(d, k4, d)
+                mul(d, h6, d)
+                x = add(x, d, next(rows))
         if finite_rows is not None:  # in chunks, to bound the temporaries
             chunk = max(1, _SCAN_CHUNK // max(1, x0.size))
             for i in range(1, len(times), chunk):

@@ -1,5 +1,6 @@
-"""Test helpers: march a piecewise-constant input, and judge the sampled
-states by the library's one recurrence rule (recurrence._recurrent)."""
+"""Test helpers: march a piecewise-constant input, march the plain-way RK4
+oracle, read a march's blow-up, and judge the sampled states by the
+library's one recurrence rule (recurrence._recurrent)."""
 
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 
 from recurq.geometry import distance_many
 from recurq.recurrence import _MEMBERSHIP_TOL, _longest_gap, _recurrent
-from recurq.systems import march, time_grid
+from recurq.systems import IntegrationBlowupError, march, time_grid
 
 
 def march_held(sys, x0, values, segment_duration, horizon, dt):
@@ -22,6 +23,50 @@ def march_held(sys, x0, values, segment_duration, horizon, dt):
                    lambda k, _: values[min(k // steps, len(values) - 1)],
                    finite_rows=slice(None))
     return time_grid(horizon, dt)[0], states
+
+
+def check_finite_oracle(x, t):
+    """A non-finite row of x at sample time t raises, as march's scan must
+    report it: the first row whose absolute sum is not finite."""
+    if math.isfinite(float(np.abs(x).sum())):
+        return
+    if x.ndim == 1:
+        raise IntegrationBlowupError(t)
+    bad = ~np.isfinite(np.abs(x).sum(axis=-1))
+    if bad.any():
+        raise IntegrationBlowupError(t, row=int(np.argmax(bad)))
+
+
+def march_oracle(field, x0, dt, horizon, input_at, finite_rows=None):
+    """RK4 over time_grid that allocates every stage and checks finiteness
+    after every step: march's result and errors, computed the plain way."""
+    times, n_full = time_grid(horizon, dt)
+    states = np.empty(times.shape + x0.shape)
+    states[0] = x = x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h, ks in ((dt, range(n_full)),
+                      (horizon - times[n_full], range(n_full, len(times) - 1))):
+            h2, h6 = 0.5 * h, h / 6.0
+            for k in ks:
+                u = input_at(k, x)
+                k1 = field(x, u)
+                k2 = field(x + h2 * k1, u)
+                k3 = field(x + h2 * k2, u)
+                k4 = field(x + h * k3, u)
+                x = x + h6 * (k1 + 2.0 * (k2 + k3) + k4)
+                if finite_rows is not None:
+                    check_finite_oracle(x[finite_rows], times[k + 1])
+                states[k + 1] = x
+    return states
+
+
+def outcome(fn, *args):
+    """fn's result, or the (t, row) of the IntegrationBlowupError it
+    raises."""
+    try:
+        return fn(*args)
+    except IntegrationBlowupError as exc:
+        return exc.t, exc.row
 
 
 def judge(times, states, spec):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import march_oracle, outcome
 from recurq import (Box, CompactSet, ControlSystem,
                     ControllerInvalidError, DeterminismError,
                     GridMirror, IntegrationBlowupError, ProtocolError,
@@ -72,6 +73,37 @@ def march_fragments(sys, feedback, X, duration, dt):
     return frags
 
 
+def held_inputs(feedback, X):
+    """The inputs (B, 1) that a one-step _closed_loop from the rows of X
+    holds, read by a field with the double integrator's U that records the
+    u of its first call."""
+    di = double_integrator()
+    seen = []
+
+    def field(x, u):
+        if not seen:
+            seen.append(u.copy())
+        return di.field(x, u)
+
+    spy = ControlSystem(n=2, m=1, U=di.U, field=field, name="spy")
+    X = np.array(X, dtype=float)
+    quantized._closed_loop(spy, feedback, X, X[:0], 0.1, 0.1)
+    return seen[0]
+
+
+#: feedbacks for the oracle: the plain law, which leaves U for large
+#: states, state-dependent signed zeros, one (m,) input for every row, and
+#: constant +-inf and NaN, which _closed_loop's clip passes on
+CLOSED_LOOP_FEEDBACKS = [
+    lambda x: (-1.5 * x[..., 1] - x[..., 0])[..., None],
+    lambda x: np.where(x[..., :1] > 0.0, -0.0, 0.0),
+    lambda x: np.array([-0.0]),
+    lambda x: np.full(x.shape[:-1] + (1,), np.inf),
+    lambda x: np.full(x.shape[:-1] + (1,), -np.inf),
+    lambda x: np.full(x.shape[:-1] + (1,), np.nan),
+]
+
+
 class TestClosedLoop:
     def test_input_clamped_to_U(self):
         # u = 5 is clipped to 1, whose flow from rest is (t^2/2, t); RK4 is
@@ -83,6 +115,76 @@ class TestClosedLoop:
         np.testing.assert_allclose(states[:, 0],
                                    np.column_stack((t**2 / 2, t)),
                                    rtol=0, atol=1e-15)
+
+    def test_saturates_the_reference_feedback(self, di_controller):
+        # the feedback is the plain law; _closed_loop alone clips it to U
+        assert np.array_equal(di_controller.feedback(np.array([2.0, 1.0])),
+                              [-3.5])
+
+        # the clip of -x1 - 1.5*x2 written with Python's min/max on one state
+        def scalar(x):
+            return np.array((min(1.0, max(-1.0, -x[0] - 1.5 * x[1])),))
+
+        # bit for bit: (0, 0) gives -0.0 and (-0, 0) gives 0.0; a NaN state
+        # is held at NaN, where Python's max gives -1, so a NaN feedback
+        # fails validation rather than being held at U's bound
+        X = np.array([[0.3, -0.8], [2.0, 1.0], [-2.0, -1.0], [0.5, 0.0],
+                      [-1.0, 0.0], [0.0, 0.0], [-0.0, 0.0], [np.nan, 0.0],
+                      [np.inf, 0.0]])
+        batch = held_inputs(di_controller.feedback, X)
+        assert batch.shape == (len(X), 1)
+        for x, u in zip(X, batch):
+            alone = held_inputs(di_controller.feedback, x[None])[0]
+            want = np.array([np.nan]) if np.isnan(x).any() else scalar(x)
+            for got in (u, alone):
+                assert np.array_equal(got, want, equal_nan=True)
+                # a NaN's sign bit is unspecified by IEEE 754
+                if not np.isnan(want).any():
+                    assert np.signbit(got) == np.signbit(want)
+
+    @given(F=st.integers(1, 4), data=st.data(),
+           dt=st.sampled_from([0.1, 0.07]),
+           feedback=st.sampled_from(CLOSED_LOOP_FEEDBACKS),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_oracle(self, F, data, dt, feedback, seed):
+        # march_oracle fed the clip inline: the F fragments held at the
+        # clipped feedback, plant row j at fragment j's input; 0.07 does not
+        # divide 0.5, so the last step is partial
+        P = data.draw(st.sampled_from(sorted({0, 1, F})))
+        sys = double_integrator()
+        lo, hi = sys.U.lo, sys.U.hi
+        rng = np.random.default_rng(seed)
+        frags0, plants0 = rng.uniform(-2.0, 2.0, (2, F, sys.n))
+        plants0 = plants0[:P]
+
+        def input_at(k, x):
+            u = np.broadcast_to(
+                np.minimum(np.maximum(feedback(x[:F]), lo), hi), (F, sys.m))
+            return np.concatenate((u, u[:P]))
+
+        want = outcome(march_oracle, sys.field,
+                       np.concatenate((frags0, plants0)), dt, 0.5, input_at,
+                       slice(F, None))
+        got = outcome(quantized._closed_loop, sys, feedback, frags0, plants0,
+                      0.5, dt)
+        if isinstance(want, tuple):  # the blow-up's time and plant row
+            assert got == want
+        else:
+            got = np.concatenate(got, axis=1)
+            assert np.array_equal(got, want, equal_nan=True)
+            signed = ~np.isnan(want)  # a NaN's sign bit is unspecified
+            assert np.array_equal(np.signbit(got[signed]),
+                                  np.signbit(want[signed]))
+
+    def test_refuses_more_plant_rows_than_fragments(self):
+        # plant row 1 would be held at an input slot of its own, not at a
+        # fragment's
+        with pytest.raises(ValueError, match="2 plant rows"):
+            quantized._closed_loop(double_integrator(),
+                                   lambda x: np.array([0.5]),
+                                   np.zeros((1, 2)), np.zeros((2, 2)), 0.1,
+                                   0.01)
 
     def test_bit_identical_reruns(self):
         sys = double_integrator()
@@ -112,26 +214,6 @@ class TestClosedLoop:
         exact = np.column_stack((Q0[:, 0] + 2.0 * Q0[:, 1] - 2.0,
                                  Q0[:, 1] - 2.0))
         np.testing.assert_allclose(states[-1], exact, rtol=0, atol=1e-12)
-
-
-class TestReferenceFeedback:
-    def test_matches_scalar_formula(self, di_controller):
-        # the clip of -x1 - 1.5*x2 written with Python's min/max on one state
-        def scalar(x):
-            return np.array((min(1.0, max(-1.0, -x[0] - 1.5 * x[1])),))
-
-        # bit for bit: (0, 0) gives -0.0 and (-0, 0) gives 0.0
-        X = np.array([[0.3, -0.8], [2.0, 1.0], [-2.0, -1.0], [0.5, 0.0],
-                      [-1.0, 0.0], [0.0, 0.0], [-0.0, 0.0], [np.nan, 0.0],
-                      [np.inf, 0.0]])
-        batch = di_controller.feedback(X)
-        assert batch.shape == (len(X), 1)
-        for x, u in zip(X, batch):
-            single = di_controller.feedback(x)
-            assert single.shape == (1,)
-            for got in (u, single):
-                assert np.array_equal(got, scalar(x), equal_nan=True)
-                assert np.signbit(got) == np.signbit(scalar(x))
 
 
 class TestController:

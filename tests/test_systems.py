@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import march_held
+from helpers import march_held, march_oracle, outcome
 from recurq import (Box, ControlSystem, IntegrationBlowupError,
                     double_integrator, jacobian_fd, make_system, scalar_linear)
 from recurq import systems
@@ -40,41 +40,6 @@ class TestRK4:
                    input_at=lambda k, x: np.array([0.5]))[-1]
         _, states = march_held(sys, [1.0], [[0.5]], 0.1, 0.1, 0.1)
         np.testing.assert_allclose(states[-1], x1, rtol=0, atol=0)
-
-
-def check_finite_oracle(x, t):
-    """A non-finite row of x at sample time t raises, as march's scan must
-    report it: the first row whose absolute sum is not finite."""
-    if math.isfinite(float(np.abs(x).sum())):
-        return
-    if x.ndim == 1:
-        raise IntegrationBlowupError(t)
-    bad = ~np.isfinite(np.abs(x).sum(axis=-1))
-    if bad.any():
-        raise IntegrationBlowupError(t, row=int(np.argmax(bad)))
-
-
-def march_oracle(field, x0, dt, horizon, input_at, finite_rows=None):
-    """RK4 over time_grid that allocates every stage and checks finiteness
-    after every step: march's result and errors, computed the plain way."""
-    times, n_full = time_grid(horizon, dt)
-    states = np.empty(times.shape + x0.shape)
-    states[0] = x = x0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for h, ks in ((dt, range(n_full)),
-                      (horizon - times[n_full], range(n_full, len(times) - 1))):
-            h2, h6 = 0.5 * h, h / 6.0
-            for k in ks:
-                u = input_at(k, x)
-                k1 = field(x, u)
-                k2 = field(x + h2 * k1, u)
-                k3 = field(x + h2 * k2, u)
-                k4 = field(x + h * k3, u)
-                x = x + h6 * (k1 + 2.0 * (k2 + k3) + k4)
-                if finite_rows is not None:
-                    check_finite_oracle(x[finite_rows], times[k + 1])
-                states[k + 1] = x
-    return states
 
 
 PENDULUM = ControlSystem(
@@ -119,13 +84,6 @@ class TestMarchOracle:
 class TestBlowupScan:
     """The scan after the march reports what the per-step check did."""
 
-    @staticmethod
-    def outcome(march_fn, *args):
-        try:
-            return march_fn(*args)
-        except IntegrationBlowupError as exc:
-            return exc.t, exc.row
-
     @pytest.mark.parametrize("batch", [False, True])
     def test_in_the_partial_last_step(self, batch):
         # 0.25 = two steps of 0.1 and a partial one; row 1 of the batch
@@ -138,9 +96,9 @@ class TestBlowupScan:
 
         args = (lambda x, u: u * np.ones_like(x), x0, 0.1, 0.25, held,
                 slice(None))
-        got = self.outcome(march, *args)
+        got = outcome(march, *args)
         assert got == (0.25, 1 if batch else None)
-        assert got == self.outcome(march_oracle, *args)
+        assert got == outcome(march_oracle, *args)
 
     def test_unchecked_row_may_blow_up(self):
         # row 0 (a fragment) overflows; the checked row 1 stays finite
@@ -157,8 +115,8 @@ class TestBlowupScan:
         monkeypatch.setattr(systems, "_SCAN_CHUNK", scan_chunk)
         args = (lambda x, u: x ** 3, np.array([[0.1], [5.0], [4.0]]), 0.01,
                 1.0, lambda k, x: np.zeros((3, 1)), slice(1, None))
-        got = self.outcome(march, *args)
-        assert got == self.outcome(march_oracle, *args)
+        got = outcome(march, *args)
+        assert got == outcome(march_oracle, *args)
         assert got[0] > 0.01 and got[1] == 0
 
     @pytest.mark.parametrize("x0, expected", [
@@ -171,8 +129,8 @@ class TestBlowupScan:
         x0 = np.array(x0)
         args = (lambda x, u: np.zeros_like(x), x0, 0.1, 0.3,
                 lambda k, x: np.zeros(x.shape[:-1] + (1,)), slice(None))
-        got = self.outcome(march, *args)
-        oracle = self.outcome(march_oracle, *args)
+        got = outcome(march, *args)
+        oracle = outcome(march_oracle, *args)
         if expected is None:
             assert np.array_equal(got, oracle)
         else:
