@@ -9,9 +9,9 @@ and guarantees can be audited offline.
 
 from .geometry import (Box, CompactSet, GridCover, distance_many, grid,
                        neighborhood)
-from .systems import (BUILTIN_SYSTEMS, ControlSignal, ControlSystem,
-                      IntegrationBlowupError, double_integrator, jacobian_fd,
-                      make_system, scalar_linear)
+from .systems import (BUILTIN_SYSTEMS, ControlSystem, IntegrationBlowupError,
+                      double_integrator, jacobian_fd, make_system,
+                      scalar_linear)
 from .recurrence import (ContainmentConstants, RecurrenceSpec, ResolutionError,
                          containment_radius, estimate_F_Q, estimate_L,
                          first_return_time, lipschitz_region)

@@ -256,7 +256,7 @@ def cmd_spanning(cfg: dict, out) -> int:
                 rec.update({"exact": True,
                             "r": (int(r) if feasible else None),
                             "feasible": feasible, "chosen": chosen,
-                            "n_candidates": len(inst.candidates),
+                            "n_candidates": len(inst.feasibility),
                             "n_points": len(inst.initial_points)})
                 if feasible:
                     rate_points.setdefault((eps, tau), []).append(

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -13,7 +12,7 @@ from . import systems
 from .geometry import Box, CompactSet, distance_many, grid, neighborhood
 from .recurrence import (_MEMBERSHIP_TOL, _POINTS_PER_AXIS, RecurrenceSpec,
                          _recurrent)
-from .systems import ControlSignal, ControlSystem, _jacobians, time_grid
+from .systems import ControlSystem, _jacobians, time_grid
 
 LN2 = math.log(2.0)
 #: build_spanning_instance's cap on initial points
@@ -76,18 +75,20 @@ class CandidateClass:
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def _segments(self, T: float) -> int:
-        """Segments in a signal of horizon T, which they must divide."""
+        """Segments in a signal of horizon T: at least one, and a whole
+        number of them must fill T."""
         n_seg = int(round(T / self.segment_duration))
-        if abs(n_seg * self.segment_duration - T) > 1e-9:
+        if n_seg < 1 or abs(n_seg * self.segment_duration - T) > 1e-9:
             raise ValueError(f"segment_duration {self.segment_duration} "
                              f"must divide the horizon T={T}")
         return n_seg
 
-    def signals(self, U: Box, T: float) -> list:
-        values = self.input_values(U)
-        return [ControlSignal(self.segment_duration, values[list(combo)])
-                for combo in itertools.product(range(len(values)),
-                                               repeat=self._segments(T))]
+
+class ControlSignal(NamedTuple):
+    """One candidate: values[d] (shape (m,)) is held over segment d."""
+
+    segment_duration: float
+    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -106,19 +107,12 @@ class SpanningInstance:
 
 
 def initial_point_grid(Q: CompactSet, init_delta: float) -> np.ndarray:
-    """Grid centers over each box of Q, deduplicated, deterministic order."""
-    pts = []
-    for box in Q.boxes:
-        pts.append(grid(box, init_delta).centers())
-    pts = np.vstack(pts)
-    # drop duplicates from overlapping boxes while preserving order
-    seen, keep = set(), []
-    for k, p in enumerate(pts):
-        key = tuple(np.round(p, 12))
-        if key not in seen:
-            seen.add(key)
-            keep.append(k)
-    return pts[keep]
+    """Grid centers over each box of Q in box order, a center that equals
+    an earlier one at 12 decimals (overlapping boxes; -0.0 equals 0.0)
+    dropped."""
+    pts = np.vstack([grid(box, init_delta).centers() for box in Q.boxes])
+    _, first = np.unique(np.round(pts, 12), axis=0, return_index=True)
+    return pts[np.sort(first)]
 
 
 def build_spanning_instance(sys: ControlSystem, Q: CompactSet,
@@ -150,7 +144,6 @@ def build_spanning_instance(sys: ControlSystem, Q: CompactSet,
         raise InstanceTooLargeError(
             f"{n_cand} candidates x {len(points)} points exceeds "
             f"caps {max_candidates} x {_MAX_POINTS}")
-    candidates = candidate_class.signals(sys.U, T)
     S, P, V = candidate_class.segment_duration, len(points), len(values)
     h = S if n_seg > 1 else T  # one segment may end on a partial step
     times, (seg_times, seg_full) = time_grid(T, dt)[0], time_grid(h, dt)
@@ -179,10 +172,12 @@ def build_spanning_instance(sys: ControlSystem, Q: CompactSet,
                                        <= spec.eps + _MEMBERSHIP_TOL)
         ok = _recurrent(near, times, T, spec.tau)
         live, x, near = live[ok], states[-1, ok], near[:, ok]
-    feas = np.zeros((len(candidates), P), dtype=bool)
+    feas = np.zeros((n_cand, P), dtype=bool)
     feas.flat[live] = True
-    return SpanningInstance(initial_points=points, candidates=tuple(candidates),
-                            feasibility=feas)
+    # candidate j holds the base-V digits of j, most significant first
+    table = values[np.indices((V,) * n_seg).reshape(n_seg, -1).T]
+    return SpanningInstance(initial_points=points, candidates=tuple(
+        ControlSignal(S, row) for row in table), feasibility=feas)
 
 
 def greedy_cover(feasibility: np.ndarray) -> Optional[list]:

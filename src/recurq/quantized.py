@@ -118,6 +118,12 @@ class RecurrenceController:
     L_tau: float
     max_visit_gap: float
 
+    def _check_run(self, eps: float, tau: float):
+        if not (0 < eps <= self.eps_star + 1e-12):
+            raise ValueError(f"eps must lie in (0, {self.eps_star}]")
+        if abs(tau - self.tau) > 1e-12:
+            raise ValueError("tau must match the validated controller")
+
 
 def _excursion_tails(times, states, dists):
     """Return-phase samples of every excursion: (states, times to entry).
@@ -208,9 +214,11 @@ def reference_controller_double_integrator(Q: CompactSet, tau: float,
                          "shorter windows")
     sys = double_integrator()
 
+    gain = np.array(-1.5)  # 0-d: a ufunc converts a Python float every call
+
     def feedback(x):
         # -1.5*x2 - x1 rounds as -x1 - 1.5*x2 does, with one ufunc fewer
-        return (-1.5 * x[..., 1] - x[..., 0])[..., None]
+        return (gain * x[..., 1] - x[..., 0])[..., None]
 
     return build_feedback_controller(sys, Q, tau, eps, feedback)
 
@@ -400,10 +408,11 @@ def replay(controller: RecurrenceController, header: dict,
            steps: list) -> tuple:
     """Re-run a logged episode and check its links: (EpisodeLog, failures).
 
-    header and steps are a log's (load_step_records).  A dt or alpha the
-    controller cannot run raises ValueError.  All N steps march in one
-    _closed_loop, fragment i from the logged q_i and plant segment i
-    from x_i, as run_episodes marched them.  failures name, in order, a
+    header and steps are a log's (load_step_records).  A tau or eps that
+    the controller was not validated for, or a dt or alpha it cannot run,
+    raises ValueError, as run_episodes does.  All N steps march in one
+    _closed_loop, fragment i from the logged q_i and plant segment i from
+    x_i, as run_episodes marched them.  failures name, in order, a
     step count, total_bits, L_tau or c_star that the header gets wrong,
     and each step whose record a fresh GridMirror does not reproduce from
     x0 and the ends of the plant segments and fragments.  With none, by
@@ -412,6 +421,7 @@ def replay(controller: RecurrenceController, header: dict,
     and not total_bits, which the log sums from its widths.
     """
     eps, tau, alpha, dt = (header[k] for k in ("eps", "tau", "alpha", "dt"))
+    controller._check_run(eps, tau)
     if not (0 < dt <= tau and 0 <= alpha < math.inf):
         raise ValueError(f"need 0 < dt <= tau and a finite alpha >= 0, not "
                          f"dt={dt}, tau={tau}, alpha={alpha}")
@@ -472,10 +482,7 @@ def run_episodes(sys: ControlSystem, Q: CompactSet,
         raise ValueError("x0s, alphas and seeds must have one entry per episode")
     if len(Q.boxes) != 1:
         raise ValueError("episodes need Q given as a single box")
-    if not (0 < eps <= controller.eps_star + 1e-12):
-        raise ValueError(f"eps must lie in (0, {controller.eps_star}]")
-    if abs(tau - controller.tau) > 1e-12:
-        raise ValueError("tau must match the validated controller")
+    controller._check_run(eps, tau)
     if not 0 < dt <= tau:
         raise ValueError(f"dt must lie in (0, tau={tau}]")
     if steps < 1:

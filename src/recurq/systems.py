@@ -1,4 +1,4 @@
-"""Control systems, piecewise-constant input signals, and RK4 integration."""
+"""Control systems, RK4 integration (march) and the built-in systems."""
 
 from __future__ import annotations
 
@@ -47,25 +47,6 @@ class ControlSystem:
             raise ValueError("state and input dimensions must be positive")
         if self.U.dim != self.m:
             raise ValueError("input box dimension does not match m")
-
-
-@dataclass(frozen=True)
-class ControlSignal:
-    """Piecewise-constant input on a uniform time grid.
-
-    values has one row per segment: shape (segments, m).
-    """
-
-    segment_duration: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.segment_duration <= 0:
-            raise ValueError("segment_duration must be positive")
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if values.shape[0] < 1:
-            raise ValueError("signal needs at least one segment")
-        object.__setattr__(self, "values", values)
 
 
 def time_grid(horizon: float, dt: float) -> tuple:

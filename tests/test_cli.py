@@ -317,6 +317,9 @@ class TestSpanning:
          "max_candidates must be finite and at least 1, not 0"),
         ({"max_candidates": -3},
          "max_candidates must be finite and at least 1, not -3"),
+        # a horizon that holds no whole segment
+        ({"horizons": [1e-10], "tau_list": [0.0]},
+         "segment_duration 2.0 must divide the horizon T=1e-10"),
     ])
     def test_bad_entry_is_refused_by_name(self, tmp_path, capsys, edit,
                                           message):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import judge, march_held
-from recurq import systems
+from recurq import entropy, systems
 from recurq import (Box, CandidateClass, CompactSet, ControlSystem,
                     InstanceTooLargeError, IntegrationBlowupError,
                     RecurrenceSpec, ResolutionError, SpanningInstance,
                     build_spanning_instance, dim_box_counting, double_integrator,
-                    greedy_cover, initial_point_grid, lower_bound,
+                    greedy_cover, grid, initial_point_grid, lower_bound,
                     min_spanning_cardinality, scalar_linear,
                     uncoverable_points, upper_bound)
 
@@ -68,11 +69,14 @@ class TestBoundFormulas:
 
 class TestCandidateClass:
     def test_signal_counts(self):
+        # V ** n_seg candidates: 3 values over 2, 3 and 4 segments
+        sys = double_integrator()
         cc = CandidateClass(values_per_axis=3, segment_duration=2.0)
-        U = Box([0.0], [1.0])
-        assert len(cc.signals(U, 4.0)) == 9
-        assert len(cc.signals(U, 6.0)) == 27
-        assert len(cc.signals(U, 8.0)) == 81
+        for T, count in [(4.0, 9), (6.0, 27), (8.0, 81)]:
+            spec = RecurrenceSpec(UNIT_SQUARE, tau=2.0, eps=0.1, T=T)
+            inst = build_spanning_instance(sys, UNIT_SQUARE, spec, 0.5, cc,
+                                           dt=0.1, max_candidates=81)
+            assert len(inst.candidates) == count
 
     def test_values_cover_extremes(self):
         cc = CandidateClass(values_per_axis=3, segment_duration=1.0)
@@ -80,9 +84,15 @@ class TestCandidateClass:
         np.testing.assert_allclose(sorted(vals.ravel()), [-1.0, 0.0, 1.0])
 
     def test_segment_must_divide_horizon(self):
+        # T = 1e-10 holds no whole segment: refused before too, by a
+        # message that named neither the segment duration nor the horizon
         cc = CandidateClass(values_per_axis=3, segment_duration=2.0)
-        with pytest.raises(ValueError):
-            cc.signals(Box([0.0], [1.0]), 5.0)
+        for T, tau in [(5.0, 2.0), (1e-10, 0.0)]:
+            spec = RecurrenceSpec(UNIT_SQUARE, tau=tau, eps=0.1, T=T)
+            with pytest.raises(ValueError, match=(
+                    rf"^segment_duration 2.0 must divide the horizon T={T}$")):
+                build_spanning_instance(double_integrator(), UNIT_SQUARE,
+                                        spec, 0.5, cc, dt=0.1)
 
     @pytest.mark.parametrize("values_per_axis, segment_duration", [
         (0, 2.0), (-1, 2.0), (3, 0.0), (3, -1.0), (3, float("nan"))])
@@ -91,11 +101,17 @@ class TestCandidateClass:
             CandidateClass(values_per_axis, segment_duration)
 
     def test_deterministic_enumeration(self):
+        # two builds of one class enumerate the same candidates in the same
+        # order, with the same feasibility rows
         cc = CandidateClass(values_per_axis=3, segment_duration=1.0)
-        a = cc.signals(Box([0.0], [1.0]), 2.0)
-        b = cc.signals(Box([0.0], [1.0]), 2.0)
-        for s1, s2 in zip(a, b):
+        Q = CompactSet.box([0.0], [1.0])
+        spec = RecurrenceSpec(Q, tau=0.0, eps=0.1, T=2.0)
+        a, b = (build_spanning_instance(scalar_linear(), Q, spec, 0.5, cc,
+                                        dt=0.05) for _ in range(2))
+        assert len(a.candidates) == len(b.candidates) == 9
+        for s1, s2 in zip(a.candidates, b.candidates):
             assert np.array_equal(s1.values, s2.values)
+        assert np.array_equal(a.feasibility, b.feasibility)
 
 
 class TestInitialPoints:
@@ -108,6 +124,43 @@ class TestInitialPoints:
     def test_duplicates_dropped(self):
         Q = CompactSet((Box([0.0], [1.0]), Box([0.0], [1.0])))
         assert initial_point_grid(Q, 0.5).shape == (2, 1)
+
+    @given(dim=st.integers(1, 2), init_delta=st.sampled_from(
+               [0.125, 0.25, 0.5, 1.0]), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_row_loop(self, dim, init_delta, data):
+        # overlapping boxes whose centres sit on a shared lattice, some
+        # 1e-13 off it; real grids make only +0.0, so each zero coordinate
+        # of the centres is given a drawn sign before the dedup sees it
+        coord = st.sampled_from([-0.5, -0.0, 0.0, 0.25, 0.5]).flatmap(
+            lambda c: st.sampled_from([c, c + 1e-13, c - 1e-13]))
+        box = st.builds(Box, st.lists(coord, min_size=dim, max_size=dim),
+                        st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                                 min_size=dim, max_size=dim))
+        Q = CompactSet(tuple(data.draw(st.lists(box, min_size=1,
+                                                max_size=4))))
+        rows = {}
+        for b in Q.boxes:
+            c = grid(b, init_delta).centers()
+            neg = np.array(data.draw(st.lists(
+                st.booleans(), min_size=c.size, max_size=c.size)))
+            rows[id(b)] = np.where((c == 0) & neg.reshape(c.shape), -0.0, c)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(entropy, "grid", lambda b, delta: SimpleNamespace(
+                centers=lambda: rows[id(b)]))
+            got = initial_point_grid(Q, init_delta)
+        # the per-row loop that np.unique replaced: the first row of each
+        # 12-decimal key, in order (-0.0 and 0.0 hash alike)
+        pts = np.vstack([rows[id(b)] for b in Q.boxes])
+        seen, keep = set(), []
+        for k, p in enumerate(pts):
+            key = tuple(np.round(p, 12))
+            if key not in seen:
+                seen.add(key)
+                keep.append(k)
+        want = pts[keep]
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def make_instance(matrix):
@@ -313,28 +366,36 @@ class TestBuildInstance:
         # candidate j holds input_values[digit d of j in base V] over
         # segment d, most significant digit first (itertools.product
         # order), and the feasibility rows follow it: a 2-D U with 2 values
-        # per axis (V = 4, 16 candidates), then the family's T = 6 (27)
+        # per axis (V = 4, 16 candidates), the family's T = 6 (27), and 5
+        # scalar values over five 0.5 s segments (3125, tau = 0)
         plane = ControlSystem(n=2, m=2, U=Box([0.0, 0.0], [1.0, 2.0]),
                               field=lambda x, u: u + 0.0 * x, name="plane")
-        cases = [(plane, CandidateClass(values_per_axis=2,
-                                        segment_duration=1.0), 2.0, 0.05),
-                 (double_integrator(), CandidateClass(
-                     values_per_axis=3, segment_duration=2.0), 6.0, 0.05)]
-        for sys, cc, T, dt in cases:
-            spec = RecurrenceSpec(UNIT_SQUARE, tau=2.0, eps=0.1, T=T)
-            inst = build_spanning_instance(sys, UNIT_SQUARE, spec, 0.5, cc,
-                                           dt=dt, max_candidates=128)
+        cases = [(plane, UNIT_SQUARE, CandidateClass(
+                     values_per_axis=2, segment_duration=1.0), 2.0, 2.0),
+                 (double_integrator(), UNIT_SQUARE, CandidateClass(
+                     values_per_axis=3, segment_duration=2.0), 6.0, 2.0),
+                 (scalar_linear(), CompactSet.box([0.0], [1.0]),
+                  CandidateClass(values_per_axis=5, segment_duration=0.5),
+                  2.5, 0.0)]
+        for sys, Q, cc, T, tau in cases:
+            spec = RecurrenceSpec(Q, tau=tau, eps=0.1, T=T)
+            inst = build_spanning_instance(sys, Q, spec, 0.5, cc, dt=0.05,
+                                           max_candidates=3125)
             values = cc.input_values(sys.U)
             V, n_seg = len(values), int(round(T / cc.segment_duration))
-            assert len(inst.candidates) == V ** n_seg
+            assert len(inst.candidates) == len(inst.feasibility) == V ** n_seg
             for j, sig in enumerate(inst.candidates):
                 assert sig.segment_duration == cc.segment_duration
                 assert sig.values.shape == (n_seg, sys.m)
+                assert sig.values.dtype == values.dtype
                 for d in range(n_seg):
                     digit = j // V ** (n_seg - 1 - d) % V
                     assert np.array_equal(sig.values[d], values[digit]), (j, d)
+            product = np.array(list(itertools.product(values, repeat=n_seg)))
+            assert np.array_equal(
+                np.array([sig.values for sig in inst.candidates]), product)
         # the 2-D inputs themselves, first axis major
-        assert cases[0][1].input_values(plane.U).tolist() == [
+        assert cases[0][2].input_values(plane.U).tolist() == [
             [-1.0, -2.0], [-1.0, 2.0], [1.0, -2.0], [1.0, 2.0]]
 
     @pytest.mark.parametrize("init_delta", [0.0, -0.25, float("inf")])
@@ -357,7 +418,7 @@ class TestBuildInstance:
     def test_cap_checked_before_building(self, monkeypatch):
         def build(*args):
             raise AssertionError("candidates built past the cap")
-        monkeypatch.setattr(CandidateClass, "signals", build)
+        monkeypatch.setattr(entropy, "ControlSignal", build)
         sys = double_integrator()
         spec = RecurrenceSpec(UNIT_SQUARE, tau=2.0, eps=0.1, T=24.0)
         cc = CandidateClass(values_per_axis=3, segment_duration=2.0)

@@ -590,6 +590,20 @@ class TestEpisodeBatch:
             di_controller, dict(log.config, total_bits=log.total_bits), steps)
         assert failures[0] == "step 2: the re-run disagrees on x"
 
+    @pytest.mark.parametrize("edit, match", [
+        ({"tau": 3.0}, "^tau must match the validated controller$"),
+        ({"eps": 0.2}, r"^eps must lie in \(0, 0.1\]$")])
+    def test_replay_refuses_unvalidated_controller(self, di_controller, edit,
+                                                   match):
+        # a tau 3 log replayed by the tau 2 controller marched 2 s plant
+        # segments against a tau 3 mirror: it reported failures, and the
+        # returned log broke verify_guarantees; run_episodes refuses both
+        log, = run_episodes(double_integrator(), UNIT_SQUARE, di_controller,
+                            self.X0S[:1], 0.1, 2.0, self.ALPHAS[:1], 2, 0.01)
+        header = dict(log.config, total_bits=log.total_bits, **edit)
+        with pytest.raises(ValueError, match=match):
+            quantized.replay(di_controller, header, log.steps)
+
     def test_config_reads_back_from_jsonl(self, di_controller, tmp_path):
         # numpy-typed inputs make a JSON-ready config, which the log's
         # header gives back key for key
