@@ -10,7 +10,7 @@ finite bit rate suffices.
 
 import math
 
-from recurq import (CompactSet, double_integrator, lipschitz_region,
+from recurq import (Box, double_integrator, lipschitz_region,
                     lower_bound, upper_bound)
 from recurq.cli import corner_return_sweep
 
@@ -19,7 +19,7 @@ LN2 = math.log(2.0)
 
 def main():
     sys = double_integrator()
-    Q = CompactSet.box([0.0, 0.0], [1.0, 1.0])
+    Q = Box([0.0, 0.0], [1.0, 1.0])
 
     print(f"{'tau':>5} {'L':>5} {'delta':>8} {'upper':>8} {'lower':>6} verdict")
     for tau in (1.0, 1.5, 1.9, 2.0, 2.5, 3.0):

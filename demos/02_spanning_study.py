@@ -11,14 +11,14 @@ problem exactly.
 
 import math
 
-from recurq import (CandidateClass, CompactSet, RecurrenceSpec,
+from recurq import (Box, CandidateClass, RecurrenceSpec,
                     build_spanning_instance, double_integrator, greedy_cover,
                     min_spanning_cardinality, uncoverable_points)
 
 
 def main():
     sys = double_integrator()
-    Q = CompactSet.box([0.0, 0.0], [1.0, 1.0])
+    Q = Box([0.0, 0.0], [1.0, 1.0])
     cc = CandidateClass(values_per_axis=3, segment_duration=2.0)
 
     print(f"{'T':>3} {'eps':>5} {'tau':>4} {'cands':>5} {'greedy':>6} "

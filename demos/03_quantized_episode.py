@@ -10,13 +10,13 @@ of both the reconstructed and the true trajectory.
 
 import numpy as np
 
-from recurq import (CompactSet, bit_rate, double_integrator,
+from recurq import (Box, bit_rate, double_integrator,
                     reference_controller_double_integrator, run_episodes,
                     verify_guarantees)
 
 
 def main():
-    Q = CompactSet.box([0.0, 0.0], [1.0, 1.0])
+    Q = Box([0.0, 0.0], [1.0, 1.0])
     sys = double_integrator()
     eps, tau, alpha = 0.1, 2.0, 0.1
 

@@ -7,8 +7,7 @@ instances, and running a quantized sensor/controller loop whose bit rate
 and guarantees can be audited offline.
 """
 
-from .geometry import (Box, CompactSet, GridCover, distance_many, grid,
-                       neighborhood)
+from .geometry import Box, GridCover, distance_many, grid
 from .systems import (BUILTIN_SYSTEMS, ControlSystem, IntegrationBlowupError,
                       double_integrator, jacobian_fd, make_system,
                       scalar_linear)
@@ -17,9 +16,8 @@ from .recurrence import (ContainmentConstants, RecurrenceSpec, ResolutionError,
                          first_return_time, lipschitz_region)
 from .entropy import (CandidateClass, InstanceTooLargeError, SpanningInstance,
                       build_spanning_instance, dim_box_counting, greedy_cover,
-                      initial_point_grid, lower_bound,
-                      min_spanning_cardinality, uncoverable_points,
-                      upper_bound)
+                      lower_bound, min_spanning_cardinality,
+                      uncoverable_points, upper_bound)
 from .quantized import (BitRateReport, ClauseResult, ControllerInvalidError,
                         DeterminismError, EpisodeLog, GridMirror,
                         GuaranteeReport, GuaranteeViolationError,

@@ -19,7 +19,7 @@ import yaml
 from .entropy import (CandidateClass, InstanceTooLargeError,
                       build_spanning_instance, lower_bound,
                       min_spanning_cardinality, upper_bound)
-from .geometry import Box, CompactSet, _as_vector
+from .geometry import Box, _as_vector
 from .quantized import (ControllerInvalidError, GuaranteeViolationError,
                         _typed, bit_rate, load_step_records,
                         reference_controller_double_integrator, replay,
@@ -34,7 +34,7 @@ EXIT_INFEASIBLE = 4
 
 #: corner_return_sweep's input values per axis
 _SWEEP_VALUES = 9
-#: the keys that some command reads, by section (Q: each of its boxes); any
+#: the keys that some command reads, by section (Q: its one box); any
 #: other key exits 2, so a misspelled or removed key cannot run a default
 _KEYS = {"config": ("Q alpha candidate csv_path dt eps eps_list horizons "
                     "init_delta log_path max_candidates seed steps sweep_dt "
@@ -129,19 +129,15 @@ def build_system(cfg: dict) -> ControlSystem:
         raise ConfigError(f"system {name}, params {params}: {exc}")
 
 
-def build_Q(cfg: dict, n: int) -> CompactSet:
-    boxes_cfg = cfg.get("Q")
-    if not (boxes_cfg and type(boxes_cfg) is list
-            and all(type(b) is dict for b in boxes_cfg)):
-        raise ConfigError("Q must be a nonempty list of boxes, each a mapping")
-    boxes = []
-    for k, b in enumerate(boxes_cfg):
-        try:
-            boxes.append(Box(_read(b, "center", list),
-                             _read(b, "radius", list)))
-        except ValueError as exc:
-            raise ConfigError(f"Q[{k}]: {exc}")
-    Q = CompactSet(tuple(boxes))
+def build_Q(cfg: dict, n: int) -> Box:
+    boxes = cfg.get("Q")
+    if not (type(boxes) is list and len(boxes) == 1
+            and type(boxes[0]) is dict):
+        raise ConfigError("Q must be a list of exactly one box, a mapping")
+    try:
+        Q = Box(*(_read(boxes[0], key, list) for key in ("center", "radius")))
+    except ValueError as exc:
+        raise ConfigError(f"Q[0]: {exc}")
     if Q.dim != n:
         raise ConfigError(f"Q dimension {Q.dim} does not match the system ({n})")
     return Q
@@ -152,7 +148,7 @@ def _sweep_horizon(tau: float) -> float:
     return max(4.0 * tau, 5.0)
 
 
-def corner_return_sweep(sys: ControlSystem, Q: CompactSet, tau: float,
+def corner_return_sweep(sys: ControlSystem, Q: Box, tau: float,
                         dt: float = 0.01) -> list:
     """Minimum first-return time from each corner of Q over constant controls.
 
@@ -161,7 +157,7 @@ def corner_return_sweep(sys: ControlSystem, Q: CompactSet, tau: float,
     """
     horizon = _sweep_horizon(tau)
     u_grid = sys.U.sample_grid(_SWEEP_VALUES)
-    corners = np.vstack([box.corners() for box in Q.boxes])
+    corners = Q.corners()
     # every corner under every input in one batch, corner-major
     X = np.repeat(corners, len(u_grid), axis=0)
     U = np.tile(u_grid, (len(corners), 1))
@@ -272,7 +268,7 @@ def cmd_spanning(cfg: dict, out) -> int:
     return EXIT_INFEASIBLE if any_infeasible else EXIT_OK
 
 
-def _controller(sys_: ControlSystem, Q: CompactSet, tau: float, eps: float):
+def _controller(sys_: ControlSystem, Q: Box, tau: float, eps: float):
     """The validated reference controller, which (Q, tau, eps) name."""
     if sys_.name != "double_integrator":
         raise ConfigError(
@@ -307,8 +303,7 @@ def cmd_simulate(cfg: dict, out) -> int:
         x0 = _read(cfg, "x0", list)
     else:
         rng = np.random.default_rng(seed)
-        box = Q.boxes[0]
-        x0 = rng.uniform(box.lo + 0.1 * box.radius, box.hi - 0.1 * box.radius)
+        x0 = rng.uniform(Q.lo + 0.1 * Q.radius, Q.hi - 0.1 * Q.radius)
     try:
         log, = run_episodes(sys_, Q, _controller(sys_, Q, tau, eps),
                             [_as_vector(x0, sys_.n, "x0")], eps, tau, [alpha],

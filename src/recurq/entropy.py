@@ -9,7 +9,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import systems
-from .geometry import Box, CompactSet, distance_many, grid, neighborhood
+from .geometry import Box, distance_many, grid
 from .recurrence import (_MEMBERSHIP_TOL, _POINTS_PER_AXIS, RecurrenceSpec,
                          _recurrent)
 from .systems import ControlSystem, _jacobians, time_grid
@@ -23,22 +23,21 @@ class InstanceTooLargeError(ValueError):
     """Candidate/point counts exceed the exact-search caps."""
 
 
-def dim_box_counting(Q: CompactSet) -> int:
-    """Box-counting dimension of a box union: count of positive-width axes."""
-    widths = np.max([b.radius for b in Q.boxes], axis=0)
-    return int(np.sum(widths > 0))
+def dim_box_counting(Q: Box) -> int:
+    """Box-counting dimension of a box: count of positive-width axes."""
+    return int(np.sum(Q.radius > 0))
 
 
-def upper_bound(L_tau: float, Q: CompactSet) -> float:
+def upper_bound(L_tau: float, Q: Box) -> float:
     """L * dim_F(Q) / ln 2, the growth-rate ceiling in bits/second."""
     if L_tau < 0:
         raise ValueError("L_tau must be nonnegative")
     return L_tau * dim_box_counting(Q) / LN2
 
 
-def lower_bound(sys: ControlSystem, Q: CompactSet, delta_tau: float) -> float:
-    """max{0, min divergence (the state Jacobian's trace) over the inflated
-    neighborhood x U} / ln 2.
+def lower_bound(sys: ControlSystem, Q: Box, delta_tau: float) -> float:
+    """max{0, min divergence (the state Jacobian's trace) over Q inflated by
+    delta_tau x U} / ln 2.
 
     The minimum is taken over a corner-including tensor grid, so it is an
     over-estimate of the true minimum (and hence of the bound) unless the
@@ -46,11 +45,9 @@ def lower_bound(sys: ControlSystem, Q: CompactSet, delta_tau: float) -> float:
     """
     if delta_tau < 0:
         raise ValueError("delta_tau must be nonnegative")
-    u_grid = sys.U.sample_grid(_POINTS_PER_AXIS)
-    worst = min(float(np.min(np.trace(
-        _jacobians(sys, box.sample_grid(_POINTS_PER_AXIS), u_grid),
-        axis1=1, axis2=2))) for box in neighborhood(Q, delta_tau).boxes)
-    return max(0.0, worst) / LN2
+    J = _jacobians(sys, Q.inflate(delta_tau).sample_grid(_POINTS_PER_AXIS),
+                   sys.U.sample_grid(_POINTS_PER_AXIS))
+    return max(0.0, float(np.min(np.trace(J, axis1=1, axis2=2)))) / LN2
 
 
 @dataclass(frozen=True)
@@ -106,20 +103,14 @@ class SpanningInstance:
     feasibility: np.ndarray
 
 
-def initial_point_grid(Q: CompactSet, init_delta: float) -> np.ndarray:
-    """Grid centers over each box of Q in box order, a center that equals
-    an earlier one at 12 decimals (overlapping boxes; -0.0 equals 0.0)
-    dropped."""
-    pts = np.vstack([grid(box, init_delta).centers() for box in Q.boxes])
-    _, first = np.unique(np.round(pts, 12), axis=0, return_index=True)
-    return pts[np.sort(first)]
-
-
-def build_spanning_instance(sys: ControlSystem, Q: CompactSet,
+def build_spanning_instance(sys: ControlSystem, Q: Box,
                             spec: RecurrenceSpec, init_delta: float,
                             candidate_class: CandidateClass, dt: float,
                             max_candidates: int = 24) -> SpanningInstance:
     """Enumerate candidates and fill the feasibility matrix by simulation.
+
+    The initial points are the centers of grid(Q, init_delta), counted
+    before any is built.
 
     Marches the candidate tree a segment per level, row (prefix*V + v)*P + p
     holding value v from point p, and stops marching a row once its mask of
@@ -132,19 +123,22 @@ def build_spanning_instance(sys: ControlSystem, Q: CompactSet,
     T = spec.T
     if not math.isfinite(T):
         raise ValueError("spanning instances need a finite horizon T")
-    if not 0 < init_delta < math.inf:
-        raise ValueError(f"init_delta must be positive and finite, not "
-                         f"{init_delta}")
+    # Python floats: a quotient too large for one is inf, with no warning
+    if not (0 < init_delta < math.inf
+            and math.isfinite(float(np.max(Q.radius)) / init_delta)):
+        raise ValueError(f"init_delta must be positive, finite and large "
+                         f"enough for a finite grid over Q, not {init_delta}")
     n_seg = candidate_class._segments(T)
-    points = initial_point_grid(Q, init_delta)
-    # counted before any candidate is built
-    values = candidate_class.input_values(sys.U)
+    cover = grid(Q, init_delta)
+    # counted before any point or candidate is built
+    P, values = math.prod(cover.counts), candidate_class.input_values(sys.U)
     n_cand = len(values) ** n_seg
-    if n_cand > max_candidates or len(points) > _MAX_POINTS:
+    if n_cand > max_candidates or P > _MAX_POINTS:
         raise InstanceTooLargeError(
-            f"{n_cand} candidates x {len(points)} points exceeds "
+            f"{n_cand} candidates x {P} points exceeds "
             f"caps {max_candidates} x {_MAX_POINTS}")
-    S, P, V = candidate_class.segment_duration, len(points), len(values)
+    points = cover.centers()
+    S, V = candidate_class.segment_duration, len(values)
     h = S if n_seg > 1 else T  # one segment may end on a partial step
     times, (seg_times, seg_full) = time_grid(T, dt)[0], time_grid(h, dt)
     steps = len(seg_times) - 1
@@ -211,8 +205,7 @@ def min_spanning_cardinality(instance: SpanningInstance) -> tuple:
         return math.inf, []
     best = [len(incumbent), incumbent]
     rows = [frozenset(np.flatnonzero(feas[j])) for j in range(n_cand)]
-    covering = [sorted(j for j in range(n_cand) if feas[j, i])
-                for i in range(n_pts)]
+    covering = [np.flatnonzero(col).tolist() for col in feas.T]
 
     def search(uncovered: frozenset, chosen: list):
         if not uncovered:

@@ -1,7 +1,7 @@
 """Axis-aligned box geometry under the max norm.
 
-Compact sets are finite unions of boxes, which keeps distances,
-neighborhoods and grid covers exact in the infinity norm.
+The compact set Q is one box, which keeps distances, neighborhoods
+(Box.inflate) and grid covers exact in the infinity norm.
 """
 
 from __future__ import annotations
@@ -76,62 +76,26 @@ class Box:
         return Box((lo + hi) / 2.0, (hi - lo) / 2.0)
 
 
-@dataclass(frozen=True)
 class CompactSet:
-    """Finite union of boxes of a common dimension."""
+    """Kept for callers that build Q with CompactSet.box; Q is a Box."""
 
-    boxes: tuple
-
-    def __post_init__(self):
-        boxes = tuple(self.boxes)
-        if not boxes:
-            raise ValueError("a compact set needs at least one box")
-        dim = boxes[0].dim
-        if any(b.dim != dim for b in boxes):
-            raise ValueError("all boxes must share one dimension")
-        object.__setattr__(self, "boxes", boxes)
-
-    @property
-    def dim(self) -> int:
-        return self.boxes[0].dim
-
-    def contains(self, x, tol: float = 0.0) -> bool:
-        return any(b.contains(x, tol=tol) for b in self.boxes)
-
-    def bounding_box(self) -> Box:
-        lo = np.min([b.lo for b in self.boxes], axis=0)
-        hi = np.max([b.hi for b in self.boxes], axis=0)
-        return Box.from_bounds(lo, hi)
-
-    @staticmethod
-    def box(center, radius) -> "CompactSet":
-        return CompactSet((Box(center, radius),))
+    box = staticmethod(Box)
 
 
-def distance_many(X: np.ndarray, Q: CompactSet) -> np.ndarray:
-    """Infinity-norm distance to Q (the least over its boxes, 0 inside)
-    of each point along X's last axis; a single point (n,) gives (1,)."""
+def distance_many(X: np.ndarray, Q: Box) -> np.ndarray:
+    """Infinity-norm distance to the box Q (0 inside) of each point along
+    X's last axis; a single point (n,) gives (1,)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    # one scratch array of X's size, reused for every box
+    # one scratch array of X's size
     excess = np.empty_like(X)
-    best = None
-    for b in Q.boxes:
-        np.subtract(X, b.center, out=excess)
-        np.abs(excess, out=excess)
-        np.subtract(excess, b.radius, out=excess)
-        # one component at a time: a max over the short last axis is slower
-        d = np.maximum(excess[..., 0], 0.0)
-        for j in range(1, X.shape[-1]):
-            np.maximum(d, excess[..., j], out=d)
-        best = d if best is None else np.minimum(best, d, out=best)
-    return best
-
-
-def neighborhood(Q: CompactSet, eps: float) -> CompactSet:
-    """Closed eps-neighborhood of Q; exact under the infinity norm."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    return CompactSet(tuple(b.inflate(eps) for b in Q.boxes))
+    np.subtract(X, Q.center, out=excess)
+    np.abs(excess, out=excess)
+    np.subtract(excess, Q.radius, out=excess)
+    # one component at a time: a max over the short last axis is slower
+    d = np.maximum(excess[..., 0], 0.0)
+    for j in range(1, X.shape[-1]):
+        np.maximum(d, excess[..., j], out=d)
+    return d
 
 
 def _axis_count(half_width: float, delta: float) -> int:

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Box, CompactSet, distance_many, grid
+from .geometry import Box, distance_many, grid
 from .recurrence import _longest_gap, estimate_L
 from .systems import ControlSystem, double_integrator, march, time_grid
 
@@ -147,7 +147,7 @@ def _excursion_tails(times, states, dists):
     return states[k, b], times[entry[k, b]] - times[k]
 
 
-def build_feedback_controller(sys: ControlSystem, Q: CompactSet, tau: float,
+def build_feedback_controller(sys: ControlSystem, Q: Box, tau: float,
                               eps: float, feedback: Callable) -> RecurrenceController:
     """Certify a feedback law by a closed-loop sweep from a grid over Q.
 
@@ -159,7 +159,7 @@ def build_feedback_controller(sys: ControlSystem, Q: CompactSet, tau: float,
         raise ValueError("tau must be positive")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    box = Q.bounding_box()
+    box = Box.from_bounds(Q.lo, Q.hi)
     centers = grid(box, _SWEEP_DELTA).centers()
     centers = centers[[Q.contains(c, tol=1e-12) for c in centers]]
     horizon = _SWEEP_TAUS * tau
@@ -200,7 +200,7 @@ def build_feedback_controller(sys: ControlSystem, Q: CompactSet, tau: float,
                                 max_visit_gap=float(np.max(gaps, initial=0.0)))
 
 
-def reference_controller_double_integrator(Q: CompactSet, tau: float,
+def reference_controller_double_integrator(Q: Box, tau: float,
                                            eps: float) -> RecurrenceController:
     """Linear feedback u = -x1 - 1.5*x2 for x'' = u, saturated by _closed_loop.
 
@@ -335,7 +335,8 @@ _STEP_TYPES = {"i": int, "x": list, "q": list, "index": int, "bits": str,
                "S_radius": list}
 _HEADER_TYPES = {"steps": int, "total_bits": int, "eps": float, "tau": float,
                  "alpha": float, "dt": float, "L_tau": float, "c_star": float,
-                 "Q_center": list, "Q_radius": list, "x0": list}
+                 "Q_center": list, "Q_radius": list, "x0": list, "seed": int,
+                 "system": str}
 
 
 def _typed(rec: dict, types: dict) -> dict:
@@ -367,8 +368,10 @@ def _typed(rec: dict, types: dict) -> dict:
 def load_step_records(path: str) -> tuple:
     """Parse a JSONL episode log into (header, [StepRecord]) of checked types.
 
-    The header is the run's config, vectors as lists, plus total_bits.  A
-    missing or mistyped field, no step record, or vectors of unequal
+    The header is the run's config, vectors as lists, plus total_bits.  The
+    first record must be the header and every later one a step, as
+    EpisodeLog.to_jsonl writes them.  A record of another type, a missing,
+    mistyped or unknown field, no step record, or vectors of unequal
     lengths (Q_center, Q_radius and x0 among them) raise ValueError.
     """
     header = None
@@ -377,20 +380,29 @@ def load_step_records(path: str) -> tuple:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            want, types = (("header", _HEADER_TYPES) if header is None
+                           else ("step", _STEP_TYPES))
             try:
                 rec = json.loads(line)
                 if not isinstance(rec, dict):
                     raise ValueError("not a JSON object")
-                if rec.get("type") == "header":
-                    header = _typed(rec, _HEADER_TYPES)
+                if rec.get("type") != want:
+                    raise ValueError("the first record must be the header"
+                                     if header is None else "only step "
+                                     "records may follow the header")
+                unknown = set(rec) - set(types) - {"type"}
+                if unknown:  # the first in sorted order
+                    raise ValueError(f"unknown key {min(unknown)!r}; a "
+                                     f"{want}'s keys are type, "
+                                     f"{', '.join(types)}")
+                _typed(rec, types)
+                if header is None:
+                    header = rec
                     del header["type"]
-                elif rec.get("type") == "step":
-                    _typed(rec, _STEP_TYPES)
+                else:
                     steps.append(StepRecord(**{
                         k: np.array(rec[k], dtype=float) if kind is list
                         else rec[k] for k, kind in _STEP_TYPES.items()}))
-                else:
-                    raise ValueError("unknown type")
             except ValueError as exc:  # JSONDecodeError among them
                 raise ValueError(
                     f"malformed log record {lineno}: {exc}") from exc
@@ -457,7 +469,7 @@ def replay(controller: RecurrenceController, header: dict,
     return log, failures
 
 
-def run_episodes(sys: ControlSystem, Q: CompactSet,
+def run_episodes(sys: ControlSystem, Q: Box,
                  controller: RecurrenceController, x0s, eps: float,
                  tau: float, alphas, steps: int, dt: float,
                  seeds=None) -> list:
@@ -480,8 +492,6 @@ def run_episodes(sys: ControlSystem, Q: CompactSet,
         raise ValueError(f"x0s must have shape (B, {sys.n})")
     if not len(x0s) == len(alphas) == len(seeds):
         raise ValueError("x0s, alphas and seeds must have one entry per episode")
-    if len(Q.boxes) != 1:
-        raise ValueError("episodes need Q given as a single box")
     controller._check_run(eps, tau)
     if not 0 < dt <= tau:
         raise ValueError(f"dt must lie in (0, tau={tau}]")
@@ -495,13 +505,12 @@ def run_episodes(sys: ControlSystem, Q: CompactSet,
             raise ValueError(f"episode {b}: x0 must lie in Q")
 
     B = len(x0s)
-    box = Q.boxes[0]
-    sensors = [GridMirror(controller, box, eps, tau, a) for a in alphas]
-    receivers = [GridMirror(controller, box, eps, tau, a) for a in alphas]
+    sensors = [GridMirror(controller, Q, eps, tau, a) for a in alphas]
+    receivers = [GridMirror(controller, Q, eps, tau, a) for a in alphas]
     logs = []
     for x0, alpha, seed in zip(x0s, alphas, seeds):
-        config = {"system": sys.name, "Q_center": box.center.tolist(),
-                  "Q_radius": box.radius.tolist(), "eps": eps, "tau": tau,
+        config = {"system": sys.name, "Q_center": Q.center.tolist(),
+                  "Q_radius": Q.radius.tolist(), "eps": eps, "tau": tau,
                   "alpha": float(alpha), "L_tau": controller.L_tau,
                   "c_star": controller.c_star, "dt": dt, "steps": steps,
                   "seed": int(seed), "x0": x0.tolist()}
@@ -576,7 +585,6 @@ def bit_rate(log: EpisodeLog) -> BitRateReport:
 class ClauseResult:
     passed: bool
     worst_margin: float
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -616,22 +624,19 @@ def verify_guarantees(log: EpisodeLog) -> GuaranteeReport:
     cfg = log.config
     eps, tau, alpha = cfg["eps"], cfg["tau"], cfg["alpha"]
     L, c_star = cfg["L_tau"], cfg["c_star"]
-    Q = CompactSet.box(cfg["Q_center"], cfg["Q_radius"])
+    Q = Box(cfg["Q_center"], cfg["Q_radius"])
 
     # (a) sensed state inside the predicted ball
-    worst_a = -math.inf
-    detail_a = ""
-    for s in log.steps:
-        margin = float(np.max(np.abs(s.x - s.S_center) - s.S_radius))
-        if margin > worst_a:
-            worst_a, detail_a = margin, f"step {s.i}"
-    clause_a = ClauseResult(worst_a <= 1e-9, worst_a, detail_a)
+    worst_a = float(np.max(np.abs([s.x - s.S_center for s in log.steps])
+                           - [s.S_radius for s in log.steps]))
+    clause_a = ClauseResult(worst_a <= 1e-9, worst_a)
 
-    # (b) tracking envelope between fragment and plant trajectories
-    t_hat, x_hat = log.hat_trajectory()
-    t_pl, x_pl = log.plant_trajectory()
+    # (b) tracking envelope between fragment and plant trajectories, on
+    # one time axis
+    t, x_hat = log.hat_trajectory()
+    x_pl = np.vstack(log.plant_states)
     diffs = np.max(np.abs(x_hat - x_pl), axis=1)
-    envelope = eps * np.exp(-alpha * t_hat)
+    envelope = eps * np.exp(-alpha * t)
     worst_b = float(np.max(diffs - envelope))
     clause_b = ClauseResult(worst_b <= _TRACKING_TOL, worst_b)
 
@@ -643,9 +648,9 @@ def verify_guarantees(log: EpisodeLog) -> GuaranteeReport:
     windows = tau + c_star * eps * np.exp(-(idx * alpha + L) * tau)
     starts = idx * tau
     T_end = log.n_steps * tau
-    worst_c = _windowed_recurrence_margin(t_hat, d_hat, slacks, windows,
+    worst_c = _windowed_recurrence_margin(t, d_hat, slacks, windows,
                                           starts, T_end)
-    worst_d = _windowed_recurrence_margin(t_pl, d_pl, 2.0 * slacks, windows,
+    worst_d = _windowed_recurrence_margin(t, d_pl, 2.0 * slacks, windows,
                                           starts, T_end)
     clause_c = ClauseResult(worst_c <= 1e-9, worst_c)
     clause_d = ClauseResult(worst_d <= 1e-9, worst_d)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box, CompactSet, neighborhood
+from .geometry import Box
 from .systems import ControlSystem, _jacobians, march, time_grid
 
 #: membership slack absorbing floating-point noise on box boundaries
@@ -19,7 +19,7 @@ _MEMBERSHIP_TOL = 1e-12
 #: width at which first_return_time's bisection stops
 _REFINE_TOL = 1e-9
 #: grid points per axis of estimate_F_Q's Q x U, estimate_L's region and
-#: entropy.lower_bound's neighborhood x U
+#: entropy.lower_bound's inflated Q x U
 _POINTS_PER_AXIS = 5
 #: lipschitz_region's most re-estimates
 _REGION_ITERS = 10
@@ -33,7 +33,7 @@ class ResolutionError(ValueError):
 class RecurrenceSpec:
     """Window tau (0 asks for invariance), slack eps and horizon T on Q."""
 
-    Q: CompactSet
+    Q: Box
     tau: float
     eps: float = 0.0
     T: float = math.inf
@@ -83,7 +83,7 @@ def _recurrent(near: np.ndarray, times: np.ndarray, T: float, tau: float):
     return _longest_gap(near, times, T) <= tau + _MEMBERSHIP_TOL
 
 
-def first_return_time(sys: ControlSystem, x0, u, Q: CompactSet,
+def first_return_time(sys: ControlSystem, x0, u, Q: Box,
                       horizon: float, dt: float) -> list:
     """Per row of x0 (B, n), the first t > 0 with its trajectory inside Q,
     refined by bisection, as if the row were marched alone.
@@ -113,7 +113,7 @@ def first_return_time(sys: ControlSystem, x0, u, Q: CompactSet,
             for b in range(states.shape[1])]
 
 
-def _first_entry(field, states, u, dt: float, Q: CompactSet, last_h: float):
+def _first_entry(field, states, u, dt: float, Q: Box, last_h: float):
     """Time of the first entry into Q after states[0], or None.
 
     states[k + 1] is one RK4 step of width dt from states[k] under the
@@ -121,10 +121,9 @@ def _first_entry(field, states, u, dt: float, Q: CompactSet, last_h: float):
     bisected inside the first step that lands in Q, probing with one-step
     marches from its start.
     """
-    inside = np.zeros(len(states) - 1, dtype=bool)
-    for b in Q.boxes:  # Box.contains, over every sample at once
-        inside |= np.all(np.abs(states[1:] - b.center)
-                         <= b.radius + _MEMBERSHIP_TOL, axis=-1)
+    # Box.contains, over every sample at once
+    inside = np.all(np.abs(states[1:] - Q.center)
+                    <= Q.radius + _MEMBERSHIP_TOL, axis=-1)
     if not inside.any():
         return None
     k = int(np.argmax(inside))
@@ -141,25 +140,22 @@ def _first_entry(field, states, u, dt: float, Q: CompactSet, last_h: float):
     return k * dt + hi
 
 
-def estimate_F_Q(sys: ControlSystem, Q: CompactSet) -> float:
+def estimate_F_Q(sys: ControlSystem, Q: Box) -> float:
     """Max of ||f(x, u)||_inf over a corner-including grid of Q x U.  A
     non-finite value raises FloatingPointError naming its pair, and no numpy
     warning is raised."""
-    best = 0.0
     with np.errstate(all="ignore"):
         u_grid = sys.U.sample_grid(_POINTS_PER_AXIS)
-        for box in Q.boxes:
-            xs = box.sample_grid(_POINTS_PER_AXIS)
-            # every (x, u) pair of the box in one call, x-major
-            X = np.repeat(xs, len(u_grid), axis=0)
-            U = np.tile(u_grid, (len(xs), 1))
-            v = np.asarray(sys.field(X, U), dtype=float)
-            bad = np.flatnonzero(~np.all(np.isfinite(v), axis=-1))
-            if len(bad):
-                raise FloatingPointError(
-                    f"vector field non-finite at x={X[bad[0]]}, u={U[bad[0]]}")
-            best = max(best, float(np.max(np.abs(v))))
-    return best
+        xs = Q.sample_grid(_POINTS_PER_AXIS)
+        # every (x, u) pair in one call, x-major
+        X = np.repeat(xs, len(u_grid), axis=0)
+        U = np.tile(u_grid, (len(xs), 1))
+        v = np.asarray(sys.field(X, U), dtype=float)
+    bad = np.flatnonzero(~np.all(np.isfinite(v), axis=-1))
+    if len(bad):
+        raise FloatingPointError(
+            f"vector field non-finite at x={X[bad[0]]}, u={U[bad[0]]}")
+    return float(np.max(np.abs(v)))
 
 
 def estimate_L(sys: ControlSystem, region: Box) -> float:
@@ -187,22 +183,25 @@ def containment_radius(F_Q: float, L_tau: float, tau: float) -> float:
     return delta
 
 
-def lipschitz_region(sys: ControlSystem, Q: CompactSet, tau: float) -> tuple:
+def lipschitz_region(sys: ControlSystem, Q: Box, tau: float) -> tuple:
     """Fixed-point over-approximation of the Lipschitz bound's domain.
 
-    Starts from the bounding box of Q, inflates it by the containment
-    radius implied by the current Lipschitz estimate, and iterates until
-    the radius stabilizes within 1%.  Returns (constants, box); the box
-    is inflated by the radius from before the last estimate, so it reaches
-    delta_tau around Q to within 1% of delta_tau.  A box that is not
-    finite, or a radius that has not settled after _REGION_ITERS
-    re-estimates, raises FloatingPointError.
+    Starts from Q, inflates it by the containment radius implied by the
+    current Lipschitz estimate, and iterates until the radius stabilizes
+    within 1%.  Returns (constants, box); the box is inflated by the radius
+    from before the last estimate, so it reaches delta_tau around Q to
+    within 1% of delta_tau.  A box that is not finite, or a radius that has
+    not settled after _REGION_ITERS re-estimates, raises FloatingPointError.
     """
+    def region(d):  # Q inflated by d, rebuilt from its bounds
+        big = Q.inflate(d)
+        return Box.from_bounds(big.lo, big.hi)
+
     F_Q = estimate_F_Q(sys, Q)
-    delta = containment_radius(F_Q, estimate_L(sys, Q.bounding_box()), tau)
+    delta = containment_radius(F_Q, estimate_L(sys, region(0.0)), tau)
     for _ in range(_REGION_ITERS):
         with np.errstate(over="ignore", invalid="ignore"):
-            box = neighborhood(Q, delta).bounding_box()
+            box = region(delta)
             finite = np.isfinite([box.lo, box.hi]).all()
         if not finite:
             raise FloatingPointError(f"region around Q non-finite at "

@@ -3,10 +3,10 @@ import time
 import numpy as np
 import pytest
 
-from recurq import (CompactSet, double_integrator,
+from recurq import (Box, double_integrator,
                     reference_controller_double_integrator, run_episodes)
 
-UNIT_SQUARE = CompactSet.box([0.0, 0.0], [1.0, 1.0])
+UNIT_SQUARE = Box([0.0, 0.0], [1.0, 1.0])
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,9 @@
 """Test helpers: march a piecewise-constant input, march the plain-way RK4
-oracle, read a march's blow-up, and judge the sampled states by the
-library's one recurrence rule (recurrence._recurrent)."""
+oracle, read a march's blow-up, judge the sampled states by the library's
+one recurrence rule (recurrence._recurrent), and size a minimum cover by
+brute force."""
 
+import itertools
 import math
 
 import numpy as np
@@ -81,3 +83,15 @@ def judge(times, states, spec):
     pairs = list(zip(_recurrent(near, times, T, spec.tau).tolist(),
                      _longest_gap(near, times, T).tolist()))
     return pairs[0] if states.ndim == 2 else pairs
+
+
+def brute_force_min_cover(feas):
+    """The fewest rows of feas whose union covers every column, trying
+    every subset by size; inf when a column has no True."""
+    if not np.all(feas.any(axis=0)):
+        return math.inf
+    for size in range(1, feas.shape[0] + 1):
+        for combo in itertools.combinations(range(feas.shape[0]), size):
+            if np.all(feas[list(combo)].any(axis=0)):
+                return size
+    return math.inf

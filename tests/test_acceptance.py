@@ -4,7 +4,6 @@ Every test ends by printing a single [criterion N] PASS line; run with
 `pytest -v -s tests/test_acceptance.py` to see them.
 """
 
-import itertools
 import json
 import math
 import time
@@ -12,8 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from helpers import march_held
-from recurq import (CandidateClass, CompactSet, GridMirror, RecurrenceSpec,
+from helpers import brute_force_min_cover, march_held
+from recurq import (Box, CandidateClass, GridMirror, RecurrenceSpec,
                     bit_rate, build_spanning_instance, containment_radius,
                     double_integrator, encode,
                     first_return_time, lipschitz_region, lower_bound,
@@ -24,7 +23,7 @@ from recurq.quantized import _closed_loop
 from recurq.cli import main
 
 LN2 = math.log(2.0)
-Q = CompactSet.box([0.0, 0.0], [1.0, 1.0])
+Q = Box([0.0, 0.0], [1.0, 1.0])
 
 
 def run_bounds(tmp_path, tau):
@@ -100,7 +99,7 @@ def test_criterion_2_non_recurrence_floor():
 def test_criterion_3_tight_bound_system():
     """x' = x + u on [-1,1] with |u|<=2: upper and lower bounds coincide."""
     sys = scalar_linear(a=1.0, u_max=2.0)
-    Q1 = CompactSet.box([0.0], [1.0])
+    Q1 = Box([0.0], [1.0])
     constants, _ = lipschitz_region(sys, Q1, 1.0)
     up = upper_bound(constants.L_tau, Q1)
     lo = lower_bound(sys, Q1, constants.delta_tau)
@@ -192,16 +191,6 @@ def spanning_family():
     return out
 
 
-def brute_force_min_cover(feas):
-    if not np.all(feas.any(axis=0)):
-        return math.inf
-    for size in range(1, feas.shape[0] + 1):
-        for combo in itertools.combinations(range(feas.shape[0]), size):
-            if np.all(feas[list(combo)].any(axis=0)):
-                return size
-    return math.inf
-
-
 def test_criterion_6_instance_monotonicity(spanning_family):
     """Exact covers shrink as the window grows, and recurrence is feasible
     where invariance is not."""
@@ -266,7 +255,7 @@ class TestCriterion8Properties:
         print("\n[criterion 8a] PASS: codec round-trip exhaustive to 2^16")
 
     def test_grid_soundness_random_points(self):
-        from recurq import Box, grid
+        from recurq import grid
         rng = np.random.default_rng(11)
         total = 0
         while total < 10_000:
@@ -334,7 +323,7 @@ class TestCriterion8Properties:
         tau, dt, steps = (logs[0].config[k] for k in ("tau", "dt", "steps"))
         assert all(log.config["tau"] == tau and log.config["dt"] == dt
                    and log.n_steps == steps for log in logs)
-        mirrors = [GridMirror(di_controller, Q.boxes[0], log.config["eps"],
+        mirrors = [GridMirror(di_controller, Q, log.config["eps"],
                               tau, log.config["alpha"]) for log in logs]
         # logged centres, step-major: (steps, episodes, n)
         qs = np.array([[s.q for s in log.steps] for log in logs]).swapaxes(0, 1)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from recurq import CompactSet, double_integrator, first_return_time
+from recurq import Box, double_integrator, first_return_time
 from recurq.cli import (EXIT_CONFIG, EXIT_GUARANTEE, EXIT_INFEASIBLE, EXIT_OK,
                         main)
 
@@ -76,7 +76,7 @@ class TestBounds:
         for rec in r["corner_min_returns"]:
             returns = first_return_time(
                 double_integrator(), np.repeat([rec["corner"]], 9, axis=0),
-                u, CompactSet.box([0.0, 0.0], [1.0, 1.0]), 20.0, 0.01)
+                u, Box([0.0, 0.0], [1.0, 1.0]), 20.0, 0.01)
             hits = [t for t in returns if t is not None]
             assert rec["min_return"] == (min(hits) if hits else None)
         assert r["corner_min_returns"][0] == {"corner": [-1.0, -1.0],
@@ -320,6 +320,10 @@ class TestSpanning:
         # a horizon that holds no whole segment
         ({"horizons": [1e-10], "tau_list": [0.0]},
          "segment_duration 2.0 must divide the horizon T=1e-10"),
+        # an OverflowError traceback (exit 1) before, from the grid's count
+        ({"init_delta": 1e-320},
+         "init_delta must be positive, finite and large enough for a finite "
+         "grid over Q, not 1e-320"),
     ])
     def test_bad_entry_is_refused_by_name(self, tmp_path, capsys, edit,
                                           message):
@@ -392,6 +396,25 @@ class TestConfigKeys:
             (line,) = capsys.readouterr().err.splitlines()
             assert line.startswith(f"config error: unknown key {key!r} in ")
             assert keys in line, line
+            assert out.read_text() == '{"kind": "earlier"}\n'
+            assert not os.path.exists(cfg["log_path"])
+
+    def test_two_box_Q_is_refused(self, tmp_path, capsys):
+        # Q is one box; bounds and spanning ran on a union of two before
+        cfg = dict(readme_config(tmp_path), Q=[
+            {"center": [0.0, 0.0], "radius": [1.0, 1.0]},
+            {"center": [3.0, 0.0], "radius": [0.5, 0.5]}])
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "results.jsonl"
+        out.write_text('{"kind": "earlier"}\n')
+        for command in ("bounds", "spanning", "simulate"):
+            capsys.readouterr()
+            assert main(["--config", str(path), "--out", str(out),
+                         command]) == EXIT_CONFIG
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line == ("config error: Q must be a list of exactly one "
+                            "box, a mapping")
             assert out.read_text() == '{"kind": "earlier"}\n'
             assert not os.path.exists(cfg["log_path"])
 
@@ -561,11 +584,12 @@ class TestSimulateVerify:
                                "params": {"a": "fast"}}}, "a"),
         ("bounds", {"system": {"name": "scalar_linear",
                                "params": {"a": math.nan}}}, "a"),
-        # in the header of a clean log
+        # in the header of a clean log, which holds the system's name, a
+        # string, as run_episodes writes it: a mapping is refused by its key
         ("verify", {"system": {"name": "double_integrator",
-                               "params": {"u_max": "x"}}}, "u_max"),
+                               "params": {"u_max": "x"}}}, "system"),
         ("verify", {"system": {"name": "double_integrator",
-                               "params": {"u_max": -1}}}, "u_max"),
+                               "params": {"u_max": -1}}}, "system"),
     ])
     def test_rejected_section_is_config_error(self, request, tmp_path, capsys,
                                               command, edit, key):
@@ -781,7 +805,24 @@ class TestSimulateVerify:
                  ([json.dumps(dict(header, system="pendulum"))] + lines[1:],
                   "pendulum")]
         cases += [([json.dumps({k: v for k, v in header.items() if k != key})]
-                   + lines[1:], key) for key in ("alpha", "tau", "eps")]
+                   + lines[1:], key)
+                  for key in ("alpha", "tau", "eps", "seed")]
+        # logs that run_episodes never writes, each verified as passed
+        # before: a second header ahead of the real one (the last won), the
+        # header after the steps, a seed that is not an int, unknown keys
+        step = json.loads(lines[1])
+        cases += [
+            ([json.dumps(dict(header, x0=[0.1, 0.1], alpha=0.5))] + lines,
+             "record 2: only step records may follow the header"),
+            (lines[1:] + lines[:1],
+             "record 1: the first record must be the header"),
+            ([json.dumps(dict(header, seed="not a seed"))] + lines[1:],
+             "seed is not of type int"),
+            ([json.dumps(dict(header, note=1))] + lines[1:],
+             "record 1: unknown key 'note'; a header's keys are type, steps"),
+            (lines[:1] + [json.dumps(dict(step, note=1))] + lines[2:],
+             "record 2: unknown key 'note'; a step's keys are type, i, x"),
+        ]
         for body, message in cases:
             log_path.write_text("\n".join(body) + "\n")
             assert main(["--config", str(cfg), "verify",

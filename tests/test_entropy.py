@@ -1,32 +1,31 @@
 import hashlib
 import itertools
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import judge, march_held
+from helpers import brute_force_min_cover, judge, march_held
 from recurq import entropy, systems
-from recurq import (Box, CandidateClass, CompactSet, ControlSystem,
+from recurq import (Box, CandidateClass, ControlSystem, GridCover,
                     InstanceTooLargeError, IntegrationBlowupError,
                     RecurrenceSpec, ResolutionError, SpanningInstance,
                     build_spanning_instance, dim_box_counting, double_integrator,
-                    greedy_cover, grid, initial_point_grid, lower_bound,
+                    greedy_cover, grid, lower_bound,
                     min_spanning_cardinality, scalar_linear,
                     uncoverable_points, upper_bound)
 
 LN2 = math.log(2.0)
-UNIT_SQUARE = CompactSet.box([0.0, 0.0], [1.0, 1.0])
+UNIT_SQUARE = Box([0.0, 0.0], [1.0, 1.0])
 
 
 class TestBoundFormulas:
     def test_dim_box_counting(self):
         assert dim_box_counting(UNIT_SQUARE) == 2
-        assert dim_box_counting(CompactSet.box([0.0, 0.0], [1.0, 0.0])) == 1
-        assert dim_box_counting(CompactSet.box([0.0], [0.0])) == 0
+        assert dim_box_counting(Box([0.0, 0.0], [1.0, 0.0])) == 1
+        assert dim_box_counting(Box([0.0], [0.0])) == 0
 
     def test_upper_bound_closed_form(self):
         assert upper_bound(1.0, UNIT_SQUARE) == pytest.approx(2.0 / LN2, rel=1e-15)
@@ -40,14 +39,14 @@ class TestBoundFormulas:
 
     def test_lower_bound_constant_divergence(self):
         sys = scalar_linear(a=1.0)
-        Q = CompactSet.box([0.0], [1.0])
+        Q = Box([0.0], [1.0])
         assert lower_bound(sys, Q, 0.5) == 1.0 / LN2
 
     def test_lower_bound_fd_fallback(self):
         # a system with no analytic Jacobian reads jacobian_fd's trace
         sys = scalar_linear(a=2.5)
         bare = ControlSystem(n=1, m=1, U=sys.U, field=sys.field, name="bare")
-        Q = CompactSet.box([0.0], [1.0])
+        Q = Box([0.0], [1.0])
         assert lower_bound(bare, Q, 0.5) == pytest.approx(2.5 / LN2, abs=1e-6)
 
     def test_lower_bound_is_the_min_over_its_grid(self):
@@ -57,13 +56,13 @@ class TestBoundFormulas:
             n=1, m=1, U=Box([0.0], [1.0]),
             field=lambda x, u: x * x * u / 2 + 3.0 * x,
             jacobian=lambda x, u: np.array([[x[0] * u[0] + 3.0]]), name="xu")
-        Q = CompactSet.box([0.5], [0.5])
+        Q = Box([0.5], [0.5])
         assert lower_bound(sys, Q, 0.0) == 2.0 / LN2
         assert lower_bound(sys, Q, 0.5) == 1.5 / LN2
 
     def test_lower_bound_clamped_at_zero(self):
         sys = scalar_linear(a=-1.0)
-        Q = CompactSet.box([0.0], [1.0])
+        Q = Box([0.0], [1.0])
         assert lower_bound(sys, Q, 0.5) == 0.0
 
 
@@ -104,7 +103,7 @@ class TestCandidateClass:
         # two builds of one class enumerate the same candidates in the same
         # order, with the same feasibility rows
         cc = CandidateClass(values_per_axis=3, segment_duration=1.0)
-        Q = CompactSet.box([0.0], [1.0])
+        Q = Box([0.0], [1.0])
         spec = RecurrenceSpec(Q, tau=0.0, eps=0.1, T=2.0)
         a, b = (build_spanning_instance(scalar_linear(), Q, spec, 0.5, cc,
                                         dt=0.05) for _ in range(2))
@@ -114,53 +113,45 @@ class TestCandidateClass:
         assert np.array_equal(a.feasibility, b.feasibility)
 
 
+def initial_points(Q, init_delta):
+    """The initial points of the cheapest instance on Q: one candidate
+    held for one step."""
+    sys = scalar_linear() if Q.dim == 1 else double_integrator()
+    spec = RecurrenceSpec(Q, tau=0.0, eps=0.0, T=0.1)
+    return build_spanning_instance(sys, Q, spec, init_delta,
+                                   CandidateClass(1, 0.1),
+                                   dt=0.1).initial_points
+
+
 class TestInitialPoints:
     def test_grid_over_unit_square(self):
-        pts = initial_point_grid(UNIT_SQUARE, 0.25)
+        pts = initial_points(UNIT_SQUARE, 0.25)
         assert pts.shape == (16, 2)
+        assert pts.tobytes() == grid(UNIT_SQUARE, 0.25).centers().tobytes()
         for p in pts:
             assert UNIT_SQUARE.contains(p)
-
-    def test_duplicates_dropped(self):
-        Q = CompactSet((Box([0.0], [1.0]), Box([0.0], [1.0])))
-        assert initial_point_grid(Q, 0.5).shape == (2, 1)
 
     @given(dim=st.integers(1, 2), init_delta=st.sampled_from(
                [0.125, 0.25, 0.5, 1.0]), data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_matches_per_row_loop(self, dim, init_delta, data):
-        # overlapping boxes whose centres sit on a shared lattice, some
-        # 1e-13 off it; real grids make only +0.0, so each zero coordinate
-        # of the centres is given a drawn sign before the dedup sees it
+        # the points are the grid's centres, bit for bit, and no two agree
+        # at 12 decimals, so they need no dedup; box centres on a lattice,
+        # some 1e-13 off it
         coord = st.sampled_from([-0.5, -0.0, 0.0, 0.25, 0.5]).flatmap(
             lambda c: st.sampled_from([c, c + 1e-13, c - 1e-13]))
-        box = st.builds(Box, st.lists(coord, min_size=dim, max_size=dim),
-                        st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
-                                 min_size=dim, max_size=dim))
-        Q = CompactSet(tuple(data.draw(st.lists(box, min_size=1,
-                                                max_size=4))))
-        rows = {}
-        for b in Q.boxes:
-            c = grid(b, init_delta).centers()
-            neg = np.array(data.draw(st.lists(
-                st.booleans(), min_size=c.size, max_size=c.size)))
-            rows[id(b)] = np.where((c == 0) & neg.reshape(c.shape), -0.0, c)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(entropy, "grid", lambda b, delta: SimpleNamespace(
-                centers=lambda: rows[id(b)]))
-            got = initial_point_grid(Q, init_delta)
-        # the per-row loop that np.unique replaced: the first row of each
-        # 12-decimal key, in order (-0.0 and 0.0 hash alike)
-        pts = np.vstack([rows[id(b)] for b in Q.boxes])
-        seen, keep = set(), []
-        for k, p in enumerate(pts):
+        Q = data.draw(st.builds(
+            Box, st.lists(coord, min_size=dim, max_size=dim),
+            st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                     min_size=dim, max_size=dim)))
+        got = initial_points(Q, init_delta)
+        want = grid(Q, init_delta).centers()
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        seen = set()
+        for p in got:
             key = tuple(np.round(p, 12))
-            if key not in seen:
-                seen.add(key)
-                keep.append(k)
-        want = pts[keep]
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert key not in seen
+            seen.add(key)
 
 
 def make_instance(matrix):
@@ -202,17 +193,6 @@ class TestCovers:
         feas = [[1, 1], [1, 1]]
         r, chosen = min_spanning_cardinality(make_instance(feas))
         assert r == 1 and chosen == [0]
-
-
-def brute_force_min_cover(feas):
-    n_cand, n_pts = feas.shape
-    if not np.all(feas.any(axis=0)):
-        return math.inf
-    for size in range(1, n_cand + 1):
-        for combo in itertools.combinations(range(n_cand), size):
-            if np.all(feas[list(combo)].any(axis=0)):
-                return size
-    return math.inf
 
 
 @given(st.integers(0, 2**30), st.integers(2, 7), st.integers(2, 7))
@@ -263,7 +243,7 @@ def square_field(x, u):
 #: t = 1 and blows up at t = 2
 SQUARE = ControlSystem(n=1, m=1, U=Box([0.0], [0.0]), field=square_field,
                        name="square")
-SEGMENT_Q = CompactSet.box([0.5], [0.5])  # [0, 1]
+SEGMENT_Q = Box([0.5], [0.5])  # [0, 1]
 
 
 class TestBuildInstance:
@@ -374,7 +354,7 @@ class TestBuildInstance:
                      values_per_axis=2, segment_duration=1.0), 2.0, 2.0),
                  (double_integrator(), UNIT_SQUARE, CandidateClass(
                      values_per_axis=3, segment_duration=2.0), 6.0, 2.0),
-                 (scalar_linear(), CompactSet.box([0.0], [1.0]),
+                 (scalar_linear(), Box([0.0], [1.0]),
                   CandidateClass(values_per_axis=5, segment_duration=0.5),
                   2.5, 0.0)]
         for sys, Q, cc, T, tau in cases:
@@ -398,7 +378,9 @@ class TestBuildInstance:
         assert cases[0][2].input_values(plane.U).tolist() == [
             [-1.0, -2.0], [-1.0, 2.0], [1.0, -2.0], [1.0, 2.0]]
 
-    @pytest.mark.parametrize("init_delta", [0.0, -0.25, float("inf")])
+    # 1e-320: an OverflowError from the grid's axis count before
+    @pytest.mark.parametrize("init_delta", [0.0, -0.25, float("inf"),
+                                            1e-320])
     def test_rejects_init_delta(self, init_delta):
         sys = double_integrator()
         spec = RecurrenceSpec(UNIT_SQUARE, tau=2.0, eps=0.1, T=4.0)
@@ -417,8 +399,9 @@ class TestBuildInstance:
 
     def test_cap_checked_before_building(self, monkeypatch):
         def build(*args):
-            raise AssertionError("candidates built past the cap")
+            raise AssertionError("candidates or points built past the cap")
         monkeypatch.setattr(entropy, "ControlSignal", build)
+        monkeypatch.setattr(GridCover, "centers", build)
         sys = double_integrator()
         spec = RecurrenceSpec(UNIT_SQUARE, tau=2.0, eps=0.1, T=24.0)
         cc = CandidateClass(values_per_axis=3, segment_duration=2.0)
@@ -426,6 +409,11 @@ class TestBuildInstance:
         with pytest.raises(InstanceTooLargeError, match=(
                 r"^531441 candidates x 16 points exceeds caps 24 x 64$")):
             build_spanning_instance(sys, UNIT_SQUARE, spec, 0.25, cc, dt=0.1)
+        # 10 ** 6 points, counted from the grid before one is built
+        spec = RecurrenceSpec(UNIT_SQUARE, tau=2.0, eps=0.1, T=4.0)
+        with pytest.raises(InstanceTooLargeError, match=(
+                r"^9 candidates x 1000000 points exceeds caps 24 x 64$")):
+            build_spanning_instance(sys, UNIT_SQUARE, spec, 0.001, cc, dt=0.1)
 
     def test_requires_finite_horizon(self):
         sys = double_integrator()
@@ -452,7 +440,7 @@ class TestCandidateTree:
         tau = data.draw(st.sampled_from(
             [t for t in (0.0, 0.35, 0.5, 0.8, 1.2) if t <= T]))
         if scalar:
-            sys, Q = scalar_linear(a=a), CompactSet.box([0.0], [1.0])
+            sys, Q = scalar_linear(a=a), Box([0.0], [1.0])
             delta = 0.25
         else:
             sys, Q, delta = double_integrator(), UNIT_SQUARE, 0.5
@@ -522,7 +510,7 @@ class TestCandidateTree:
 
     def test_resting_state_is_invariant(self):
         # x' = 0 x + u: under u = 0 both initial points rest in [-1, 1]
-        sys, Q = scalar_linear(a=0.0), CompactSet.box([0.0], [1.0])
+        sys, Q = scalar_linear(a=0.0), Box([0.0], [1.0])
         spec = RecurrenceSpec(Q, tau=0.0, eps=0.0, T=1.0)
         cc = CandidateClass(values_per_axis=3, segment_duration=1.0)
         inst = build_spanning_instance(sys, Q, spec, 0.5, cc, dt=0.05)
@@ -556,7 +544,7 @@ class TestCandidateTree:
         # 5 values, 5 segments: 3125 candidates x 64 points.  Marched whole,
         # that is 200 000 rows over the full horizon, 1 000 000
         # row-segments; the tree marches 29 890
-        sys, Q = scalar_linear(), CompactSet.box([0.0], [1.0])
+        sys, Q = scalar_linear(), Box([0.0], [1.0])
         spec = RecurrenceSpec(Q, tau=0.0, eps=0.1, T=2.5)
         cc = CandidateClass(values_per_axis=5, segment_duration=0.5)
         rows = counted_rows(monkeypatch)
@@ -609,7 +597,7 @@ class TestOrderingInTau:
     @pytest.mark.parametrize("a", [1.0, -1.0])
     def test_scalar_instances(self, a):
         cc = CandidateClass(values_per_axis=3, segment_duration=0.5)
-        Q = CompactSet.box([0.0], [1.0])
+        Q = Box([0.0], [1.0])
         for T in (1.0, 1.5, 2.0):
             for eps in (0.0, 0.1):
                 taus = [tau for tau in self.TAUS if tau <= T]

@@ -5,17 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recurq import Box, CompactSet, distance_many, grid, neighborhood
+from recurq import Box, distance_many, grid
 
-UNIT_SQUARE = CompactSet.box([0.0, 0.0], [1.0, 1.0])
+UNIT_SQUARE = Box([0.0, 0.0], [1.0, 1.0])
 
 
 def point_distance(y, Q):
-    """Oracle of distance_many for one point, in Python floats: the least
-    over Q's boxes of the largest excess of |y - center| over the radius,
-    and 0 inside."""
-    return min(max(0.0, *(abs(v - c) - r for v, c, r in zip(
-        y, b.center.tolist(), b.radius.tolist()))) for b in Q.boxes)
+    """Oracle of distance_many for one point, in Python floats: the largest
+    excess of |y - center| over the radius of the box Q, and 0 inside."""
+    return max(0.0, *(abs(v - c) - r for v, c, r in zip(
+        y, Q.center.tolist(), Q.radius.tolist())))
 
 
 class TestBox:
@@ -33,7 +32,7 @@ class TestBox:
         assert b.contains([1.0 + 1e-9], tol=1e-8)
 
     def test_distance_values(self):
-        Q = CompactSet.box([0.0, 0.0], [1.0, 1.0])
+        Q = Box([0.0, 0.0], [1.0, 1.0])
         # max norm, not euclidean
         X = [[0.3, -0.7], [2.0, 0.0], [2.0, 3.0]]
         assert distance_many(X, Q).tolist() == [0.0, 1.0, 2.0]
@@ -61,14 +60,10 @@ class TestBox:
 
 
 class TestCompactSet:
-    def test_distance_is_min_over_boxes(self):
-        Q = CompactSet((Box([0.0], [1.0]), Box([10.0], [1.0])))
-        assert distance_many([[5.0], [8.5], [0.5]], Q).tolist() == [
-            4.0, 0.5, 0.0]
-        assert distance_many([5.0], Q).tolist() == [4.0]
+    """Q, the compact set of the recurrence predicates, is one box."""
 
     def test_distance_many_matches_scalar(self):
-        Q = CompactSet((Box([0.0, 0.0], [1.0, 0.5]), Box([3.0, 3.0], [0.5, 0.5])))
+        Q = Box([3.0, -1.0], [1.0, 0.5])
         rng = np.random.default_rng(1)
         X = rng.uniform(-5, 5, size=(200, 2))
         vec = distance_many(X, Q)
@@ -80,14 +75,13 @@ class TestCompactSet:
     def test_distance_many_matches_unfused_form(self, shape):
         # the form with one temporary per operation, bit for bit, over
         # any leading shape and dimension, with rows holding NaN or
-        # infinities and rows on or within 1e-12 of a box's faces
+        # infinities and rows on or within 1e-12 of Q's faces
         n = shape[-1]
-        Q = CompactSet((Box(np.zeros(n), np.linspace(1.0, 0.5, n)),
-                        Box(np.full(n, 3.0), np.full(n, 0.5))))
+        Q = Box(np.full(n, 0.3), np.linspace(1.0, 0.5, n))
         rng = np.random.default_rng(2)
         X = rng.uniform(-5, 5, size=shape)
         rows = X.reshape(-1, n)
-        face = Q.boxes[0].center + Q.boxes[0].radius
+        face = Q.center + Q.radius
         rows[:len(rows) // 2] = face + rng.choice(
             [-1e-12, 0.0, 1e-12], size=(len(rows) // 2, n))
         for k, bad in enumerate([[np.nan, 0.0], [np.inf, 3.0],
@@ -96,30 +90,20 @@ class TestCompactSet:
                 rows[-1 - k] = np.resize(bad, n)
         before = X.copy()
         got = distance_many(X, Q)
-        want = np.min([np.max(np.maximum(np.abs(np.atleast_2d(X) - b.center)
-                                         - b.radius, 0.0), axis=-1)
-                       for b in Q.boxes], axis=0)
+        want = np.max(np.maximum(np.abs(np.atleast_2d(X) - Q.center)
+                                 - Q.radius, 0.0), axis=-1)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
         assert X.tobytes() == before.tobytes()
-
-    def test_bounding_box(self):
-        Q = CompactSet((Box([0.0], [1.0]), Box([10.0], [2.0])))
-        bb = Q.bounding_box()
-        np.testing.assert_allclose(bb.lo, [-1.0])
-        np.testing.assert_allclose(bb.hi, [12.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            CompactSet(())
 
 
 @given(y=st.lists(st.floats(-10, 10), min_size=2, max_size=2),
        eps=st.floats(0.0, 5.0))
 @settings(max_examples=200, deadline=None)
 def test_neighborhood_distance_duality(y, eps):
-    # d(y, Q) <= eps  iff  y in the eps-neighborhood (exact in the max norm)
-    inside = neighborhood(UNIT_SQUARE, eps).contains(y)
+    # d(y, Q) <= eps  iff  y in the eps-neighborhood, Q inflated by eps
+    # (exact in the max norm)
+    inside = UNIT_SQUARE.inflate(eps).contains(y)
     assert inside == (point_distance(y, UNIT_SQUARE) <= eps)
     assert inside == (distance_many(y, UNIT_SQUARE)[0] <= eps)
 

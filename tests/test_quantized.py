@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import march_oracle, outcome
-from recurq import (Box, CompactSet, ControlSystem,
+from recurq import (Box, ControlSystem,
                     ControllerInvalidError, DeterminismError,
                     GridMirror, IntegrationBlowupError, ProtocolError,
                     bit_rate, decode, double_integrator, encode,
@@ -25,7 +25,7 @@ from recurq import quantized
 from recurq.systems import march
 
 LN2 = math.log(2.0)
-UNIT_SQUARE = CompactSet.box([0.0, 0.0], [1.0, 1.0])
+UNIT_SQUARE = Box([0.0, 0.0], [1.0, 1.0])
 
 
 class TestCodec:
@@ -304,12 +304,12 @@ class TestExcursionTails:
         code = textwrap.dedent("""\
             import time
             import numpy as np
-            from recurq import (CompactSet, ControllerInvalidError,
+            from recurq import (Box, ControllerInvalidError,
                                 build_feedback_controller, double_integrator)
             t0 = time.monotonic()
             try:
                 build_feedback_controller(
-                    double_integrator(), CompactSet.box([0.0, 0.0], [1.0, 1.0]),
+                    double_integrator(), Box([0.0, 0.0], [1.0, 1.0]),
                     2.0, 0.1, lambda x: np.full(x.shape[:-1] + (1,), np.nan))
             except ControllerInvalidError:
                 print(time.monotonic() - t0)
@@ -333,14 +333,14 @@ def fragments(controller, Q0):
 
 class TestGridMirror:
     def test_initial_cover_is_benchmark_size(self, di_controller):
-        m = GridMirror(di_controller, UNIT_SQUARE.boxes[0], eps=0.1, tau=2.0,
+        m = GridMirror(di_controller, UNIT_SQUARE, eps=0.1, tau=2.0,
                        alpha=0.0)
         assert m.C.size == 5476
         assert len(encode(0, m.C.size)) == 13
 
     def test_steady_cover_sizes(self, di_controller):
         for alpha, expect in ((0.0, 64), (0.5, 441)):
-            m = GridMirror(di_controller, UNIT_SQUARE.boxes[0], eps=0.1,
+            m = GridMirror(di_controller, UNIT_SQUARE, eps=0.1,
                            tau=2.0, alpha=alpha)
             m.step_to(fragments(di_controller, [m.C.center(0)])[-1, 0])
             assert m.C.size == expect
@@ -348,14 +348,14 @@ class TestGridMirror:
             assert expect == math.ceil(math.exp((1.0 + alpha) * 2.0)) ** 2
 
     def test_radius_contraction(self, di_controller):
-        m = GridMirror(di_controller, UNIT_SQUARE.boxes[0], eps=0.1, tau=2.0,
+        m = GridMirror(di_controller, UNIT_SQUARE, eps=0.1, tau=2.0,
                        alpha=0.5)
         m.step_to(fragments(di_controller, [m.C.center(0)])[-1, 0])
         assert m.r == pytest.approx(0.1 * math.exp(-1.0), rel=1e-15)
 
     def test_mirrors_stay_identical(self, di_controller):
-        a = GridMirror(di_controller, UNIT_SQUARE.boxes[0], 0.1, 2.0, 0.1)
-        b = GridMirror(di_controller, UNIT_SQUARE.boxes[0], 0.1, 2.0, 0.1)
+        a = GridMirror(di_controller, UNIT_SQUARE, 0.1, 2.0, 0.1)
+        b = GridMirror(di_controller, UNIT_SQUARE, 0.1, 2.0, 0.1)
         rng = np.random.default_rng(3)
         for _ in range(5):
             idx = int(rng.integers(0, a.C.size))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import judge, march_held
-from recurq import (Box, CompactSet, ControlSystem, RecurrenceSpec,
+from recurq import (Box, ControlSystem, RecurrenceSpec,
                     ResolutionError, containment_radius, double_integrator,
                     estimate_F_Q, estimate_L, first_return_time,
                     jacobian_fd, lipschitz_region, scalar_linear)
@@ -16,7 +16,7 @@ from recurq.geometry import distance_many
 from recurq.recurrence import _first_entry, _longest_gap, _recurrent
 from recurq.systems import time_grid
 
-UNIT_SQUARE = CompactSet.box([0.0, 0.0], [1.0, 1.0])
+UNIT_SQUARE = Box([0.0, 0.0], [1.0, 1.0])
 
 
 def planar(name, field):
@@ -121,7 +121,7 @@ class TestIsRecurrentOracle:
         times = dt * np.arange(K + 1)
         T = K * dt
         states = np.where(visited.T, 0.0, 5.0)[..., None]  # (K+1, B, 1)
-        spec = RecurrenceSpec(CompactSet.box([0.0], [1.0]), tau=tau, T=T)
+        spec = RecurrenceSpec(Box([0.0], [1.0]), tau=tau, T=T)
         invariance = dataclasses.replace(spec, tau=0.0)
         batch = judge(times, states, spec)
         inv = judge(times, states, invariance)
@@ -223,7 +223,7 @@ class TestGapScanOracle:
     def test_scan_matches_per_row_loop(self, data):
         times, T, tau, visited = draw_scan_case(data)
         states = np.where(visited, 0.0, 5.0)[..., None]  # (K+1, B, 1)
-        spec = RecurrenceSpec(CompactSet.box([0.0], [1.0]), tau=tau, T=T)
+        spec = RecurrenceSpec(Box([0.0], [1.0]), tau=tau, T=T)
         assert (_recurrent(visited, times, T, tau).tolist()
                 == loop_is_recurrent(times, states, spec))
         assert (_recurrent(visited, times, T, 0.0).tolist()
@@ -330,7 +330,7 @@ class TestIsInvariant:
         # x' = 0 x + u, u = 0, rests at 0.5 in [-1, 1]: every sample is in
         # Q, so the longest gap is one step
         sys = scalar_linear(a=0.0)
-        Q = CompactSet.box([0.0], [1.0])
+        Q = Box([0.0], [1.0])
         traj = march_held(sys, [0.5], [[0.0]], 1.0, 1.0, 0.05)
         spec = RecurrenceSpec(Q, tau=0.0, eps=0.0, T=1.0)
         assert judge(*traj, spec) == (True, pytest.approx(0.05, abs=1e-12))
@@ -350,7 +350,7 @@ class TestFirstReturn:
                                  0.01) == [None]
         # x' = 200 x leaves [-1, 1] from 1.5 and overflows before t = 5
         assert first_return_time(scalar_linear(a=200.0), [[1.5]], [[0.0]],
-                                 CompactSet.box([0.0], [1.0]), 5.0,
+                                 Box([0.0], [1.0]), 5.0,
                                  0.01) == [None]
 
     def test_batch_rows_match_single_calls(self):
@@ -372,7 +372,7 @@ class TestFirstReturn:
         # over a full 0.01 s step would run past the exit
         sys = scalar_linear(a=0.0)
         [t] = first_return_time(sys, [[7.998]], [[-1.0]],
-                                CompactSet.box([0.0], [1e-4]), 7.998, 0.01)
+                                Box([0.0], [1e-4]), 7.998, 0.01)
         assert t == pytest.approx(7.9979, abs=1e-8)
 
     def test_interior_start_returns_immediately(self):
@@ -407,19 +407,18 @@ class TestFirstReturn:
     @given(n=st.integers(1, 3), K=st.integers(1, 30), data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_entry_scan_matches_box_contains(self, n, K, data):
-        # samples on, within 1e-12 of and off the faces of two boxes; with a
-        # field of 0 every probe of the bisection stays outside, so the
-        # entry reads as the end of the step before the first sample that
+        # samples on, within 1e-12 of and off the faces of Q; with a field
+        # of 0 every probe of the bisection stays outside, so the entry
+        # reads as the end of the step before the first sample that
         # Q.contains at the membership tolerance
-        Q = CompactSet((Box(np.zeros(n), np.ones(n)),
-                        Box(np.full(n, 3.0), np.full(n, 0.5))))
-        coord = st.sampled_from([-1.0, 1.0, 1.0 + 1e-12, 1.0 + 5e-12,
-                                 -1.0 - 2e-12, 0.0, 2.5, 2.5 - 1e-12, 3.5,
-                                 3.5 + 1e-12, 5.0])
+        Q = Box(np.full(n, 2.0), np.full(n, 1.5))
+        coord = st.sampled_from([0.5, 3.5, 3.5 + 1e-12, 3.5 + 5e-12,
+                                 0.5 - 2e-12, 0.5 - 1e-12, 2.0, 3.5 - 1e-12,
+                                 -1.0, 5.0])
         states = np.array(data.draw(st.lists(
             st.lists(coord, min_size=n, max_size=n), min_size=K + 1,
             max_size=K + 1)))
-        states[0] = 9.0  # outside both boxes
+        states[0] = 9.0  # outside Q
         inside = [k for k in range(1, K + 1)
                   if Q.contains(states[k], tol=1e-12)]
         got = _first_entry(lambda x, u: np.zeros_like(x), states,
@@ -434,7 +433,7 @@ class TestConstants:
 
     def test_F_Q_grows_with_region(self):
         sys = double_integrator()
-        big = CompactSet.box([0.0, 0.0], [1.0, 3.0])
+        big = Box([0.0, 0.0], [1.0, 3.0])
         assert estimate_F_Q(sys, big) == 3.0
 
     def test_L_double_integrator_exact(self):
@@ -452,7 +451,7 @@ class TestConstants:
         # elementwise, so the results must be bit-equal
         def F_loop(sys, Q):
             return max(float(np.max(np.abs(sys.field(x, u))))
-                       for box in Q.boxes for x in box.sample_grid(5)
+                       for x in Q.sample_grid(5)
                        for u in sys.U.sample_grid(5))
 
         def L_loop(sys, region):
@@ -467,23 +466,19 @@ class TestConstants:
             (np.where(x[..., 0] > 0.3, np.nan, x[..., 0] ** 2),
              u[..., 0] * x[..., 1]), -1))
         linear = dataclasses.replace(scalar_linear(a=2.5), jacobian=None)
-        two_boxes = CompactSet((Box([0.0, 0.0], [2.0, 1.0]),
-                                Box([3.0, 0.0], [1.0, 1.0])))
-        for sys, Q in ((cubic, two_boxes),
-                       (linear, CompactSet.box([0.0], [3.0]))):
-            region = Q.bounding_box()
-            assert estimate_L(sys, region) == L_loop(sys, region)
+        wide = Box([1.0, 0.0], [3.0, 1.0])
+        for sys, Q in ((cubic, wide), (linear, Box([0.0], [3.0]))):
+            assert estimate_L(sys, Q) == L_loop(sys, Q)
             assert estimate_F_Q(sys, Q) == F_loop(sys, Q)
         # |2 u x[0]| reaches the exact sup 8 at x[0] = 4, |u| = 1
-        assert estimate_L(cubic, two_boxes.bounding_box()) == pytest.approx(
-            8.0, rel=1e-9)
+        assert estimate_L(cubic, wide) == pytest.approx(8.0, rel=1e-9)
         with pytest.raises(FloatingPointError,
                            match=r"at x=\[ 0.5 -1. \], u=\[-1.\]$"):
             estimate_F_Q(holed, UNIT_SQUARE)
         with pytest.raises(FloatingPointError,
                            match=r"Jacobian non-finite at x=\[ 0.5 -1. \], "
                                  r"u=\[0.\]$"):
-            estimate_L(holed, UNIT_SQUARE.bounding_box())
+            estimate_L(holed, UNIT_SQUARE)
 
     def test_containment_radius_formula(self):
         assert containment_radius(1.0, 1.0, 2.0) == pytest.approx(
@@ -503,7 +498,7 @@ class TestConstants:
 
     def test_lipschitz_region_linear_converges_immediately(self):
         sys = scalar_linear(a=1.0)
-        Q = CompactSet.box([0.0], [1.0])
+        Q = Box([0.0], [1.0])
         constants, _ = lipschitz_region(sys, Q, 1.0)
         assert constants.L_tau == pytest.approx(1.0, rel=1e-12)
 
