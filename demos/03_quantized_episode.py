@@ -43,6 +43,7 @@ def main():
         print(f"  {name:25s} {'PASS' if clause.passed else 'FAIL'} "
               f"(worst margin {clause.worst_margin:.2e})")
 
+    # the log keeps no trajectories: both replay from its logged q_i, x_i
     t, x_hat = log.hat_trajectory()
     _, x_pl = log.plant_trajectory()
     worst = float(np.max(np.abs(x_hat - x_pl)))

@@ -120,7 +120,7 @@ class GridCover:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.counts))
+        return math.prod(self.counts)  # np.prod wraps past int64
 
     @property
     def dim(self) -> int:

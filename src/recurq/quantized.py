@@ -288,12 +288,13 @@ class StepRecord:
 
 @dataclass
 class EpisodeLog:
-    """Complete trace of one quantized-control episode."""
+    """One episode's records and what verify_guarantees reads of its
+    trajectories, which replay from the records through the controller."""
 
     config: dict
     steps: list
-    frag_states: list     # per step: (K+1, n) closed-loop fragment from q_i
-    plant_states: list    # per step: (K+1, n) true trajectory from x_i
+    terms: list           # per step: its _audit_terms
+    controller: RecurrenceController    # not serialized
 
     @property
     def n_steps(self) -> int:
@@ -304,12 +305,20 @@ class EpisodeLog:
         """Bits the sensor sent: the sum of the logged widths."""
         return sum(len(s.bits) for s in self.steps)
 
+    def _replayed(self, which: int) -> tuple:
+        """(times, states) of the fragments (0) or plant segments (1)."""
+        c, tau, dt = self.controller, self.config["tau"], self.config["dt"]
+        q, x = (np.array([getattr(s, k) for s in self.steps]) for k in "qx")
+        states = _closed_loop(c.sys, c.feedback, q, x, tau, dt)[which]
+        return _time_axis(self.n_steps, tau, dt), np.concatenate(
+            states.swapaxes(0, 1))
+
     def hat_trajectory(self) -> tuple:
         """(times, states) of the concatenated fragments."""
-        return _concat(self.frag_states, self.config["tau"], self.config["dt"])
+        return self._replayed(0)
 
     def plant_trajectory(self) -> tuple:
-        return _concat(self.plant_states, self.config["tau"], self.config["dt"])
+        return self._replayed(1)
 
     def to_jsonl(self, path: str):
         with open(path, "w") as fh:
@@ -322,11 +331,36 @@ class EpisodeLog:
                     for k, v in vars(s).items()}}) + "\n")
 
 
-def _concat(fragments: list, tau: float, dt: float) -> tuple:
-    """(times, states) of tau-step segments, each on march's grid to tau."""
+def _time_axis(n_steps: int, tau: float, dt: float) -> np.ndarray:
+    """Sample times of n_steps tau-step segments, each on march's grid."""
     times, _ = time_grid(tau, dt)
-    return (np.concatenate([i * tau + times for i in range(len(fragments))]),
-            np.vstack(fragments))
+    return np.concatenate([i * tau + times for i in range(n_steps)])
+
+
+def _levels(dists: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Each sample's visit level, in the smallest int that holds it: the
+    last start j whose threshold admits its distance, or -1 (NaN too).
+    thresholds[j] must not increase with j, as for any alpha >= 0."""
+    return (len(thresholds) - 1 - np.searchsorted(thresholds[::-1], dists)
+            ).astype(np.min_scalar_type(-len(thresholds)))
+
+
+def _audit_terms(frags, plants, Q: Box, eps: float, tau: float, dt: float,
+                 steps: int, rows: list) -> list:
+    """What verify_guarantees reads of row r of the (K+1, R, n) fragments
+    and plant segments, tau step i of a run with (i, alpha) = rows[r]: the
+    levels for slack_j + 1e-9 and (plant) 2*slack_j + 1e-9, slack_j =
+    eps*exp(-j*alpha*tau), j < steps, and max |hat - x| - eps*exp(-alpha*t)."""
+    times, _ = time_grid(tau, dt)
+    slack = {a: eps * np.exp(-np.arange(steps) * a * tau) for _, a in rows}
+    d_hat, d_pl = distance_many(frags, Q), distance_many(plants, Q)
+    # |hat - x| in the max norm is its distance to the box {0}
+    gaps = distance_many(frags - plants, Box(np.zeros(Q.dim), np.zeros(Q.dim)))
+    # per row: np.exp's last bit may depend on its input's memory layout
+    return [(_levels(d_hat[:, r], slack[alpha] + 1e-9),
+             _levels(d_pl[:, r], 2.0 * slack[alpha] + 1e-9), float(np.max(
+                 gaps[:, r] - eps * np.exp(-alpha * (i * tau + times)))))
+            for r, (i, alpha) in enumerate(rows)]
 
 
 #: the JSON type of each checked field of a log record
@@ -442,9 +476,11 @@ def replay(controller: RecurrenceController, header: dict,
         np.array([s.x for s in steps]), controller.tau, dt)
     config = {k: v for k, v in header.items() if k != "total_bits"}
     config.update(L_tau=controller.L_tau, c_star=controller.c_star)
-    log = EpisodeLog(config=config, steps=list(steps),
-                     frag_states=list(frags.transpose(1, 0, 2)),
-                     plant_states=list(plants.transpose(1, 0, 2)))
+    Q = Box(header["Q_center"], header["Q_radius"])
+    mirror = GridMirror(controller, Q, eps, tau, alpha)
+    log = EpisodeLog(config, list(steps), _audit_terms(
+        frags, plants, Q, eps, tau, dt, len(steps),
+        [(i, alpha) for i in range(len(steps))]), controller)
     failures = []
     if len(steps) != header["steps"]:
         failures.append(f"log holds {len(steps)} step records, header says "
@@ -455,17 +491,14 @@ def replay(controller: RecurrenceController, header: dict,
     if any(header[k] != config[k] for k in ("L_tau", "c_star")):
         failures.append("header L_tau and c_star differ from the rebuilt "
                         "controller's")
-    mirror = GridMirror(controller, Box(header["Q_center"], header["Q_radius"]),
-                        eps, tau, alpha)
     for k, s in enumerate(steps):
-        want = mirror.record(log.plant_states[k - 1][-1] if k
-                             else header["x0"])
+        want = mirror.record(plants[-1, k - 1] if k else header["x0"])
         wrong = [key for key in StepRecord.__dataclass_fields__
                  if not np.array_equal(getattr(s, key), getattr(want, key))]
         if wrong:
             failures.append(f"step {k}: the re-run disagrees on "
                             f"{', '.join(wrong)}")
-        mirror.step_to(log.frag_states[k][-1])
+        mirror.step_to(frags[-1, k])
     return log, failures
 
 
@@ -482,8 +515,8 @@ def run_episodes(sys: ControlSystem, Q: Box,
     quantized centres, the B receiver fragments from the receivers' own
     decoded centres (recomputed, not copied, so the mirror comparison
     checks two computations), and the B plant segments, each held at its
-    sensor's input.  Rows never mix, so every log is float-identical to a
-    run of its episode alone.  Returns one EpisodeLog per episode.
+    sensor's input, then reduced to each step's _audit_terms.  Rows never
+    mix, so every log is identical to a run of its episode alone.
     """
     x0s = np.array(x0s, dtype=float)
     alphas = list(alphas)
@@ -514,8 +547,7 @@ def run_episodes(sys: ControlSystem, Q: Box,
                   "alpha": float(alpha), "L_tau": controller.L_tau,
                   "c_star": controller.c_star, "dt": dt, "steps": steps,
                   "seed": int(seed), "x0": x0.tolist()}
-        logs.append(EpisodeLog(config=config, steps=[], frag_states=[],
-                               plant_states=[]))
+        logs.append(EpisodeLog(config, [], [], controller))
 
     X = x0s.copy()
     Q_s = np.empty_like(X)
@@ -536,9 +568,10 @@ def run_episodes(sys: ControlSystem, Q: Box,
 
         mirrors, plant = _closed_loop(
             sys, controller.feedback, np.concatenate((Q_s, Q_c)), X, tau, dt)
+        terms = _audit_terms(mirrors[:, :B], plant, Q, eps, tau, dt, steps,
+                             [(i, log.config["alpha"]) for log in logs])
         for b in range(B):
-            frag = mirrors[:, b].copy()
-            sensors[b].step_to(frag[-1])
+            sensors[b].step_to(mirrors[-1, b].copy())
             receivers[b].step_to(mirrors[-1, B + b].copy())
             if sensors[b].state_signature() != \
                     receivers[b].state_signature() or \
@@ -546,8 +579,7 @@ def run_episodes(sys: ControlSystem, Q: Box,
                 raise DeterminismError(
                     f"episode {b} step {i}: sensor and controller mirrors "
                     f"diverged")
-            logs[b].frag_states.append(frag)
-            logs[b].plant_states.append(plant[:, b].copy())
+            logs[b].terms.append(terms[b])
         X = plant[-1].copy()
     return logs
 
@@ -600,15 +632,15 @@ class GuaranteeReport:
                                       self.hat_recurrent, self.true_recurrent))
 
 
-def _windowed_recurrence_margin(times, dists, slacks, windows, starts,
+def _windowed_recurrence_margin(times, levels, windows, starts,
                                 T_end) -> float:
-    """Worst (gap - window) over the per-start recurrence checks; <=0 passes."""
+    """Worst (gap - window) per start j, visits at level >= j; <=0 passes."""
     worst = -math.inf
-    for slack, window, t0 in zip(slacks, windows, starts):
+    for j, (window, t0) in enumerate(zip(windows, starts)):
         if T_end - t0 < window:
             continue
         k = int(np.searchsorted(times, t0 - 1e-12))
-        visits = times[k:][dists[k:] <= slack + 1e-9]
+        visits = times[k:][levels[k:] >= j]
         if len(visits) == 0:
             return math.inf
         # the head and the gaps between visits, then the tail
@@ -624,34 +656,27 @@ def verify_guarantees(log: EpisodeLog) -> GuaranteeReport:
     cfg = log.config
     eps, tau, alpha = cfg["eps"], cfg["tau"], cfg["alpha"]
     L, c_star = cfg["L_tau"], cfg["c_star"]
-    Q = Box(cfg["Q_center"], cfg["Q_radius"])
 
     # (a) sensed state inside the predicted ball
     worst_a = float(np.max(np.abs([s.x - s.S_center for s in log.steps])
                            - [s.S_radius for s in log.steps]))
     clause_a = ClauseResult(worst_a <= 1e-9, worst_a)
 
-    # (b) tracking envelope between fragment and plant trajectories, on
-    # one time axis
-    t, x_hat = log.hat_trajectory()
-    x_pl = np.vstack(log.plant_states)
-    diffs = np.max(np.abs(x_hat - x_pl), axis=1)
-    envelope = eps * np.exp(-alpha * t)
-    worst_b = float(np.max(diffs - envelope))
+    # (b) tracking envelope between fragment and plant trajectories
+    hat_levels, plant_levels, tracking = zip(*log.terms)
+    worst_b = float(np.max(tracking))
     clause_b = ClauseResult(worst_b <= _TRACKING_TOL, worst_b)
 
     # (c)/(d) windowed recurrence with geometrically shrinking slack
-    d_hat = distance_many(x_hat, Q)
-    d_pl = distance_many(x_pl, Q)
+    t = _time_axis(log.n_steps, tau, cfg["dt"])
     idx = np.arange(log.n_steps)
-    slacks = eps * np.exp(-idx * alpha * tau)
     windows = tau + c_star * eps * np.exp(-(idx * alpha + L) * tau)
     starts = idx * tau
     T_end = log.n_steps * tau
-    worst_c = _windowed_recurrence_margin(t, d_hat, slacks, windows,
-                                          starts, T_end)
-    worst_d = _windowed_recurrence_margin(t, d_pl, 2.0 * slacks, windows,
-                                          starts, T_end)
+    worst_c = _windowed_recurrence_margin(t, np.concatenate(hat_levels),
+                                          windows, starts, T_end)
+    worst_d = _windowed_recurrence_margin(t, np.concatenate(plant_levels),
+                                          windows, starts, T_end)
     clause_c = ClauseResult(worst_c <= 1e-9, worst_c)
     clause_d = ClauseResult(worst_d <= 1e-9, worst_d)
     return GuaranteeReport(state_in_ball=clause_a, tracking=clause_b,

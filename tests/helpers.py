@@ -1,7 +1,7 @@
 """Test helpers: march a piecewise-constant input, march the plain-way RK4
 oracle, read a march's blow-up, judge the sampled states by the library's
-one recurrence rule (recurrence._recurrent), and size a minimum cover by
-brute force."""
+one recurrence rule (recurrence._recurrent), audit windowed recurrence on
+float distances, and size a minimum cover by brute force."""
 
 import itertools
 import math
@@ -95,3 +95,24 @@ def brute_force_min_cover(feas):
             if np.all(feas[list(combo)].any(axis=0)):
                 return size
     return math.inf
+
+
+def windowed_recurrence_margin_oracle(times, dists, slacks, windows, starts,
+                                      T_end):
+    """verify_guarantees' recurrence margin on float distances: worst
+    (gap - window) over the starts, start j's visits being the samples at
+    or after it within slacks[j] + 1e-9 of Q; <= 0 passes."""
+    worst = -math.inf
+    for slack, window, t0 in zip(slacks, windows, starts):
+        if T_end - t0 < window:
+            continue
+        k = int(np.searchsorted(times, t0 - 1e-12))
+        visits = times[k:][dists[k:] <= slack + 1e-9]
+        if len(visits) == 0:
+            return math.inf
+        # the head and the gaps between visits, then the tail
+        gap = max(0.0, float(np.max(np.diff(visits, prepend=t0))))
+        if visits[-1] < T_end - window - 1e-12:
+            gap = max(gap, T_end - float(visits[-1]))
+        worst = max(worst, gap - window)
+    return worst

@@ -854,6 +854,21 @@ GOLDEN_LOG_SHA256 = {
 }
 
 
+# simulate's CSV of a 3-step run: times, plant states and fragments, which
+# a log replays from its records
+GOLDEN_CSV_SHA256 = \
+    "2522b26c68d581a7cf88e3373623996bac8d54fc35dba58cbbceb99f2bef32fa"
+
+
+def test_golden_csv(tmp_path):
+    csv_path = tmp_path / "ep.csv"
+    text = SIM_YAML.format(log_path=tmp_path / "ep.jsonl", csv_path=csv_path)
+    code, _ = run(tmp_path, text.replace("steps: 12", "steps: 3"), "simulate")
+    assert code == EXIT_OK
+    digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_CSV_SHA256
+
+
 @pytest.mark.parametrize("seed", sorted(GOLDEN_LOG_SHA256))
 def test_golden_episode_log(tmp_path, seed):
     """simulate writes a byte-identical JSONL log for a pinned config."""

@@ -126,6 +126,10 @@ class TestGridCover:
         assert C2.counts == (8, 8)
         assert C2.size == 64
 
+    def test_size_does_not_wrap(self):
+        # 10**10 centers per axis: an int64 product wraps past 2**63
+        assert grid(UNIT_SQUARE, 1e-10).size == 10**20
+
     def test_exact_quotient_no_roundup(self):
         # 0.1 / 0.02 = 5 exactly must give 5 per axis, not 6
         C = grid(Box([0.0], [0.1]), 0.02)

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import march_oracle, outcome
+from helpers import (march_oracle, outcome,
+                     windowed_recurrence_margin_oracle)
 from recurq import (Box, ControlSystem,
                     ControllerInvalidError, DeterminismError,
                     GridMirror, IntegrationBlowupError, ProtocolError,
@@ -22,7 +23,8 @@ from recurq import (Box, ControlSystem,
                     reference_controller_double_integrator, run_episodes,
                     verify_guarantees)
 from recurq import quantized
-from recurq.systems import march
+from recurq.geometry import distance_many
+from recurq.systems import march, time_grid
 
 LN2 = math.log(2.0)
 UNIT_SQUARE = Box([0.0, 0.0], [1.0, 1.0])
@@ -458,10 +460,24 @@ def _assert_logs_identical(a, b):
             assert getattr(sa, name) == getattr(sb, name), name
         for name in ("x", "q", "S_center", "S_radius"):
             assert np.array_equal(getattr(sa, name), getattr(sb, name)), name
-    for name in ("frag_states", "plant_states"):
-        for fa, fb in zip(getattr(a, name), getattr(b, name)):
-            assert fa.shape == fb.shape and np.array_equal(fa, fb), name
+    assert len(a.terms) == len(b.terms)
+    for (*levels_a, track_a), (*levels_b, track_b) in zip(a.terms, b.terms):
+        for la, lb in zip(levels_a, levels_b):
+            assert la.dtype == lb.dtype and np.array_equal(la, lb)
+        assert track_a == track_b
     assert a.total_bits == b.total_bits
+
+
+def _nbytes(value) -> int:
+    """nbytes of every array in value's lists, tuples, dicts and
+    dataclasses."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if dataclasses.is_dataclass(value):
+        value = vars(value)
+    if isinstance(value, dict):
+        value = list(value.values())
+    return sum(map(_nbytes, value)) if isinstance(value, (list, tuple)) else 0
 
 
 class TestEpisodeBatch:
@@ -545,37 +561,69 @@ class TestEpisodeBatch:
         t_hat, _ = log.hat_trajectory()
         t_pl, _ = log.plant_trajectory()
         assert np.array_equal(t_hat, t_pl)
-        ends = np.cumsum([len(f) for f in log.frag_states]) - 1
+        ends = np.cumsum([len(levels) for levels, _, _ in log.terms]) - 1
+        assert ends[-1] == len(t_hat) - 1
         np.testing.assert_allclose(t_hat[ends], 2.0 * np.arange(1, 5),
                                    rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("dt", [0.01, 0.03, 0.07, 0.3, 0.45])
     @pytest.mark.parametrize("B", [1, 4])
     def test_replay_oracle(self, di_controller, B, dt):
-        # every logged array recomputed from its step's logged inputs by
-        # one-row marches with the feedback clipped here, and by replay's
-        # one batch; where dt does not divide tau the fragment and the
-        # plant end each tau step on a partial RK4 step
+        # every step's fragment and plant segment recomputed from its
+        # logged inputs by one-row marches with the feedback clipped here:
+        # they are the log's replayed trajectories, and they give its visit
+        # levels and tracking terms; replay's one batch gives the same
+        # log.  Where dt does not divide tau the fragment and the plant end
+        # each tau step on a partial RK4 step
         sys = double_integrator()
         lo, hi = sys.U.lo, sys.U.hi
         logs = run_episodes(sys, UNIT_SQUARE, di_controller, self.X0S[:B],
                             0.1, 2.0, self.ALPHAS[:B], 4, dt)
+        times, _ = time_grid(2.0, dt)
         for log in logs:
-            for s, frag, plant in zip(log.steps, log.frag_states,
-                                      log.plant_states):
-                states = march(sys.field, s.q[None], dt, 2.0, lambda k, x:
-                               np.clip(di_controller.feedback(x), lo, hi))
-                assert np.array_equal(frag, states[:, 0])
+            eps, alpha = log.config["eps"], log.config["alpha"]
+            slacks = eps * np.exp(-np.arange(4) * alpha * 2.0)
+            hat = log.hat_trajectory()[1].reshape(4, len(times), 2)
+            pl = log.plant_trajectory()[1].reshape(4, len(times), 2)
+            for s, (hat_levels, plant_levels, tracking), i in zip(
+                    log.steps, log.terms, range(4)):
+                frag = march(sys.field, s.q[None], dt, 2.0, lambda k, x:
+                             np.clip(di_controller.feedback(x), lo, hi))[:, 0]
+                assert np.array_equal(hat[i], frag)
                 # the input held over each step, from the fragment's state
                 u = np.clip(di_controller.feedback(frag[:-1]), lo, hi)
-                replay = march(sys.field, s.x, dt, 2.0, lambda k, _: u[k],
-                               finite_rows=slice(None))
-                assert np.array_equal(plant, replay)
+                plant = march(sys.field, s.x, dt, 2.0, lambda k, _: u[k],
+                              finite_rows=slice(None))
+                assert np.array_equal(pl[i], plant)
+                for levels, states, slack in (
+                        (hat_levels, frag, slacks),
+                        (plant_levels, plant, 2.0 * slacks)):
+                    d = distance_many(states, UNIT_SQUARE)
+                    for j in range(4):
+                        assert np.array_equal(levels >= j,
+                                              d <= slack[j] + 1e-9)
+                envelope = eps * np.exp(-alpha * (i * 2.0 + times))
+                assert tracking == np.max(
+                    np.max(np.abs(frag - plant), axis=1) - envelope)
             replayed, failures = quantized.replay(
                 di_controller, dict(log.config, total_bits=log.total_bits),
                 log.steps)
             assert failures == []
             _assert_logs_identical(replayed, log)
+
+    def test_logs_keep_a_sixth_of_the_trajectories(self, di_controller):
+        # the benchmark's lockstep shape, 20 episodes of 20 tau steps at
+        # dt = 1e-3, whose fragments and plant segments held
+        # 20 * 20 * 2001 * 2 * 2 float64s; the controller is shared
+        x0s = np.random.default_rng(0).uniform(-0.85, 0.85, size=(20, 2))
+        logs = run_episodes(double_integrator(), UNIT_SQUARE, di_controller,
+                            x0s, 0.1, 2.0, [0.0] * 7 + [0.1] * 7 + [0.5] * 6,
+                            20, 1e-3)
+        samples = 20 * 20 * 2001 * 2
+        kept = sum(_nbytes([v for k, v in vars(log).items()
+                            if k != "controller"]) for log in logs)
+        # at least a byte per sample's visit level
+        assert samples <= kept <= samples * 2 * 8 / 6
 
     def test_replay_checks_links(self, di_controller):
         # x_2 moved by one ulp is no longer the end of plant segment 1;
@@ -634,6 +682,52 @@ class TestEpisodeBatch:
         with pytest.raises(ValueError, match=match):
             run_episodes(double_integrator(), UNIT_SQUARE, di_controller,
                          x0s, eps, tau, alphas, 3, 0.01)
+
+
+class TestVisitLevels:
+    """The audit's visit levels against its float-distance comparisons."""
+
+    @staticmethod
+    def slacks(eps, tau, alpha, steps):
+        """verify_guarantees' slack per start, as _audit_terms computes it."""
+        return eps * np.exp(-np.arange(steps) * alpha * tau)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-17, 0.1, 0.5, 3.0])
+    @pytest.mark.parametrize("eps, tau", [(0.1, 2.0), (0.05, 0.7)])
+    def test_thresholds_do_not_increase(self, alpha, eps, tau):
+        slacks = self.slacks(eps, tau, alpha, 1000)
+        for thresholds in (slacks + 1e-9, 2.0 * slacks + 1e-9):
+            assert np.all(np.diff(thresholds) <= 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), alpha=st.sampled_from([0.0, 1e-17, 0.1, 3.0]),
+           dt=st.sampled_from([0.5, 0.3]), steps=st.integers(1, 6),
+           c_star=st.sampled_from([0.0, 1.4012542865626219]),
+           L=st.sampled_from([0.0, 1.0]))
+    def test_margins_equal_float_distance_oracle(self, data, alpha, dt, steps,
+                                                 c_star, L):
+        # dt 0.5 divides tau and 0.3 does not; the distances hold NaNs,
+        # exact ties with the thresholds and their next floats up
+        eps, tau = 0.1, 2.0
+        t = quantized._time_axis(steps, tau, dt)
+        slacks = self.slacks(eps, tau, alpha, steps)
+        ties = np.concatenate((slacks + 1e-9, 2.0 * slacks + 1e-9))
+        dists = np.array(data.draw(st.lists(st.one_of(
+            st.just(math.nan), st.just(0.0), st.floats(0.0, 0.5),
+            st.sampled_from(ties.tolist()),
+            st.sampled_from(np.nextafter(ties, np.inf).tolist())),
+            min_size=len(t), max_size=len(t))))
+        # verify_guarantees' windows and starts
+        idx = np.arange(steps)
+        windows = tau + c_star * eps * np.exp(-(idx * alpha + L) * tau)
+        starts, T_end = idx * tau, steps * tau
+        for slack in (slacks, 2.0 * slacks):
+            assert np.all(np.diff(slack + 1e-9) <= 0)
+            levels = quantized._levels(dists, slack + 1e-9)
+            assert quantized._windowed_recurrence_margin(
+                t, levels, windows, starts, T_end) == \
+                windowed_recurrence_margin_oracle(t, dists, slack, windows,
+                                                  starts, T_end)
 
 
 class TestPinnedValues:
