@@ -44,8 +44,7 @@ def main():
               f"(worst margin {clause.worst_margin:.2e})")
 
     # the log keeps no trajectories: both replay from its logged q_i, x_i
-    t, x_hat = log.hat_trajectory()
-    _, x_pl = log.plant_trajectory()
+    _, x_hat, x_pl = log.trajectories()
     worst = float(np.max(np.abs(x_hat - x_pl)))
     print(f"\nlargest reconstruction error {worst:.2e} "
           f"(envelope starts at eps = {log.config['eps']})")

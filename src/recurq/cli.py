@@ -37,8 +37,8 @@ _SWEEP_VALUES = 9
 #: the keys that some command reads, by section (Q: its one box); any
 #: other key exits 2, so a misspelled or removed key cannot run a default
 _KEYS = {"config": ("Q alpha candidate csv_path dt eps eps_list horizons "
-                    "init_delta log_path max_candidates seed steps sweep_dt "
-                    "system tau tau_list x0").split(),
+                    "init_delta log_path max_candidates seed steps system tau "
+                    "tau_list x0").split(),
          "system": ["name", "params"], "Q": ["center", "radius"],
          "candidate": ["segment_duration", "values_per_axis"]}
 
@@ -143,19 +143,15 @@ def build_Q(cfg: dict, n: int) -> Box:
     return Q
 
 
-def _sweep_horizon(tau: float) -> float:
-    """corner_return_sweep's horizon: four windows tau, and at least 5 s."""
-    return max(4.0 * tau, 5.0)
-
-
 def corner_return_sweep(sys: ControlSystem, Q: Box, tau: float,
                         dt: float = 0.01) -> list:
     """Minimum first-return time from each corner of Q over constant controls.
 
     A corner whose best sampled return exceeds tau is evidence (within the
-    candidate class) that Q is not recurrent for that window.
+    candidate class) that Q is not recurrent for that window.  The horizon
+    is four windows tau, and at least 5 s.
     """
-    horizon = _sweep_horizon(tau)
+    horizon = max(4.0 * tau, 5.0)
     u_grid = sys.U.sample_grid(_SWEEP_VALUES)
     corners = Q.corners()
     # every corner under every input in one batch, corner-major
@@ -172,17 +168,13 @@ def cmd_bounds(cfg: dict, out) -> int:
     sys_ = build_system(cfg)
     Q = build_Q(cfg, sys_.n)
     tau = _read(cfg, "tau", low=0.0)
-    sweep_dt = _read(cfg, "sweep_dt", float, 0.01, low=0.0, strict=True)
-    if sweep_dt > _sweep_horizon(tau):
-        raise ConfigError(f"sweep_dt must be at most the sweep horizon "
-                          f"{_sweep_horizon(tau)}, not {sweep_dt}")
     try:
         constants, region = lipschitz_region(sys_, Q, tau)
         lower = lower_bound(sys_, Q, constants.delta_tau)
     except FloatingPointError as exc:  # so no record holds a non-finite value
         raise ConfigError(f"system {sys_.name}: {exc}") from None
     upper = upper_bound(constants.L_tau, Q)
-    sweep = corner_return_sweep(sys_, Q, tau, dt=sweep_dt)
+    sweep = corner_return_sweep(sys_, Q, tau)
     # corners slower than tau; the witness is the worst, ties going to the
     # lexicographically largest
     bad = [(t, tuple(c)) for c, t in sweep if t > tau + 1e-6]
@@ -341,8 +333,7 @@ def _passed(report) -> dict:
 
 
 def _export_csv(log, path: str):
-    t_hat, x_hat = log.hat_trajectory()
-    _, x_pl = log.plant_trajectory()
+    t_hat, x_hat, x_pl = log.trajectories()
     n = x_hat.shape[1]
     header = ("t," + ",".join(f"x{i+1}" for i in range(n)) + ","
               + ",".join(f"xhat{i+1}" for i in range(n)))
@@ -377,7 +368,6 @@ def main(argv=None) -> int:
         description="recurrence entropy bounds and quantized recurrence control")
     parser.add_argument("--config", help="YAML config file (verify reads none)")
     parser.add_argument("--out", help="output path (default stdout)")
-    parser.add_argument("--seed", type=int, help="override config seed")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("bounds", help="entropy bounds and finiteness verdict")
     sub.add_parser("spanning", help="spanning-set covers over a (T, eps, tau) grid")
@@ -394,8 +384,6 @@ def main(argv=None) -> int:
             if args.command == "verify":  # the log names everything it needs
                 return cmd_verify(args.log, out)
             cfg = load_config(args.config)
-            if args.seed is not None:
-                cfg["seed"] = args.seed
             command = {"bounds": cmd_bounds, "spanning": cmd_spanning,
                        "simulate": cmd_simulate}[args.command]
             return command(cfg, out)

@@ -118,11 +118,18 @@ class RecurrenceController:
     L_tau: float
     max_visit_gap: float
 
-    def _check_run(self, eps: float, tau: float):
+    def _check_run(self, eps: float, tau: float, dt: float, alphas):
+        """Refuse an eps or tau it was not validated for, a bad dt or alpha."""
         if not (0 < eps <= self.eps_star + 1e-12):
             raise ValueError(f"eps must lie in (0, {self.eps_star}]")
         if abs(tau - self.tau) > 1e-12:
             raise ValueError("tau must match the validated controller")
+        if not 0 < dt <= tau:
+            raise ValueError(f"dt must lie in (0, tau={tau}]")
+        for b, alpha in enumerate(alphas):
+            if not 0 <= alpha < math.inf:
+                raise ValueError(f"episode {b}: alpha must be finite and "
+                                 f"nonnegative, not {alpha}")
 
 
 def _excursion_tails(times, states, dists):
@@ -159,9 +166,7 @@ def build_feedback_controller(sys: ControlSystem, Q: Box, tau: float,
         raise ValueError("tau must be positive")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    box = Box.from_bounds(Q.lo, Q.hi)
-    centers = grid(box, _SWEEP_DELTA).centers()
-    centers = centers[[Q.contains(c, tol=1e-12) for c in centers]]
+    centers = grid(Q, _SWEEP_DELTA).centers()
     horizon = _SWEEP_TAUS * tau
     # every grid state marched at once, with no plant rows: (K+1, B, n)
     swept, _ = _closed_loop(sys, feedback, centers, centers[:0], horizon,
@@ -189,7 +194,7 @@ def build_feedback_controller(sys: ControlSystem, Q: Box, tau: float,
         if mask.any():
             c_star = float(np.max(dtt[mask] / seps[mask]))
 
-    reached = np.vstack((box.lo, box.hi, swept.reshape(-1, sys.n)))
+    reached = np.vstack((Q.lo, Q.hi, swept.reshape(-1, sys.n)))
     lo, hi = reached.min(axis=0) - eps, reached.max(axis=0) + eps
     # Python floats overflow to inf without numpy's warning
     if not all(math.isfinite(h - l) for l, h in zip(lo.tolist(), hi.tolist())):
@@ -305,20 +310,15 @@ class EpisodeLog:
         """Bits the sensor sent: the sum of the logged widths."""
         return sum(len(s.bits) for s in self.steps)
 
-    def _replayed(self, which: int) -> tuple:
-        """(times, states) of the fragments (0) or plant segments (1)."""
+    def trajectories(self) -> tuple:
+        """(times, hat, plant): the concatenated fragments and plant
+        segments, replayed in one march from the logged q_i and x_i."""
         c, tau, dt = self.controller, self.config["tau"], self.config["dt"]
         q, x = (np.array([getattr(s, k) for s in self.steps]) for k in "qx")
-        states = _closed_loop(c.sys, c.feedback, q, x, tau, dt)[which]
-        return _time_axis(self.n_steps, tau, dt), np.concatenate(
-            states.swapaxes(0, 1))
-
-    def hat_trajectory(self) -> tuple:
-        """(times, states) of the concatenated fragments."""
-        return self._replayed(0)
-
-    def plant_trajectory(self) -> tuple:
-        return self._replayed(1)
+        frags, plants = _closed_loop(c.sys, c.feedback, q, x, tau, dt)
+        return (_time_axis(self.n_steps, tau, dt),
+                np.concatenate(frags.swapaxes(0, 1)),
+                np.concatenate(plants.swapaxes(0, 1)))
 
     def to_jsonl(self, path: str):
         with open(path, "w") as fh:
@@ -456,7 +456,7 @@ def replay(controller: RecurrenceController, header: dict,
 
     header and steps are a log's (load_step_records).  A tau or eps that
     the controller was not validated for, or a dt or alpha it cannot run,
-    raises ValueError, as run_episodes does.  All N steps march in one
+    raises ValueError with run_episodes' message.  All N steps march in one
     _closed_loop, fragment i from the logged q_i and plant segment i from
     x_i, as run_episodes marched them.  failures name, in order, a
     step count, total_bits, L_tau or c_star that the header gets wrong,
@@ -467,10 +467,7 @@ def replay(controller: RecurrenceController, header: dict,
     and not total_bits, which the log sums from its widths.
     """
     eps, tau, alpha, dt = (header[k] for k in ("eps", "tau", "alpha", "dt"))
-    controller._check_run(eps, tau)
-    if not (0 < dt <= tau and 0 <= alpha < math.inf):
-        raise ValueError(f"need 0 < dt <= tau and a finite alpha >= 0, not "
-                         f"dt={dt}, tau={tau}, alpha={alpha}")
+    controller._check_run(eps, tau, dt, [alpha])
     frags, plants = _closed_loop(
         controller.sys, controller.feedback, np.array([s.q for s in steps]),
         np.array([s.x for s in steps]), controller.tau, dt)
@@ -525,15 +522,10 @@ def run_episodes(sys: ControlSystem, Q: Box,
         raise ValueError(f"x0s must have shape (B, {sys.n})")
     if not len(x0s) == len(alphas) == len(seeds):
         raise ValueError("x0s, alphas and seeds must have one entry per episode")
-    controller._check_run(eps, tau)
-    if not 0 < dt <= tau:
-        raise ValueError(f"dt must lie in (0, tau={tau}]")
+    controller._check_run(eps, tau, dt, alphas)
     if steps < 1:
         raise ValueError(f"steps must be at least 1, not {steps}")
-    for b, (x0, alpha) in enumerate(zip(x0s, alphas)):
-        if not 0 <= alpha < math.inf:
-            raise ValueError(f"episode {b}: alpha must be finite and "
-                             f"nonnegative, not {alpha}")
+    for b, x0 in enumerate(x0s):
         if not Q.contains(x0, tol=1e-12):
             raise ValueError(f"episode {b}: x0 must lie in Q")
 

@@ -190,19 +190,16 @@ def lipschitz_region(sys: ControlSystem, Q: Box, tau: float) -> tuple:
     current Lipschitz estimate, and iterates until the radius stabilizes
     within 1%.  Returns (constants, box); the box is inflated by the radius
     from before the last estimate, so it reaches delta_tau around Q to
-    within 1% of delta_tau.  A box that is not finite, or a radius that has
+    within 1% of delta_tau.  A box of non-finite width, or a radius that has
     not settled after _REGION_ITERS re-estimates, raises FloatingPointError.
     """
-    def region(d):  # Q inflated by d, rebuilt from its bounds
-        big = Q.inflate(d)
-        return Box.from_bounds(big.lo, big.hi)
-
     F_Q = estimate_F_Q(sys, Q)
-    delta = containment_radius(F_Q, estimate_L(sys, region(0.0)), tau)
+    delta = containment_radius(F_Q, estimate_L(sys, Q), tau)
     for _ in range(_REGION_ITERS):
         with np.errstate(over="ignore", invalid="ignore"):
-            box = region(delta)
-            finite = np.isfinite([box.lo, box.hi]).all()
+            box = Q.inflate(delta)
+            # the width that estimate_L's grid spans, inf or NaN with a bound
+            finite = np.isfinite(box.hi - box.lo).all()
         if not finite:
             raise FloatingPointError(f"region around Q non-finite at "
                                      f"delta_tau={delta}")

@@ -287,7 +287,7 @@ class TestCriterion8Properties:
         delta = containment_radius(1.0, 1.0, 2.0)
         worst = -math.inf
         for alpha, seed, log in episode_bundle["episodes"]:
-            _, x_pl = log.plant_trajectory()
+            _, _, x_pl = log.trajectories()
             worst = max(worst, float(np.max(distance_many(x_pl, Q))))
         assert worst <= delta + 2 * 0.1  # doubled eps slack for the plant
 

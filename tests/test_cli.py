@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from recurq import Box, double_integrator, first_return_time
+from recurq import Box, cli, double_integrator, first_return_time
 from recurq.cli import (EXIT_CONFIG, EXIT_GUARANTEE, EXIT_INFEASIBLE, EXIT_OK,
                         main)
 
@@ -87,8 +88,7 @@ class TestBounds:
         (2.0, "finite", None, 14.7781121978613),
         (2.5, "finite", None, 30.456234901758684)])
     def test_pinned_records(self, tmp_path, tau, verdict, witness, delta_tau):
-        text = BOUNDS_YAML.format(tau=tau) + "sweep_dt: 0.01\n"
-        code, (r,) = run(tmp_path, text, "bounds")
+        code, (r,) = run(tmp_path, BOUNDS_YAML.format(tau=tau), "bounds")
         assert code == EXIT_OK
         assert (r["verdict"], r["witness"]) == (verdict, witness)
         assert (r["L_tau"], r["delta_tau"]) == (1.0, delta_tau)
@@ -103,13 +103,14 @@ class TestBounds:
         # x' = x + u on [-1, 1]: L_tau is the Jacobian's 1 exactly, so the
         # two bounds meet at 1/ln 2 and the region is Q inflated by delta_tau
         cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("system: {name: scalar_linear, params: {a: 1.0}}\n"
-                       "Q:\n  - {center: [0.0], radius: [1.0]}\ntau: 2.0\n")
         texts = set()
         for seed in range(5):
+            cfg.write_text("system: {name: scalar_linear, params: {a: 1.0}}\n"
+                           "Q:\n  - {center: [0.0], radius: [1.0]}\n"
+                           f"tau: 2.0\nseed: {seed}\n")
             out = tmp_path / f"seed{seed}.jsonl"
             assert main(["--config", str(cfg), "--out", str(out),
-                         "--seed", str(seed), "bounds"]) == EXIT_OK
+                         "bounds"]) == EXIT_OK
             texts.add(out.read_text())
         (text,) = texts
         r = json.loads(text)
@@ -118,22 +119,25 @@ class TestBounds:
         assert r["region_hi"] == [1.0 + r["delta_tau"]]
 
     @pytest.mark.parametrize("sweep_dt", [0.015625, 0.03])
-    def test_sweep_dt_not_dividing_the_horizon(self, tmp_path, sweep_dt):
-        # the sweep's one held segment ends on a partial step at 6.8 s
-        text = BOUNDS_YAML.format(tau=1.7)
-        code, (want,) = run(tmp_path, text + "sweep_dt: 0.01\n", "bounds")
-        code, (r,) = run(tmp_path, text + f"sweep_dt: {sweep_dt}\n", "bounds")
-        assert code == EXIT_OK
-        assert r["verdict"] == "infinite" and r["witness"] == [1.0, 1.0]
-        for got, ref in zip(r["corner_min_returns"], want["corner_min_returns"]):
-            assert got["corner"] == ref["corner"]
-            if sweep_dt == 0.03 and got["min_return"] is None:
+    def test_sweep_dt_not_dividing_the_horizon(self, sweep_dt):
+        # the sweep's one held segment ends on a partial step at 6.8 s;
+        # bounds sweeps at the 0.01 s default, and a library caller may not
+        Q = Box([0.0, 0.0], [1.0, 1.0])
+        want = cli.corner_return_sweep(double_integrator(), Q, 1.7)
+        got = cli.corner_return_sweep(double_integrator(), Q, 1.7,
+                                      dt=sweep_dt)
+        # the worst corner slower than tau, ties to the largest, as bounds'
+        # witness
+        assert max((t, tuple(c)) for c, t in got if t > 1.7 + 1e-6)[1] == \
+            (1.0, 1.0)
+        for (corner, t), (ref_corner, ref) in zip(got, want):
+            assert np.array_equal(corner, ref_corner)
+            if sweep_dt == 0.03 and math.isinf(t):
                 # the return of (1, 1) and (-1, -1) grazes Q at t = 2,
                 # which no sample of a 0.03 s grid meets
-                assert ref["min_return"] == 2.0
+                assert ref == 2.0
                 continue
-            assert got["min_return"] == pytest.approx(ref["min_return"],
-                                                      rel=0, abs=1e-8)
+            assert t == pytest.approx(ref, rel=0, abs=1e-8)
 
     def test_missing_tau_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
@@ -367,6 +371,45 @@ class TestConfigKeys:
                          *args]) == EXIT_OK, args
             assert out.read_text()
 
+    def test_commands_read_every_key(self, tmp_path):
+        # every key of the contract is one that some command reads, so a
+        # key that none reads cannot sit in it
+        class Recorded(dict):
+            def get(self, key, default=None):
+                read.add(key)
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+            def __contains__(self, key):
+                read.add(key)
+                return super().__contains__(key)
+
+        read = set()
+        cfg = Recorded(readme_config(tmp_path), steps=12, eps_list=[0.1],
+                       tau_list=[2.0], max_candidates=24)
+        for command in (cli.cmd_bounds, cli.cmd_spanning, cli.cmd_simulate):
+            command(cfg, io.StringIO())
+        assert read >= set(cli._KEYS["config"]), \
+            set(cli._KEYS["config"]) - read
+
+    def test_seed_option_is_refused(self, tmp_path):
+        # the config's seed is the one way to set it
+        cfg = dict(readme_config(tmp_path))
+        del cfg["x0"]
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "results.jsonl"
+        out.write_text('{"kind": "earlier"}\n')
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(path), "--out", str(out), "--seed", "1",
+                  "simulate"])
+        assert exc.value.code == 2
+        assert out.read_text() == '{"kind": "earlier"}\n'
+        assert not os.path.exists(cfg["log_path"])
+
     @pytest.mark.parametrize("edit, key, keys", [
         # misspelled keys and a non-string key, each ignored before
         ({"tau_lists": [0.0], "max_point": 4,
@@ -380,8 +423,9 @@ class TestConfigKeys:
         ({1: 2}, 1, "tau_list"),
         # keys that became constants
         ({"max_points": 64}, "max_points", "max_candidates"),
-        ({"samples_per_axis": 5}, "samples_per_axis", "sweep_dt"),
-        ({"sweep_values": 9}, "sweep_values", "sweep_dt"),
+        ({"samples_per_axis": 5}, "samples_per_axis", "steps, system"),
+        ({"sweep_values": 9}, "sweep_values", "steps, system"),
+        ({"sweep_dt": 0.01}, "sweep_dt", "steps, system"),
     ])
     def test_unknown_key_is_refused(self, tmp_path, capsys, edit, key, keys):
         cfg = {**readme_config(tmp_path), **edit}
@@ -476,6 +520,7 @@ class TestSimulateVerify:
         ("simulate", "steps", "many"),
         ("simulate", "steps", 0),
         ("simulate", "steps", -3),
+        # sweep_dt is removed: each of its values exits 2 as an unknown key
         ("bounds", "sweep_dt", "fast"),
         ("bounds", "sweep_dt", 0.0),
         ("bounds", "sweep_values", 0),  # removed; read as "infinite" before
@@ -499,8 +544,8 @@ class TestSimulateVerify:
                               "params": {"u_max": 0.5}}),
         ("verify", "eps", 1e308),  # rejected before its envelope overflows
         ("bounds", "tau", math.inf),  # an OverflowError traceback before
-        ("bounds", "sweep_dt", math.inf),  # read as "infinite" before
-        ("bounds", "sweep_dt", 100.0),  # above the sweep horizon, 8 s
+        ("bounds", "sweep_dt", math.inf),  # removed; read as "infinite" before
+        ("bounds", "sweep_dt", 100.0),  # removed; refused above 8 s before
         # integer keys refuse a bool, a string or a fraction
         ("simulate", "steps", 3.7),  # ran 3 steps before
         ("simulate", "seed", True),  # read as 1 before
@@ -537,6 +582,9 @@ class TestSimulateVerify:
         # region_lo and region_hi before
         ("bounds", "system", {"name": "scalar_linear",
                               "params": {"a": 351.5}}),
+        # an OverflowError and a MemoryError traceback before sweep_dt went
+        ("bounds", "sweep_dt", 1e-320),
+        ("bounds", "sweep_dt", 1e-9),
     ])
     def test_rejected_input_is_config_error(self, request, tmp_path, capsys,
                                             command, key, value):
@@ -830,8 +878,9 @@ class TestSimulateVerify:
             assert message in capsys.readouterr().err
 
 
-# the README's minimal config with x0 omitted, so --seed draws the start;
-# csv_path is left out too, as the CSV export does not enter the log
+# the README's minimal config with x0 omitted, so the config's seed draws
+# the start; csv_path is left out too, as the CSV export does not enter the
+# log
 README_YAML = """\
 system: {{name: double_integrator}}
 Q:
@@ -873,8 +922,8 @@ def test_golden_csv(tmp_path):
 def test_golden_episode_log(tmp_path, seed):
     """simulate writes a byte-identical JSONL log for a pinned config."""
     log_path = tmp_path / "episode.jsonl"
-    text = README_YAML.format(log_path=log_path)
-    code, _ = run(tmp_path, text, "--seed", str(seed), "simulate")
+    text = README_YAML.format(log_path=log_path) + f"seed: {seed}\n"
+    code, _ = run(tmp_path, text, "simulate")
     assert code == EXIT_OK
     digest = hashlib.sha256(log_path.read_bytes()).hexdigest()
     assert digest == GOLDEN_LOG_SHA256[seed]

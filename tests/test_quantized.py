@@ -558,13 +558,26 @@ class TestEpisodeBatch:
         # every tau step's fragment and plant segment end at (i+1)*tau
         log, = run_episodes(double_integrator(), UNIT_SQUARE, di_controller,
                             self.X0S[:1], 0.1, 2.0, self.ALPHAS[:1], 4, dt)
-        t_hat, _ = log.hat_trajectory()
-        t_pl, _ = log.plant_trajectory()
-        assert np.array_equal(t_hat, t_pl)
+        t, hat, plant = log.trajectories()
+        assert len(t) == len(hat) == len(plant)
         ends = np.cumsum([len(levels) for levels, _, _ in log.terms]) - 1
-        assert ends[-1] == len(t_hat) - 1
-        np.testing.assert_allclose(t_hat[ends], 2.0 * np.arange(1, 5),
+        assert ends[-1] == len(t) - 1
+        np.testing.assert_allclose(t[ends], 2.0 * np.arange(1, 5),
                                    rtol=0, atol=1e-12)
+
+    def test_trajectories_march_once(self, di_controller, monkeypatch):
+        # the fragments and the plant segments replay in one march
+        log, = run_episodes(double_integrator(), UNIT_SQUARE, di_controller,
+                            self.X0S[:1], 0.1, 2.0, self.ALPHAS[:1], 4, 0.01)
+        closed_loop, calls = quantized._closed_loop, []
+
+        def counted(*args):
+            calls.append(args)
+            return closed_loop(*args)
+
+        monkeypatch.setattr(quantized, "_closed_loop", counted)
+        log.trajectories()
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("dt", [0.01, 0.03, 0.07, 0.3, 0.45])
     @pytest.mark.parametrize("B", [1, 4])
@@ -583,8 +596,8 @@ class TestEpisodeBatch:
         for log in logs:
             eps, alpha = log.config["eps"], log.config["alpha"]
             slacks = eps * np.exp(-np.arange(4) * alpha * 2.0)
-            hat = log.hat_trajectory()[1].reshape(4, len(times), 2)
-            pl = log.plant_trajectory()[1].reshape(4, len(times), 2)
+            _, hat, pl = log.trajectories()
+            hat, pl = (a.reshape(4, len(times), 2) for a in (hat, pl))
             for s, (hat_levels, plant_levels, tracking), i in zip(
                     log.steps, log.terms, range(4)):
                 frag = march(sys.field, s.q[None], dt, 2.0, lambda k, x:
@@ -640,7 +653,11 @@ class TestEpisodeBatch:
 
     @pytest.mark.parametrize("edit, match", [
         ({"tau": 3.0}, "^tau must match the validated controller$"),
-        ({"eps": 0.2}, r"^eps must lie in \(0, 0.1\]$")])
+        ({"eps": 0.2}, r"^eps must lie in \(0, 0.1\]$"),
+        # run_episodes' messages; replay had its own before
+        ({"dt": 2.5}, r"^dt must lie in \(0, tau=2.0\]$"),
+        ({"alpha": -0.1}, "^episode 0: alpha must be finite and "
+                          "nonnegative, not -0.1$")])
     def test_replay_refuses_unvalidated_controller(self, di_controller, edit,
                                                    match):
         # a tau 3 log replayed by the tau 2 controller marched 2 s plant
