@@ -158,10 +158,8 @@ def corner_return_sweep(sys: ControlSystem, Q: Box, tau: float,
     X = np.repeat(corners, len(u_grid), axis=0)
     U = np.tile(u_grid, (len(corners), 1))
     returns = first_return_time(sys, X, U, Q, horizon, dt)
-    k = len(u_grid)
-    return [(corner, min((t for t in returns[c * k:(c + 1) * k]
-                          if t is not None), default=math.inf))
-            for c, corner in enumerate(corners)]
+    return list(zip(corners, returns.reshape(len(corners), -1).min(axis=1)
+                    .tolist()))
 
 
 def cmd_bounds(cfg: dict, out) -> int:
@@ -198,20 +196,23 @@ def cmd_spanning(cfg: dict, out) -> int:
     eps_list, tau_list = ([_read(cfg, one, low=0.0)] if cfg.get(key) is None
                           else _read(cfg, key, list, low=0.0) for key, one in
                           (("eps_list", "eps"), ("tau_list", "tau")))
-    for T in horizons:  # every (T, tau) pair, before any instance is built
+    cand_cfg = _read(cfg, "candidate", dict, {})
+    values_per_axis = _read(cand_cfg, "values_per_axis", int, 3, low=1)
+    segment_duration = _read(cand_cfg, "segment_duration", float, 1.0,
+                             low=0.0, strict=True)
+    init_delta = _read(cfg, "init_delta", float, 0.25)
+    max_candidates = _read(cfg, "max_candidates", int, 24, low=1)
+    cclass = CandidateClass(values_per_axis, segment_duration)
+    # every (T, tau) pair and segment count, before any instance is built
+    for T in horizons:
         if T < max(tau_list):
             tau_key = "tau" if cfg.get("tau_list") is None else "tau_list"
             raise ConfigError(f"horizons entry {T} is below {tau_key} entry "
                               f"{max(tau_list)}; each T must be at least tau")
-    cand_cfg = _read(cfg, "candidate", dict, {})
-    values_per_axis = _read(cand_cfg, "values_per_axis", int, 3)
-    segment_duration = _read(cand_cfg, "segment_duration", float, 1.0)
-    init_delta = _read(cfg, "init_delta", float, 0.25)
-    max_candidates = _read(cfg, "max_candidates", int, 24, low=1)
-    try:
-        cclass = CandidateClass(values_per_axis, segment_duration)
-    except ValueError as exc:  # rejected by its name
-        raise ConfigError(str(exc)) from exc
+        try:
+            cclass._segments(T)
+        except ValueError as exc:  # rejected by its name
+            raise ConfigError(str(exc)) from None
     # one grid for every tau: the divisor of the segment duration nearest the
     # finest positive tau / 20, or a 20th of it when tau 0 is all it asks
     fine = min([t for t in tau_list if t > 0] or [segment_duration])
@@ -267,17 +268,10 @@ def _controller(sys_: ControlSystem, Q: Box, tau: float, eps: float):
             "a validated reference controller is only available for the "
             "double_integrator system")
     try:
-        controller = reference_controller_double_integrator(Q, tau, eps)
+        return reference_controller_double_integrator(Q, tau, eps)
     except ControllerInvalidError as exc:
         raise ConfigError(f"the reference controller does not certify Q: "
                           f"{exc}") from exc
-    U, V = sys_.U, controller.sys.U
-    if not (np.array_equal(U.lo, V.lo) and np.array_equal(U.hi, V.hi)):
-        raise ConfigError(
-            f"system: input box {U.lo.tolist()}..{U.hi.tolist()} differs from "
-            f"{V.lo.tolist()}..{V.hi.tolist()}, the box the reference "
-            f"controller was validated on")
-    return controller
 
 
 def cmd_simulate(cfg: dict, out) -> int:

@@ -74,7 +74,8 @@ class CandidateClass:
     def _segments(self, T: float) -> int:
         """Segments in a signal of horizon T: at least one, and a whole
         number of them must fill T."""
-        n_seg = int(round(T / self.segment_duration))
+        ratio = T / self.segment_duration  # inf when it overflows
+        n_seg = int(round(ratio)) if math.isfinite(ratio) else 0
         if n_seg < 1 or abs(n_seg * self.segment_duration - T) > 1e-9:
             raise ValueError(f"segment_duration {self.segment_duration} "
                              f"must divide the horizon T={T}")
@@ -130,15 +131,17 @@ def build_spanning_instance(sys: ControlSystem, Q: Box,
                          f"enough for a finite grid over Q, not {init_delta}")
     n_seg = candidate_class._segments(T)
     cover = grid(Q, init_delta)
-    # counted before any point or candidate is built
-    P, values = math.prod(cover.counts), candidate_class.input_values(sys.U)
-    n_cand = len(values) ** n_seg
-    if n_cand > max_candidates or P > _MAX_POINTS:
+    # counted before any point or candidate is built; a count of more
+    # digits than str prints (4300) is told as a power, and is over the cap
+    P, V = math.prod(cover.counts), candidate_class.values_per_axis ** sys.m
+    n_cand = (V ** n_seg if n_seg * math.log10(V) < 4000
+              else f"{V}**{n_seg}")
+    if type(n_cand) is str or n_cand > max_candidates or P > _MAX_POINTS:
         raise InstanceTooLargeError(
             f"{n_cand} candidates x {P} points exceeds "
             f"caps {max_candidates} x {_MAX_POINTS}")
-    points = cover.centers()
-    S, V = candidate_class.segment_duration, len(values)
+    points, values = cover.centers(), candidate_class.input_values(sys.U)
+    S = candidate_class.segment_duration
     h = S if n_seg > 1 else T  # one segment may end on a partial step
     times, (seg_times, seg_full) = time_grid(T, dt)[0], time_grid(h, dt)
     steps = len(seg_times) - 1

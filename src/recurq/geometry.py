@@ -69,12 +69,6 @@ class Box:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    @staticmethod
-    def from_bounds(lo, hi) -> "Box":
-        lo = _as_vector(lo, name="lo")
-        hi = _as_vector(hi, dim=lo.shape[0], name="hi")
-        return Box((lo + hi) / 2.0, (hi - lo) / 2.0)
-
 
 class CompactSet:
     """Kept for callers that build Q with CompactSet.box; Q is a Box."""
@@ -113,7 +107,6 @@ class GridCover:
     per axis; the codec relies on this order being deterministic.
     """
 
-    region: Box
     delta: float
     counts: tuple
     first: np.ndarray
@@ -124,7 +117,7 @@ class GridCover:
 
     @property
     def dim(self) -> int:
-        return self.region.dim
+        return len(self.counts)
 
     def center(self, index: int) -> np.ndarray:
         if not 0 <= index < self.size:
@@ -156,4 +149,4 @@ def grid(S: Box, delta: float) -> GridCover:
         raise ValueError("delta must be positive")
     counts = tuple(_axis_count(r, delta) for r in S.radius)
     first = S.center - delta * (np.asarray(counts, dtype=float) - 1.0)
-    return GridCover(region=S, delta=float(delta), counts=counts, first=first)
+    return GridCover(delta=float(delta), counts=counts, first=first)

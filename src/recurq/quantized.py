@@ -201,7 +201,8 @@ def build_feedback_controller(sys: ControlSystem, Q: Box, tau: float,
         raise ValueError(f"eps={eps} leaves the validation envelope unbounded")
     return RecurrenceController(sys=sys, tau=tau, feedback=feedback,
                                 c_star=c_star, eps_star=eps,
-                                L_tau=estimate_L(sys, Box.from_bounds(lo, hi)),
+                                L_tau=estimate_L(sys, Box((lo + hi) / 2.0,
+                                                          (hi - lo) / 2.0)),
                                 max_visit_gap=float(np.max(gaps, initial=0.0)))
 
 
@@ -240,9 +241,8 @@ class GridMirror:
 
     def __init__(self, controller: RecurrenceController, S0: Box, eps: float,
                  tau: float, alpha: float):
-        self.tau = tau
-        self.alpha = alpha
         self.granularity_factor = math.exp(-(controller.L_tau + alpha) * tau)
+        self.shrink = math.exp(-alpha * tau)  # of the ball, per step
         self.r = eps
         self.S = S0
         self.C = grid(S0, eps * self.granularity_factor)
@@ -255,7 +255,7 @@ class GridMirror:
         tau; callers march the fragments of many mirrors together and then
         call this per mirror.
         """
-        r_next = self.r * math.exp(-self.alpha * self.tau)
+        r_next = self.r * self.shrink
         S_next = Box(frag_end, np.full(self.C.dim, r_next))
         self.r = r_next
         self.S = S_next
@@ -302,10 +302,6 @@ class EpisodeLog:
     controller: RecurrenceController    # not serialized
 
     @property
-    def n_steps(self) -> int:
-        return len(self.steps)
-
-    @property
     def total_bits(self) -> int:
         """Bits the sensor sent: the sum of the logged widths."""
         return sum(len(s.bits) for s in self.steps)
@@ -316,7 +312,7 @@ class EpisodeLog:
         c, tau, dt = self.controller, self.config["tau"], self.config["dt"]
         q, x = (np.array([getattr(s, k) for s in self.steps]) for k in "qx")
         frags, plants = _closed_loop(c.sys, c.feedback, q, x, tau, dt)
-        return (_time_axis(self.n_steps, tau, dt),
+        return (_time_axis(len(self.steps), tau, dt),
                 np.concatenate(frags.swapaxes(0, 1)),
                 np.concatenate(plants.swapaxes(0, 1)))
 
@@ -505,6 +501,8 @@ def run_episodes(sys: ControlSystem, Q: Box,
                  seeds=None) -> list:
     """Run B episodes in lockstep, one tau step at a time.
 
+    The plant is the controller's system, which replay marches too: a
+    sys whose name or input box differs from it raises ValueError.
     Episode b starts at x0s[b] with contraction rate alphas[b] and logs
     seeds[b] (default b).  Quantizing, the codec and each mirror's
     grid/ball update stay per episode.  Each tau step marches one
@@ -515,6 +513,13 @@ def run_episodes(sys: ControlSystem, Q: Box,
     sensor's input, then reduced to each step's _audit_terms.  Rows never
     mix, so every log is identical to a run of its episode alone.
     """
+    given, own = ((s.name, s.U.lo.tolist(), s.U.hi.tolist())
+                  for s in (sys, controller.sys))
+    if given != own:
+        raise ValueError("system: {}, input box {}..{}, differs from {}, input "
+                         "box {}..{}, the system the controller was validated "
+                         "on".format(*given, *own))
+    sys = controller.sys
     x0s = np.array(x0s, dtype=float)
     alphas = list(alphas)
     seeds = list(range(len(x0s))) if seeds is None else list(seeds)
@@ -590,7 +595,7 @@ class BitRateReport:
 
 def bit_rate(log: EpisodeLog) -> BitRateReport:
     """Average and steady-state bit rates of an episode."""
-    if log.n_steps < 10:
+    if len(log.steps) < 10:
         raise ValueError("rate accounting needs at least 10 steps")
     tau = log.config["tau"]
     steady = [len(s.bits) for s in log.steps[1:]]
@@ -599,7 +604,7 @@ def bit_rate(log: EpisodeLog) -> BitRateReport:
     n = len(log.steps[0].x)
     asymptote = n * (log.config["L_tau"] + log.config["alpha"]) / LN2
     steady_rate = steady[0] / tau
-    return BitRateReport(measured_rate=log.total_bits / (log.n_steps * tau),
+    return BitRateReport(measured_rate=log.total_bits / (len(log.steps) * tau),
                          steady_bits_per_step=steady[0],
                          steady_rate=steady_rate, asymptote=asymptote,
                          ceiling_gap=steady_rate - asymptote)
@@ -660,11 +665,11 @@ def verify_guarantees(log: EpisodeLog) -> GuaranteeReport:
     clause_b = ClauseResult(worst_b <= _TRACKING_TOL, worst_b)
 
     # (c)/(d) windowed recurrence with geometrically shrinking slack
-    t = _time_axis(log.n_steps, tau, cfg["dt"])
-    idx = np.arange(log.n_steps)
+    t = _time_axis(len(log.steps), tau, cfg["dt"])
+    idx = np.arange(len(log.steps))
     windows = tau + c_star * eps * np.exp(-(idx * alpha + L) * tau)
     starts = idx * tau
-    T_end = log.n_steps * tau
+    T_end = len(log.steps) * tau
     worst_c = _windowed_recurrence_margin(t, np.concatenate(hat_levels),
                                           windows, starts, T_end)
     worst_d = _windowed_recurrence_margin(t, np.concatenate(plant_levels),

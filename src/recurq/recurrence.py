@@ -84,11 +84,11 @@ def _recurrent(near: np.ndarray, times: np.ndarray, T: float, tau: float):
 
 
 def first_return_time(sys: ControlSystem, x0, u, Q: Box,
-                      horizon: float, dt: float) -> list:
+                      horizon: float, dt: float) -> np.ndarray:
     """Per row of x0 (B, n), the first t > 0 with its trajectory inside Q,
-    refined by bisection, as if the row were marched alone.
+    refined by bisection, as if the row were marched alone: shape (B,).
 
-    Row b holds the input u[b] (u is (B, m)) throughout.  None if the
+    Row b holds the input u[b] (u is (B, m)) throughout.  inf if the
     trajectory never meets Q in (0, horizon]; a state that blows up never
     meets it.
     """
@@ -109,12 +109,12 @@ def first_return_time(sys: ControlSystem, x0, u, Q: Box,
     # the last step is partial when dt does not divide the horizon
     times, n_full = time_grid(horizon, dt)
     last_h = float(times[-1] - times[-2]) if len(times) > n_full + 1 else dt
-    return [_first_entry(sys.field, states[:, b], u[b], dt, Q, last_h)
-            for b in range(states.shape[1])]
+    return np.array([_first_entry(sys.field, states[:, b], u[b], dt, Q, last_h)
+                     for b in range(states.shape[1])], dtype=float)
 
 
 def _first_entry(field, states, u, dt: float, Q: Box, last_h: float):
-    """Time of the first entry into Q after states[0], or None.
+    """Time of the first entry into Q after states[0], or inf.
 
     states[k + 1] is one RK4 step of width dt from states[k] under the
     constant input u, and the last step has width last_h.  The entry is
@@ -125,7 +125,7 @@ def _first_entry(field, states, u, dt: float, Q: Box, last_h: float):
     inside = np.all(np.abs(states[1:] - Q.center)
                     <= Q.radius + _MEMBERSHIP_TOL, axis=-1)
     if not inside.any():
-        return None
+        return math.inf
     k = int(np.argmax(inside))
     lo, hi = 0.0, last_h if k + 1 == len(inside) else dt
     for _ in range(80):

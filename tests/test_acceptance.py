@@ -322,7 +322,7 @@ class TestCriterion8Properties:
         logs = [log for _, _, log in episode_bundle["episodes"]]
         tau, dt, steps = (logs[0].config[k] for k in ("tau", "dt", "steps"))
         assert all(log.config["tau"] == tau and log.config["dt"] == dt
-                   and log.n_steps == steps for log in logs)
+                   and len(log.steps) == steps for log in logs)
         mirrors = [GridMirror(di_controller, Q, log.config["eps"],
                               tau, log.config["alpha"]) for log in logs]
         # logged centres, step-major: (steps, episodes, n)

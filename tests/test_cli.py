@@ -78,8 +78,8 @@ class TestBounds:
             returns = first_return_time(
                 double_integrator(), np.repeat([rec["corner"]], 9, axis=0),
                 u, Box([0.0, 0.0], [1.0, 1.0]), 20.0, 0.01)
-            hits = [t for t in returns if t is not None]
-            assert rec["min_return"] == (min(hits) if hits else None)
+            best = float(np.min(returns))  # inf when no input returns
+            assert rec["min_return"] == (best if math.isfinite(best) else None)
         assert r["corner_min_returns"][0] == {"corner": [-1.0, -1.0],
                                               "min_return": 2.0}
 
@@ -156,6 +156,13 @@ class TestBounds:
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("system: [unclosed\n  - ")
         assert main(["--config", str(cfg), "bounds"]) == EXIT_CONFIG
+
+    def test_non_mapping_root_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("- tau\n- 2.0\n")
+        assert main(["--config", str(cfg), "bounds"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: config root in {cfg} must be a mapping\n")
 
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.yaml"),
@@ -244,6 +251,21 @@ class TestSpanning:
                          "mode": "recurrence", "exact": False,
                          "note": "81 candidates x 16 points exceeds caps "
                                  "24 x 64"}]
+
+    @pytest.mark.parametrize("candidate, count", [
+        ({"values_per_axis": 2**63}, 2**126),  # an IndexError before
+        # 4 * 10 ** 9 segments: 3 ** n_seg was computed before the caps
+        ({"segment_duration": 1e-9}, "3**4000000000")],
+        ids=["values_per_axis", "segment_duration"])
+    def test_huge_class_is_capped(self, tmp_path, candidate, count):
+        cfg = yaml.safe_load(SPAN_YAML.format(horizons="[4]"))
+        cfg["candidate"].update(candidate)
+        code, recs = run(tmp_path, yaml.safe_dump(cfg), "spanning")
+        assert code == EXIT_OK
+        assert recs == [{"kind": "spanning", "T": 4.0, "eps": 0.1, "tau": 2.0,
+                         "mode": "recurrence", "exact": False,
+                         "note": f"{count} candidates x 16 points exceeds "
+                                 f"caps 128 x 64"}]
 
     def test_tau_zero_is_labelled_invariance(self, tmp_path):
         # tau 0 builds the invariance instance; with eps 1 it has a cover
@@ -585,6 +607,15 @@ class TestSimulateVerify:
         # an OverflowError and a MemoryError traceback before sweep_dt went
         ("bounds", "sweep_dt", 1e-320),
         ("bounds", "sweep_dt", 1e-9),
+        # OverflowError tracebacks before, from CandidateClass._segments
+        # (1e-320) or from the grid step (1e308, inf)
+        ("spanning", "segment_duration", 1e-320),
+        ("spanning", "segment_duration", 1e308),
+        ("spanning", "segment_duration", math.inf),
+        # on a Q of its own dimension
+        ("simulate", "system", {"name": "scalar_linear"}),
+        # an int too large for a float
+        pytest.param("verify", "eps", 10**400, id="verify-eps-10**400"),
     ])
     def test_rejected_input_is_config_error(self, request, tmp_path, capsys,
                                             command, key, value):
@@ -593,8 +624,6 @@ class TestSimulateVerify:
                                  else SPAN_YAML.format(horizons="[4]"))
             in_candidate = key in ("values_per_axis", "segment_duration")
             (cfg["candidate"] if in_candidate else cfg)[key] = value
-            if key == "system" and value["name"] == "scalar_linear":
-                cfg["Q"] = [{"center": [0.0], "radius": [1.0]}]
             args = [command]
         else:
             _, _, log_path, _, text = request.getfixturevalue("sim")
@@ -608,6 +637,8 @@ class TestSimulateVerify:
             lines[0] = json.dumps({**json.loads(lines[0]), key: value})
             log_path.write_text("\n".join(lines) + "\n")
             args = ["verify", str(log_path)]
+        if key == "system" and value["name"] == "scalar_linear":
+            cfg["Q"] = [{"center": [0.0], "radius": [1.0]}]
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(cfg))
         capsys.readouterr()
@@ -638,6 +669,17 @@ class TestSimulateVerify:
                                "params": {"u_max": "x"}}}, "system"),
         ("verify", {"system": {"name": "double_integrator",
                                "params": {"u_max": -1}}}, "system"),
+        pytest.param("bounds", {"system": None}, "missing 'system' section",
+                     id="bounds-no_system"),
+        pytest.param("bounds", {"system": 3},
+                     "system must be a name or a mapping", id="bounds-system_3"),
+        pytest.param("bounds", {"Q": [{"center": [0.0], "radius": [1.0]}]},
+                     r"Q dimension 1 does not match the system \(2",
+                     id="bounds-Q_1d"),
+        # a Q that the reference controller's sweep does not certify
+        pytest.param("verify", {"Q_radius": [3.0, 3.0]},
+                     "the reference controller does not certify Q",
+                     id="verify-uncertified_Q"),
     ])
     def test_rejected_section_is_config_error(self, request, tmp_path, capsys,
                                               command, edit, key):
@@ -733,6 +775,16 @@ class TestSimulateVerify:
         code, recs = run(tmp_path, text, "verify", str(log_path))
         assert code == EXIT_OK
         (r,) = recs
+        assert r["passed"] and not r["record_failures"]
+
+    def test_verify_skips_blank_lines(self, sim, tmp_path):
+        # blank lines between, before and after the records are skipped
+        _, _, log_path, _, _ = sim
+        lines = log_path.read_text().splitlines()
+        log_path.write_text("\n" + "\n\n".join(lines) + "\n  \n")
+        out = tmp_path / "verify.jsonl"
+        assert main(["--out", str(out), "verify", str(log_path)]) == EXIT_OK
+        (r,) = [json.loads(line) for line in out.read_text().splitlines()]
         assert r["passed"] and not r["record_failures"]
 
     def test_verify_reads_no_config(self, sim, tmp_path):
@@ -870,6 +922,7 @@ class TestSimulateVerify:
              "record 1: unknown key 'note'; a header's keys are type, steps"),
             (lines[:1] + [json.dumps(dict(step, note=1))] + lines[2:],
              "record 2: unknown key 'note'; a step's keys are type, i, x"),
+            (lines[:1], "log has no step record"),
         ]
         for body, message in cases:
             log_path.write_text("\n".join(body) + "\n")
@@ -931,3 +984,20 @@ def test_golden_episode_log(tmp_path, seed):
     assert code == EXIT_OK
     (r,) = recs
     assert r["passed"] and not r["record_failures"]
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random costs 5.8 MiB of peak RSS, and only simulate's drawn x0
+    # needs it, so the import loads it lazily; the module also runs as a
+    # script
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, recurq.cli; "
+         "print('numpy.random' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "False\n")
+    done = subprocess.run([sys.executable, "-m", "recurq.cli", "--help"],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0 and done.stdout.startswith("usage: recurq")

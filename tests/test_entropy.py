@@ -92,6 +92,16 @@ class TestCandidateClass:
                     rf"^segment_duration 2.0 must divide the horizon T={T}$")):
                 build_spanning_instance(double_integrator(), UNIT_SQUARE,
                                         spec, 0.5, cc, dt=0.1)
+        # T / segment_duration overflows (an OverflowError before) or
+        # rounds to no segment
+        spec = RecurrenceSpec(UNIT_SQUARE, tau=2.0, eps=0.1, T=4.0)
+        for S in (1e-320, 1e308, math.inf):
+            with pytest.raises(ValueError) as err:
+                build_spanning_instance(double_integrator(), UNIT_SQUARE,
+                                        spec, 0.5, CandidateClass(3, S),
+                                        dt=0.1)
+            assert str(err.value) == \
+                f"segment_duration {S} must divide the horizon T=4.0"
 
     @pytest.mark.parametrize("values_per_axis, segment_duration", [
         (0, 2.0), (-1, 2.0), (3, 0.0), (3, -1.0), (3, float("nan"))])
@@ -402,6 +412,7 @@ class TestBuildInstance:
             raise AssertionError("candidates or points built past the cap")
         monkeypatch.setattr(entropy, "ControlSignal", build)
         monkeypatch.setattr(GridCover, "centers", build)
+        monkeypatch.setattr(CandidateClass, "input_values", build)
         sys = double_integrator()
         spec = RecurrenceSpec(UNIT_SQUARE, tau=2.0, eps=0.1, T=24.0)
         cc = CandidateClass(values_per_axis=3, segment_duration=2.0)
@@ -414,6 +425,20 @@ class TestBuildInstance:
         with pytest.raises(InstanceTooLargeError, match=(
                 r"^9 candidates x 1000000 points exceeds caps 24 x 64$")):
             build_spanning_instance(sys, UNIT_SQUARE, spec, 0.001, cc, dt=0.1)
+        # 2 ** 126 candidates from 2 ** 63 values, still printed in full
+        huge = CandidateClass(values_per_axis=2**63, segment_duration=2.0)
+        with pytest.raises(InstanceTooLargeError, match=(
+                rf"^{2**126} candidates x 16 points exceeds caps 24 x 64$")):
+            build_spanning_instance(sys, UNIT_SQUARE, spec, 0.25, huge,
+                                    dt=0.1)
+        # 3 ** (4 * 10 ** 9) candidates, a count too long to print, told
+        # as a power and never computed
+        fine = CandidateClass(values_per_axis=3, segment_duration=1e-9)
+        with pytest.raises(InstanceTooLargeError, match=(
+                r"^3\*\*4000000000 candidates x 16 points exceeds caps "
+                r"24 x 64$")):
+            build_spanning_instance(sys, UNIT_SQUARE, spec, 0.25, fine,
+                                    dt=0.1)
 
     def test_requires_finite_horizon(self):
         sys = double_integrator()

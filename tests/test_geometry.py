@@ -18,13 +18,6 @@ def point_distance(y, Q):
 
 
 class TestBox:
-    def test_from_bounds_roundtrip(self):
-        b = Box.from_bounds([-1.0, 2.0], [3.0, 4.0])
-        np.testing.assert_allclose(b.center, [1.0, 3.0])
-        np.testing.assert_allclose(b.radius, [2.0, 1.0])
-        np.testing.assert_allclose(b.lo, [-1.0, 2.0])
-        np.testing.assert_allclose(b.hi, [3.0, 4.0])
-
     def test_contains_boundary_and_tol(self):
         b = Box([0.0], [1.0])
         assert b.contains([1.0])

@@ -17,7 +17,8 @@ from helpers import (march_oracle, outcome,
                      windowed_recurrence_margin_oracle)
 from recurq import (Box, ControlSystem,
                     ControllerInvalidError, DeterminismError,
-                    GridMirror, IntegrationBlowupError, ProtocolError,
+                    GridMirror, GuaranteeViolationError,
+                    IntegrationBlowupError, ProtocolError,
                     bit_rate, decode, double_integrator, encode,
                     load_step_records,
                     reference_controller_double_integrator, run_episodes,
@@ -413,12 +414,38 @@ class TestEpisode:
                 run_episodes(sys, UNIT_SQUARE, di_controller, [[0.0, 0.0]],
                              0.1, 2.0, [0.0], 5, dt)
 
+    @pytest.mark.parametrize("plant", [
+        double_integrator(u_max=2.0), double_integrator(u_max=0.5),
+        dataclasses.replace(double_integrator(), name="twin")],
+        ids=["u_max_2", "u_max_0.5", "renamed"])
+    def test_plant_is_the_controllers_system(self, di_controller, plant):
+        # a run marches its controller's system; a plant of another name or
+        # input box ran before, and u_max 2 wrote a log that replay
+        # rejected, u_max 0.5 one that failed the audit
+        with pytest.raises(ValueError, match=r"^system: (double_integrator|"
+                           r"twin), input box \[-[.0-9]+\]\.\.\[[.0-9]+\], "
+                           r"differs from double_integrator, input box "
+                           r"\[-1\.0\]\.\.\[1\.0\]"):
+            run_episodes(plant, UNIT_SQUARE, di_controller, [[0.4, -0.2]],
+                         0.1, 2.0, [0.0], 2, 0.01)
+
+    def test_state_outside_its_ball_is_a_violation(self, di_controller):
+        # with L_tau -10 the first grid is one cell, which the loop holds
+        # at rest, so the plant from (0.4, -0.2) ends step 0 at (0, -0.2),
+        # outside the ball of radius 0.1 around the origin
+        bad = dataclasses.replace(di_controller, L_tau=-10.0)
+        with pytest.raises(GuaranteeViolationError, match=(
+                r"^episode 0 step 1: sensed state .* outside S_1 \(center "
+                r".*violates x_i in S_i$")):
+            run_episodes(double_integrator(), UNIT_SQUARE, bad, [[0.4, -0.2]],
+                         0.1, 2.0, [0.0], 3, 0.01)
+
     def test_jsonl_round_trip(self, short_episode, tmp_path):
         path = tmp_path / "ep.jsonl"
         short_episode.to_jsonl(str(path))
         config, steps = load_step_records(str(path))
         assert config["eps"] == 0.1
-        assert len(steps) == short_episode.n_steps
+        assert len(steps) == len(short_episode.steps)
         for a, b in zip(steps, short_episode.steps):
             assert a.i == b.i and a.bits == b.bits and a.index == b.index
             assert np.array_equal(a.x, b.x)
@@ -454,7 +481,7 @@ class TestEpisode:
 
 def _assert_logs_identical(a, b):
     assert a.config == b.config
-    assert a.n_steps == b.n_steps
+    assert len(a.steps) == len(b.steps)
     for sa, sb in zip(a.steps, b.steps):
         for name in ("i", "index", "bits", "cover_size", "r"):
             assert getattr(sa, name) == getattr(sb, name), name
@@ -547,9 +574,11 @@ class TestEpisodeBatch:
         with pytest.raises(IntegrationBlowupError) as alone:
             march(sys.field, np.array(x0s[-1]), 0.01, 2.0,
                   lambda *_: np.zeros(1), finite_rows=slice(None))
+        # the plant is the controller's system, so cliff enters through it
         with pytest.raises(IntegrationBlowupError) as batch:
-            run_episodes(sys, UNIT_SQUARE, di_controller, x0s, 0.1, 2.0,
-                         [0.0] * len(x0s), 2, 0.01)
+            run_episodes(sys, UNIT_SQUARE,
+                         dataclasses.replace(di_controller, sys=sys), x0s,
+                         0.1, 2.0, [0.0] * len(x0s), 2, 0.01)
         assert batch.value.row == len(x0s) - 1
         assert batch.value.t == alone.value.t
 

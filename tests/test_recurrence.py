@@ -344,14 +344,16 @@ class TestFirstReturn:
                                 0.01)
         assert t == pytest.approx(2.0, abs=1e-9)
 
-    def test_none_when_never_returning(self):
+    def test_inf_when_never_returning(self):
+        # "never" is inf, in a float array of one entry per row
         sys = double_integrator()
-        assert first_return_time(sys, [[1.0, 1.0]], [[1.0]], UNIT_SQUARE, 8.0,
-                                 0.01) == [None]
+        t = first_return_time(sys, [[1.0, 1.0]], [[1.0]], UNIT_SQUARE, 8.0,
+                              0.01)
+        assert t.dtype == float and t.tolist() == [math.inf]
         # x' = 200 x leaves [-1, 1] from 1.5 and overflows before t = 5
         assert first_return_time(scalar_linear(a=200.0), [[1.5]], [[0.0]],
                                  Box([0.0], [1.0]), 5.0,
-                                 0.01) == [None]
+                                 0.01).tolist() == [math.inf]
 
     def test_batch_rows_match_single_calls(self):
         sys = double_integrator()
@@ -360,11 +362,12 @@ class TestFirstReturn:
         # 7.995 s ends on a partial step
         for horizon in (8.0, 7.995):
             batch = first_return_time(sys, X, U, UNIT_SQUARE, horizon, 0.01)
-            assert len(batch) == 4 and batch[1] is None  # full thrust escapes
+            # full thrust escapes
+            assert batch.shape == (4,) and batch[1] == math.inf
             for x0, u, t in zip(X, U, batch):
                 alone = first_return_time(sys, x0[None], u[None], UNIT_SQUARE,
                                           horizon, 0.01)
-                assert [t] == alone
+                assert alone.tolist() == [t]
 
     def test_entry_inside_partial_last_step(self):
         # x' = u = -1 from 7.998 crosses [-1e-4, 1e-4] over [7.9979, 7.9981];
@@ -379,7 +382,7 @@ class TestFirstReturn:
         sys = double_integrator()
         [t] = first_return_time(sys, [[0.0, 0.0]], [[0.0]], UNIT_SQUARE, 1.0,
                                 0.01)
-        assert t is not None and t <= 0.01
+        assert t <= 0.01
 
     @pytest.mark.parametrize("x0, horizon, dt", [
         ([[1.0, 1.0]], 8.0, 0.0), ([[1.0, 1.0]], 8.0, -0.01),
@@ -423,7 +426,7 @@ class TestFirstReturn:
                   if Q.contains(states[k], tol=1e-12)]
         got = _first_entry(lambda x, u: np.zeros_like(x), states,
                            np.zeros(1), 0.25, Q, 0.25)
-        assert got == ((inside[0] - 1) * 0.25 + 0.25 if inside else None)
+        assert got == ((inside[0] - 1) * 0.25 + 0.25 if inside else math.inf)
 
 
 class TestConstants:
