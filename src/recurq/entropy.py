@@ -110,8 +110,9 @@ def build_spanning_instance(sys: ControlSystem, Q: Box,
                             max_candidates: int = 24) -> SpanningInstance:
     """Enumerate candidates and fill the feasibility matrix by simulation.
 
-    The initial points are the centers of grid(Q, init_delta), counted
-    before any is built.
+    Q must be spec.Q, which it reads alone: another centre or radius raises
+    ValueError.  The initial points are the centers of grid(spec.Q,
+    init_delta), counted before any is built.
 
     Marches the candidate tree a segment per level, row (prefix*V + v)*P + p
     holding value v from point p, and stops marching a row once its mask of
@@ -121,7 +122,10 @@ def build_spanning_instance(sys: ControlSystem, Q: Box,
     a time on time_grid(T, dt) and that row index.  With more than one
     segment, dt must divide the segment duration and the horizon.
     """
-    T = spec.T
+    if not (np.array_equal(Q.center, spec.Q.center)
+            and np.array_equal(Q.radius, spec.Q.radius)):
+        raise ValueError("Q must match spec.Q, the set recurrence is judged by")
+    T, Q = spec.T, spec.Q
     if not math.isfinite(T):
         raise ValueError("spanning instances need a finite horizon T")
     # Python floats: a quotient too large for one is inf, with no warning

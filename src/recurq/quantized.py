@@ -111,6 +111,7 @@ class RecurrenceController:
     """Validated return-to-Q feedback with its certification constants."""
 
     sys: ControlSystem
+    Q: Box
     tau: float
     feedback: Callable
     c_star: float
@@ -118,11 +119,14 @@ class RecurrenceController:
     L_tau: float
     max_visit_gap: float
 
-    def _check_run(self, eps: float, tau: float, dt: float, alphas):
-        """Refuse an eps or tau it was not validated for, a bad dt or alpha."""
+    def _check_run(self, Q: Box, eps: float, tau: float, dt: float, alphas):
+        """Refuse an unvalidated Q, eps or tau, a bad dt or alpha."""
+        if not (np.array_equal(Q.center, self.Q.center)
+                and np.array_equal(Q.radius, self.Q.radius)):
+            raise ValueError("Q must match the validated controller")
         if not (0 < eps <= self.eps_star + 1e-12):
             raise ValueError(f"eps must lie in (0, {self.eps_star}]")
-        if abs(tau - self.tau) > 1e-12:
+        if tau != self.tau:
             raise ValueError("tau must match the validated controller")
         if not 0 < dt <= tau:
             raise ValueError(f"dt must lie in (0, tau={tau}]")
@@ -199,7 +203,7 @@ def build_feedback_controller(sys: ControlSystem, Q: Box, tau: float,
     # Python floats overflow to inf without numpy's warning
     if not all(math.isfinite(h - l) for l, h in zip(lo.tolist(), hi.tolist())):
         raise ValueError(f"eps={eps} leaves the validation envelope unbounded")
-    return RecurrenceController(sys=sys, tau=tau, feedback=feedback,
+    return RecurrenceController(sys=sys, Q=Q, tau=tau, feedback=feedback,
                                 c_star=c_star, eps_star=eps,
                                 L_tau=estimate_L(sys, Box((lo + hi) / 2.0,
                                                           (hi - lo) / 2.0)),
@@ -239,13 +243,13 @@ class GridMirror:
     this single code path so the two stay float-for-float identical.
     """
 
-    def __init__(self, controller: RecurrenceController, S0: Box, eps: float,
-                 tau: float, alpha: float):
+    def __init__(self, controller: RecurrenceController, eps: float,
+                 alpha: float):
+        tau, self.S = controller.tau, controller.Q  # the first ball is Q
         self.granularity_factor = math.exp(-(controller.L_tau + alpha) * tau)
         self.shrink = math.exp(-alpha * tau)  # of the ball, per step
         self.r = eps
-        self.S = S0
-        self.C = grid(S0, eps * self.granularity_factor)
+        self.C = grid(self.S, eps * self.granularity_factor)
         self.i = 0
 
     def step_to(self, frag_end: np.ndarray):
@@ -309,10 +313,10 @@ class EpisodeLog:
     def trajectories(self) -> tuple:
         """(times, hat, plant): the concatenated fragments and plant
         segments, replayed in one march from the logged q_i and x_i."""
-        c, tau, dt = self.controller, self.config["tau"], self.config["dt"]
+        c, dt = self.controller, self.config["dt"]
         q, x = (np.array([getattr(s, k) for s in self.steps]) for k in "qx")
-        frags, plants = _closed_loop(c.sys, c.feedback, q, x, tau, dt)
-        return (_time_axis(len(self.steps), tau, dt),
+        frags, plants = _closed_loop(c.sys, c.feedback, q, x, c.tau, dt)
+        return (_time_axis(len(self.steps), c.tau, dt),
                 np.concatenate(frags.swapaxes(0, 1)),
                 np.concatenate(plants.swapaxes(0, 1)))
 
@@ -341,12 +345,13 @@ def _levels(dists: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
             ).astype(np.min_scalar_type(-len(thresholds)))
 
 
-def _audit_terms(frags, plants, Q: Box, eps: float, tau: float, dt: float,
-                 steps: int, rows: list) -> list:
+def _audit_terms(frags, plants, controller: RecurrenceController, eps: float,
+                 dt: float, steps: int, rows: list) -> list:
     """What verify_guarantees reads of row r of the (K+1, R, n) fragments
     and plant segments, tau step i of a run with (i, alpha) = rows[r]: the
     levels for slack_j + 1e-9 and (plant) 2*slack_j + 1e-9, slack_j =
     eps*exp(-j*alpha*tau), j < steps, and max |hat - x| - eps*exp(-alpha*t)."""
+    Q, tau = controller.Q, controller.tau
     times, _ = time_grid(tau, dt)
     slack = {a: eps * np.exp(-np.arange(steps) * a * tau) for _, a in rows}
     d_hat, d_pl = distance_many(frags, Q), distance_many(plants, Q)
@@ -450,11 +455,11 @@ def replay(controller: RecurrenceController, header: dict,
            steps: list) -> tuple:
     """Re-run a logged episode and check its links: (EpisodeLog, failures).
 
-    header and steps are a log's (load_step_records).  A tau or eps that
-    the controller was not validated for, or a dt or alpha it cannot run,
-    raises ValueError with run_episodes' message.  All N steps march in one
-    _closed_loop, fragment i from the logged q_i and plant segment i from
-    x_i, as run_episodes marched them.  failures name, in order, a
+    header and steps are a log's (load_step_records).  A Q, tau or eps
+    that the controller was not validated for, or a dt or alpha it cannot
+    run, raises ValueError with run_episodes' message.  All N steps march
+    in one _closed_loop, fragment i from the logged q_i and plant segment
+    i from x_i, as run_episodes marched them.  failures name, in order, a
     step count, total_bits, L_tau or c_star that the header gets wrong,
     and each step whose record a fresh GridMirror does not reproduce from
     x0 and the ends of the plant segments and fragments.  With none, by
@@ -462,17 +467,17 @@ def replay(controller: RecurrenceController, header: dict,
     never mix.  The log's config takes the controller's L_tau and c_star,
     and not total_bits, which the log sums from its widths.
     """
-    eps, tau, alpha, dt = (header[k] for k in ("eps", "tau", "alpha", "dt"))
-    controller._check_run(eps, tau, dt, [alpha])
+    eps, alpha, dt = header["eps"], header["alpha"], header["dt"]
+    controller._check_run(Box(header["Q_center"], header["Q_radius"]), eps,
+                          header["tau"], dt, [alpha])
     frags, plants = _closed_loop(
         controller.sys, controller.feedback, np.array([s.q for s in steps]),
         np.array([s.x for s in steps]), controller.tau, dt)
     config = {k: v for k, v in header.items() if k != "total_bits"}
     config.update(L_tau=controller.L_tau, c_star=controller.c_star)
-    Q = Box(header["Q_center"], header["Q_radius"])
-    mirror = GridMirror(controller, Q, eps, tau, alpha)
+    mirror = GridMirror(controller, eps, alpha)
     log = EpisodeLog(config, list(steps), _audit_terms(
-        frags, plants, Q, eps, tau, dt, len(steps),
+        frags, plants, controller, eps, dt, len(steps),
         [(i, alpha) for i in range(len(steps))]), controller)
     failures = []
     if len(steps) != header["steps"]:
@@ -501,10 +506,10 @@ def run_episodes(sys: ControlSystem, Q: Box,
                  seeds=None) -> list:
     """Run B episodes in lockstep, one tau step at a time.
 
-    The plant is the controller's system, which replay marches too: a
-    sys whose name or input box differs from it raises ValueError.
-    Episode b starts at x0s[b] with contraction rate alphas[b] and logs
-    seeds[b] (default b).  Quantizing, the codec and each mirror's
+    The plant, Q and tau are the controller's, which replay reads too: a
+    sys whose name or input box differs, or another Q or tau, raises
+    ValueError.  Episode b starts at x0s[b] with contraction rate alphas[b]
+    and logs seeds[b] (default b).  Quantizing, the codec and each mirror's
     grid/ball update stay per episode.  Each tau step marches one
     (3B, n) batch through _closed_loop: the B sensor fragments from the
     quantized centres, the B receiver fragments from the receivers' own
@@ -519,15 +524,15 @@ def run_episodes(sys: ControlSystem, Q: Box,
         raise ValueError("system: {}, input box {}..{}, differs from {}, input "
                          "box {}..{}, the system the controller was validated "
                          "on".format(*given, *own))
-    sys = controller.sys
-    x0s = np.array(x0s, dtype=float)
     alphas = list(alphas)
+    controller._check_run(Q, eps, tau, dt, alphas)
+    sys, Q, tau = controller.sys, controller.Q, controller.tau
+    x0s = np.array(x0s, dtype=float)
     seeds = list(range(len(x0s))) if seeds is None else list(seeds)
     if x0s.ndim != 2 or x0s.shape[1] != sys.n:
         raise ValueError(f"x0s must have shape (B, {sys.n})")
     if not len(x0s) == len(alphas) == len(seeds):
         raise ValueError("x0s, alphas and seeds must have one entry per episode")
-    controller._check_run(eps, tau, dt, alphas)
     if steps < 1:
         raise ValueError(f"steps must be at least 1, not {steps}")
     for b, x0 in enumerate(x0s):
@@ -535,8 +540,8 @@ def run_episodes(sys: ControlSystem, Q: Box,
             raise ValueError(f"episode {b}: x0 must lie in Q")
 
     B = len(x0s)
-    sensors = [GridMirror(controller, Q, eps, tau, a) for a in alphas]
-    receivers = [GridMirror(controller, Q, eps, tau, a) for a in alphas]
+    sensors = [GridMirror(controller, eps, a) for a in alphas]
+    receivers = [GridMirror(controller, eps, a) for a in alphas]
     logs = []
     for x0, alpha, seed in zip(x0s, alphas, seeds):
         config = {"system": sys.name, "Q_center": Q.center.tolist(),
@@ -565,8 +570,8 @@ def run_episodes(sys: ControlSystem, Q: Box,
 
         mirrors, plant = _closed_loop(
             sys, controller.feedback, np.concatenate((Q_s, Q_c)), X, tau, dt)
-        terms = _audit_terms(mirrors[:, :B], plant, Q, eps, tau, dt, steps,
-                             [(i, log.config["alpha"]) for log in logs])
+        terms = _audit_terms(mirrors[:, :B], plant, controller, eps, dt,
+                             steps, [(i, log.config["alpha"]) for log in logs])
         for b in range(B):
             sensors[b].step_to(mirrors[-1, b].copy())
             receivers[b].step_to(mirrors[-1, B + b].copy())
@@ -622,11 +627,6 @@ class GuaranteeReport:
     tracking: ClauseResult            # ||hat - true|| <= eps * exp(-alpha t)
     hat_recurrent: ClauseResult       # windowed recurrence of the fragments
     true_recurrent: ClauseResult      # same for the plant, doubled slack
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in (self.state_in_ball, self.tracking,
-                                      self.hat_recurrent, self.true_recurrent))
 
 
 def _windowed_recurrence_margin(times, levels, windows, starts,

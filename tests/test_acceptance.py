@@ -323,8 +323,8 @@ class TestCriterion8Properties:
         tau, dt, steps = (logs[0].config[k] for k in ("tau", "dt", "steps"))
         assert all(log.config["tau"] == tau and log.config["dt"] == dt
                    and len(log.steps) == steps for log in logs)
-        mirrors = [GridMirror(di_controller, Q, log.config["eps"],
-                              tau, log.config["alpha"]) for log in logs]
+        mirrors = [GridMirror(di_controller, log.config["eps"],
+                              log.config["alpha"]) for log in logs]
         # logged centres, step-major: (steps, episodes, n)
         qs = np.array([[s.q for s in log.steps] for log in logs]).swapaxes(0, 1)
         chunk = 50  # steps per march: 1000 rows of 2001 samples, 32 MB

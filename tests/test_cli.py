@@ -157,6 +157,17 @@ class TestBounds:
         cfg.write_text("system: [unclosed\n  - ")
         assert main(["--config", str(cfg), "bounds"]) == EXIT_CONFIG
 
+    def test_huge_int_is_parse_error(self, tmp_path, capsys):
+        # a ValueError traceback (exit 1) before, from yaml's int
+        # constructor: Python refuses to read an int of 4300+ digits
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(SPAN_YAML.format(horizons="[4]").replace(
+            "max_candidates: 128", "max_candidates: " + "9" * 5000))
+        assert main(["--config", str(cfg), "spanning"]) == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"config error: config parse error in {cfg}: "
+                               "Exceeds the limit (4300 digits)")
+
     def test_non_mapping_root_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("- tau\n- 2.0\n")
@@ -350,6 +361,17 @@ class TestSpanning:
         ({"init_delta": 1e-320},
          "init_delta must be positive, finite and large enough for a finite "
          "grid over Q, not 1e-320"),
+        # tracebacks (exit 1) before, from the grid step, a 20th of the
+        # finest tau: an OverflowError at 1e-320 and a ZeroDivisionError
+        # at 5e-324
+        ({"tau_list": None, "tau": 1e-320},
+         "tau entry 1e-320 is too small for a grid step of a 20th of it"),
+        ({"tau_list": None, "tau": 5e-324},
+         "tau entry 5e-324 is too small for a grid step of a 20th of it"),
+        ({"tau_list": [2.0, 1e-320]},
+         "tau_list entry 1e-320 is too small for a grid step of a 20th of it"),
+        ({"tau_list": [2.0, 5e-324]},
+         "tau_list entry 5e-324 is too small for a grid step of a 20th of it"),
     ])
     def test_bad_entry_is_refused_by_name(self, tmp_path, capsys, edit,
                                           message):

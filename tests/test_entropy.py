@@ -447,6 +447,21 @@ class TestBuildInstance:
         with pytest.raises(ValueError):
             build_spanning_instance(sys, UNIT_SQUARE, spec, 0.5, cc, dt=0.1)
 
+    @pytest.mark.parametrize("Q", [Box([0.0, 0.0], [0.5, 0.5]),
+                                   Box([0.5, 0.0], [1.0, 1.0]),
+                                   Box([0.0], [1.0])])
+    def test_Q_must_be_the_specs(self, monkeypatch, Q):
+        # built before, its points from Q and its verdicts against spec.Q
+        def refuse(*args, **kwargs):
+            raise AssertionError("marched before Q was checked")
+
+        monkeypatch.setattr(systems, "march", refuse)
+        spec = RecurrenceSpec(UNIT_SQUARE, tau=2.0, eps=0.1, T=4.0)
+        cc = CandidateClass(values_per_axis=3, segment_duration=2.0)
+        with pytest.raises(ValueError, match="^Q must match spec.Q"):
+            build_spanning_instance(double_integrator(), Q, spec, 0.5, cc,
+                                    dt=0.1)
+
 
 class TestCandidateTree:
     @given(scalar=st.booleans(), dt=st.sampled_from([0.025, 1 / 30, 0.1 / 3]),

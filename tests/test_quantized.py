@@ -336,29 +336,26 @@ def fragments(controller, Q0):
 
 class TestGridMirror:
     def test_initial_cover_is_benchmark_size(self, di_controller):
-        m = GridMirror(di_controller, UNIT_SQUARE, eps=0.1, tau=2.0,
-                       alpha=0.0)
+        m = GridMirror(di_controller, eps=0.1, alpha=0.0)
         assert m.C.size == 5476
         assert len(encode(0, m.C.size)) == 13
 
     def test_steady_cover_sizes(self, di_controller):
         for alpha, expect in ((0.0, 64), (0.5, 441)):
-            m = GridMirror(di_controller, UNIT_SQUARE, eps=0.1,
-                           tau=2.0, alpha=alpha)
+            m = GridMirror(di_controller, eps=0.1, alpha=alpha)
             m.step_to(fragments(di_controller, [m.C.center(0)])[-1, 0])
             assert m.C.size == expect
             # ceil(e^((L + alpha) tau))^n, with L = 1, tau = 2 and n = 2
             assert expect == math.ceil(math.exp((1.0 + alpha) * 2.0)) ** 2
 
     def test_radius_contraction(self, di_controller):
-        m = GridMirror(di_controller, UNIT_SQUARE, eps=0.1, tau=2.0,
-                       alpha=0.5)
+        m = GridMirror(di_controller, eps=0.1, alpha=0.5)
         m.step_to(fragments(di_controller, [m.C.center(0)])[-1, 0])
         assert m.r == pytest.approx(0.1 * math.exp(-1.0), rel=1e-15)
 
     def test_mirrors_stay_identical(self, di_controller):
-        a = GridMirror(di_controller, UNIT_SQUARE, 0.1, 2.0, 0.1)
-        b = GridMirror(di_controller, UNIT_SQUARE, 0.1, 2.0, 0.1)
+        a = GridMirror(di_controller, 0.1, 0.1)
+        b = GridMirror(di_controller, 0.1, 0.1)
         rng = np.random.default_rng(3)
         for _ in range(5):
             idx = int(rng.integers(0, a.C.size))
@@ -387,7 +384,7 @@ class TestEpisode:
 
     def test_guarantees_pass(self, short_episode):
         report = verify_guarantees(short_episode)
-        assert report.all_passed
+        assert all(clause.passed for clause in vars(report).values())
         assert report.tracking.worst_margin <= 1e-6
 
     def test_bit_rate_report(self, short_episode):
@@ -686,7 +683,11 @@ class TestEpisodeBatch:
         # run_episodes' messages; replay had its own before
         ({"dt": 2.5}, r"^dt must lie in \(0, tau=2.0\]$"),
         ({"alpha": -0.1}, "^episode 0: alpha must be finite and "
-                          "nonnegative, not -0.1$")])
+                          "nonnegative, not -0.1$"),
+        # replayed with no error before: a Q the controller never swept,
+        # and a tau within the 1e-12 slack that replay did not march
+        ({"Q_radius": [0.5, 0.5]}, "^Q must match the validated controller$"),
+        ({"tau": 2.0 + 8e-13}, "^tau must match the validated controller$")])
     def test_replay_refuses_unvalidated_controller(self, di_controller, edit,
                                                    match):
         # a tau 3 log replayed by the tau 2 controller marched 2 s plant
@@ -718,16 +719,31 @@ class TestEpisodeBatch:
         ([[0.0, 0.0], [0.0, 0.0]], 0.2, 2.0, [0.0, 0.0], "eps"),
         ([[0.0, 0.0], [0.0, 0.0]], 0.1, 3.0, [0.0, 0.0], "tau"),
         ([[0.0, 0.0], [0.0, 0.0]], 0.1, 2.0, [0.0], "one entry"),
+        # ran before, marching 2 s steps while its log said 2 + 8e-13
+        ([[0.0, 0.0], [0.0, 0.0]], 0.1, 2.0 + 8e-13, [0.0, 0.0], "tau"),
     ])
     def test_inputs_checked_before_marching(self, di_controller, monkeypatch,
                                             x0s, eps, tau, alphas, match):
+        self.assert_refused_unmarched(monkeypatch, match, UNIT_SQUARE,
+                                      di_controller, x0s, eps, tau, alphas)
+
+    def test_Q_checked_before_marching(self, di_controller, monkeypatch):
+        # ran before on a Q the controller was not swept over
+        self.assert_refused_unmarched(
+            monkeypatch, "^Q must match the validated controller$",
+            Box([0.0, 0.0], [0.5, 0.5]), di_controller, [[0.0, 0.0]], 0.1,
+            2.0, [0.0])
+
+    @staticmethod
+    def assert_refused_unmarched(monkeypatch, match, *args):
+        """run_episodes(double_integrator(), *args, 3, 0.01) raises a
+        ValueError matching match before it marches."""
         def refuse(*args, **kwargs):
             raise AssertionError("marched before the inputs were checked")
 
         monkeypatch.setattr(quantized, "march", refuse)
         with pytest.raises(ValueError, match=match):
-            run_episodes(double_integrator(), UNIT_SQUARE, di_controller,
-                         x0s, eps, tau, alphas, 3, 0.01)
+            run_episodes(double_integrator(), *args, 3, 0.01)
 
 
 class TestVisitLevels:
